@@ -63,28 +63,39 @@ class CheckResult:
         return f"{body}: {self.detail}" if self.detail else body
 
 
-def apply_fault(tables: Tables, cell: str) -> str:
+def apply_fault(tables: Tables, cell: str, oracle_max: int | None = None) -> str:
     """Corrupt one recurrence cell in place (self-test hook).
 
     The argument reads "b:n:i:j", "c:n:i:j" or "v:n:j"; the named cell
     is incremented by one so the oracle comparison must fail and name it.
+    Only cells that :func:`check_oracle_dp` reads are accepted: sizes
+    2 <= n <= oracle_max (default: the table size), letters 1..n, and
+    i != j.  Anything else raises ValueError, since corrupting it would
+    show nothing.
     """
-    parts = cell.split(":")
-    kind = parts[0]
-    nums = [int(p) for p in parts[1:]]
-    if kind == "v" and len(nums) == 2:
-        n, j = nums
-        tables.v[n][j] += 1
-        return f"v({n},{j})"
-    if kind == "b" and len(nums) == 3:
-        n, i, j = nums
-        tables.b_cells[n][i][j] += 1
-        return f"b({n},{i},{j})"
-    if kind == "c" and len(nums) == 3:
-        n, i, j = nums
-        tables.c_cells[n][i][j] += 1
-        return f"c({n},{i},{j})"
-    raise ValueError(f"bad fault cell {cell!r}; use v:n:j or b:n:i:j or c:n:i:j")
+    kind, *fields = cell.split(":")
+    arity = {"v": 2, "b": 3, "c": 3}.get(kind)
+    try:
+        nums = [int(f) for f in fields]
+    except ValueError:
+        nums = []
+    if arity is None or len(nums) != arity:
+        raise ValueError(
+            f"bad fault cell {cell!r}; use v:n:j or b:n:i:j or c:n:i:j")
+    n_max = tables.N if oracle_max is None else min(oracle_max, tables.N)
+    n, *letters = nums
+    read = (2 <= n <= n_max and all(1 <= k <= n for k in letters)
+            and (kind == "v" or letters[0] != letters[1]))
+    if not read:
+        raise ValueError(
+            f"fault cell {cell!r} is never read by the oracle check; it needs "
+            f"2 <= n <= {n_max}, letters in 1..n, and i != j")
+    if kind == "v":
+        tables.v[n][letters[0]] += 1
+    else:
+        i, j = letters
+        (tables.b_cells if kind == "b" else tables.c_cells)[n][i][j] += 1
+    return f"{kind}({','.join(map(str, nums))})"
 
 
 def check_dp_reference(tables: Tables) -> CheckResult:
@@ -257,7 +268,7 @@ def run_all(
     build_dt = time.time() - t0
     results = [CheckResult("dp-build", True, f"N={tables.N} ({build_dt:.1f}s)")]
     if fault is not None:
-        cell = apply_fault(tables, fault)
+        cell = apply_fault(tables, fault, oracle_max)
         results.append(CheckResult(
             "fault-injection", True, f"corrupted {cell}; expect a FAIL below"))
     results.append(check_dp_reference(tables))

@@ -54,10 +54,6 @@ def _rational(text: str) -> Q:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _fmt_q(value) -> str:
-    return str(value)
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -172,7 +168,7 @@ def cmd_series(args) -> int:
     except genfun.KernelSpecializationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    pairs = [(n, _fmt_q(series[n])) for n in range(series.order + 1)]
+    pairs = [(n, str(series[n])) for n in range(series.order + 1)]
     if args.format == "json":
         _emit(_values_payload(args.gf, pairs))
     elif args.format == "csv":
@@ -307,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--inject-fault", metavar="CELL", default=None,
         help="self-test hook: corrupt one recurrence cell (v:n:j, b:n:i:j "
-        "or c:n:i:j with n at most the oracle cap) and expect a FAIL "
-        "naming it")
+        "or c:n:i:j with 2 <= n <= the oracle cap, letters in 1..n and "
+        "i != j) and expect a FAIL naming it")
     verify.set_defaults(func=cmd_verify)
 
     conj = sub.add_parser(

@@ -9,10 +9,11 @@ provably stop touching the requested coefficient window.
 Dividing by a series of valuation w costs w coefficients of certainty, and
 several weight specializations (weight 1, geometric weights 1/(1-kx)) make
 kernel factors vanish at the constant term.  Internal work therefore
-happens at a padded order and the achieved order is asserted before
-truncating down to the caller's request.  Series that different formulas
-share (the last-letter series at assorted geometric weights, the
-one-variable b and c series) are cached at the largest order built so far.
+happens at a padded order, and truncating down to the caller's request
+raises ValueError if the achieved order falls short.  Series that
+different formulas share (the last-letter series at assorted geometric
+weights, the one-variable b and c series) are cached at the largest order
+built so far.
 
 Weight conventions, with the coefficient of x^n counting words of size n:
 
@@ -57,9 +58,7 @@ def _cached(key: tuple, N: int, build) -> Series:
     """
     hit = _SERIES_CACHE.get(key)
     if hit is None or hit.order < N:
-        hit = build()
-        assert hit.order >= N
-        hit = hit.truncate(N)
+        hit = build().truncate(N)
         _SERIES_CACHE[key] = hit
     return hit.truncate(N)
 
@@ -90,6 +89,50 @@ def _accumulate(total: Series, term: Series) -> Series:
     return total.truncate(low) + term.truncate(low)
 
 
+def _kernel_denominators(k0: Series, u: Series, ux: Series, a: int, b: int,
+                         lead: int, N: int):
+    """Yield (j, den_j) for the terms of one kernel sum that reach order N.
+
+    den_j = k0 * prod_{i <= j+a} (1 - i*ux) * prod_{i <= j+b} (1 - u - i*ux),
+    kept as a running product.  Term j contributes nothing below
+    x^(lead + 2j - val(den_j)), where lead counts the explicit x powers of
+    its numerator and of any outer factor the sum is multiplied by.  Each
+    step raises val(den_j) by at most one (only a 1-u-i*ux factor can
+    vanish at x = 0), so the terms pass x^N after finitely many steps.
+    """
+    one = Series.one(ux.order)
+    den = k0
+    for i in range(1, a + 1):
+        den = den * (one - i * ux)
+    for i in range(1, b + 1):
+        den = den * (one - u - i * ux)
+    for j in range(_MAX_SUM_TERMS):
+        if lead + 2 * j - den.val() > N:
+            return
+        yield j, den
+        den = den * (one - (j + a + 1) * ux) * (one - u - (j + b + 1) * ux)
+    raise RuntimeError("kernel sum failed to terminate")
+
+
+def _alternating_sum(k0: Series, u: Series, ux: Series, a: int, b: int,
+                     lead: int, N: int, pw: Series, numer) -> Series:
+    """sum_j (-1)^j numer(j) pw (ux)^(2j) / den_j over the denominators above.
+
+    Terms are skipped (not stopped on) when a specialization of u zeroes a
+    numerator identically.
+    """
+    total = Series.zero(ux.order)
+    ux2 = ux * ux
+    for j, den in _kernel_denominators(k0, u, ux, a, b, lead, N):
+        num = numer(j) * pw
+        if j % 2:
+            num = -num
+        if not num.is_zero():
+            total = _accumulate(total, num / den)
+        pw = pw * ux2
+    return total
+
+
 # ---------------------------------------------------------------------------
 # last-letter avoider series
 
@@ -116,9 +159,7 @@ def V0_series(N: int) -> Series:
             dpoly = [0] * j + [j + 1, -(j * j)]
             num = num + scale * (Series.from_poly(npoly, W) / nrun)
             den = den + scale * (Series.from_poly(dpoly, W) / drun)
-        out = num / den
-        assert out.order >= N
-        return out
+        return num / den
 
     return _cached(("V0",), N, build)
 
@@ -126,65 +167,24 @@ def V0_series(N: int) -> Series:
 def _V_at(p: Series, N: int) -> Series:
     """Last-letter series with the final letter j weighted by p^(j-1).
 
-    Two infinite sums over j.  Their denominators are running products of
-    (1-ipx) and (1-p-ipx) factors; each new factor raises the denominator
-    valuation by at most one while the explicit numerator power grows by
-    two, so the term valuations pass any fixed order after finitely many
-    steps.  Terms are skipped (not stopped on) when a specialization of p
-    zeroes a numerator identically.
+    Two alternating kernel sums over j, the second carrying the
+    final-letter-1 series.
     """
     W = p.order
     one = Series.one(W)
-    X = _mono(1, W)
-    px = p * X
+    px = p * _mono(1, W)
     ppx = p * px
     p2x2 = px * px
     k0 = one - p + px
     v0 = V0_series(W)
-    total = Series.zero(W)
-
-    # first sum: explicit factor p^(2j+1) x^(2j+1)
-    F = one - px          # prod (1-ipx),   i <= j+1
-    G = one - p - px      # prod (1-p-ipx), i <= j+1
-    pw = px               # (px)^(2j+1)
-    for j in range(_MAX_SUM_TERMS):
-        den = k0 * F * G
-        if 2 * j + 1 - den.val() > N:
-            break
-        par = (p - one) - j * ppx + (2 * j + 1) * px - (j * j + j + 1) * p2x2
-        num = par * pw
-        if j % 2:
-            num = -num
-        if not num.is_zero():
-            total = _accumulate(total, num / den)
-        pw = pw * px * px
-        F = F * (one - (j + 2) * px)
-        G = G * (one - p - (j + 2) * px)
-    else:
-        raise RuntimeError("last-letter series sum failed to terminate")
-
-    # second sum: carries the final-letter-1 series, explicit p^(2j) x^(2j)
-    F = one               # prod (1-ipx),   i <= j
-    G = one - p - px      # prod (1-p-ipx), i <= j+1
-    pw = one              # (px)^(2j)
-    for j in range(_MAX_SUM_TERMS):
-        den = k0 * F * G
-        if 2 * j + 1 - den.val() > N:
-            break
-        par = (one - j * px) ** 2 - p + (j - 1) * ppx
-        num = v0 * (par * pw)
-        if j % 2:
-            num = -num
-        if not num.is_zero():
-            total = _accumulate(total, num / den)
-        pw = pw * px * px
-        F = F * (one - (j + 1) * px)
-        G = G * (one - p - (j + 2) * px)
-    else:
-        raise RuntimeError("last-letter series sum failed to terminate")
-
-    assert total.order >= N
-    return total
+    first = _alternating_sum(
+        k0, p, px, 1, 1, 1, N, px,
+        lambda j: ((p - one) - j * ppx + (2 * j + 1) * px
+                   - (j * j + j + 1) * p2x2))
+    second = _alternating_sum(
+        k0, p, px, 0, 1, 1, N, one,
+        lambda j: v0 * ((one - j * px) ** 2 - p + (j - 1) * ppx))
+    return _accumulate(first, second)
 
 
 def _V_scaled_geom(c, m: int, N: int) -> Series:
@@ -223,9 +223,7 @@ def C11_series(N: int) -> Series:
             + Series.from_poly([3, -6, -3], W)
         )
         den = Series.from_poly([3, -6], W) * Series.from_poly([1, -3], W)
-        out = (par * _mono(3, W)) / den
-        assert out.order >= N
-        return out
+        return (par * _mono(3, W)) / den
 
     return _cached(("C11",), N, build)
 
@@ -263,7 +261,6 @@ def _C1u_impl(c, k: int, N: int) -> Series:
         t3 = (one_m_u * u * u * x4 * vg) / (k1 * k2 * k3)
         t4 = (one_m_u * (one - ux - ux * X) * _mono(3, W)) / (omx * k1 * k3)
         out = _aligned_sum([t1, t2, -t3, t4])
-    assert out.order >= N
     return out
 
 
@@ -325,9 +322,7 @@ def B11_series(N: int) -> Series:
             raise RuntimeError("b series sum failed to terminate")
 
         bracket = _aligned_sum([c11 * inv_omx * T1, T2C, inv_omx * T3])
-        out = -(bracket / D)
-        assert out.order >= N
-        return out
+        return -(bracket / D)
 
     return _cached(("B11",), N, build)
 
@@ -355,61 +350,26 @@ def _B1u_impl(c, m: int, N: int) -> Series:
     b11 = B11_series(N)
     c11 = C11_series(N)
 
-    # S1: multiplies the b series; explicit u^(2j) x^(2j+1)
-    S1 = Series.zero(W)
-    F = one               # prod (1-iux),   i <= j
-    G = one - u - ux      # prod (1-u-iux), i <= j+1
-    uw = one              # (ux)^(2j)
-    for j in range(_MAX_SUM_TERMS):
-        den = k0 * F * G
-        if 2 * j + 1 - den.val() > N:
-            break
-        par = (one - j * ux) ** 2 + (j - 1) * uux - u
-        num = par * uw * X
-        if j % 2:
-            num = -num
-        if not num.is_zero():
-            S1 = _accumulate(S1, num / den)
-        uw = uw * ux * ux
-        F = F * (one - (j + 1) * ux)
-        G = G * (one - u - (j + 2) * ux)
-    else:
-        raise RuntimeError("b series sum failed to terminate")
+    # S1 multiplies the b series, S2 the c series, S4 stands alone.
+    S1 = _alternating_sum(
+        k0, u, ux, 0, 1, 1, N, X,
+        lambda j: (one - j * ux) ** 2 + (j - 1) * uux - u)
+    S2 = _alternating_sum(
+        k0 * omx, u, ux, 0, 1, 4, N, X,
+        lambda j: (one - u - j * ux) ** 2)
+    S4 = _alternating_sum(
+        k0 * omx, u, ux, 2, 0, 2, N, _mono(2, W),
+        lambda j: (one - (j + 1) * ux) ** 2 * (one - u - j * ux))
 
-    # S2: multiplies the c series; same products, one extra 1-x factor
-    S2 = Series.zero(W)
-    F = one
-    G = one - u - ux
-    uw = one
-    for j in range(_MAX_SUM_TERMS):
-        den = k0 * F * G * omx
-        if 2 * j + 4 - den.val() > N:
-            break
-        par = (one - u - j * ux) ** 2
-        num = par * uw * X
-        if j % 2:
-            num = -num
-        if not num.is_zero():
-            S2 = _accumulate(S2, num / den)
-        uw = uw * ux * ux
-        F = F * (one - (j + 1) * ux)
-        G = G * (one - u - (j + 2) * ux)
-    else:
-        raise RuntimeError("b series sum failed to terminate")
-
-    # S3: couples term j with the c series at weight u/(1-(j+1)ux), which
+    # S3 couples term j with the c series at weight u/(1-(j+1)ux), which
     # stays in the geometric family as c/(1-(m+j+1)cx).  The explicit
     # x^(2j+2) is split: enough goes into the division to keep the
     # quotient a power series, the rest is an exact shift afterwards.
     S3 = Series.zero(N)
-    F = (one - ux) * (one - 2 * ux)   # prod (1-iux),   i <= j+2
-    G = one - u - ux                  # prod (1-u-iux), i <= j+1
-    upow = u * u * u                  # u^(2j+3)
-    for j in range(_MAX_SUM_TERMS):
-        den = k0 * F * G
+    u2 = u * u
+    upow = u * u2  # u^(2j+3)
+    for j, den in _kernel_denominators(k0, u, ux, 2, 1, 5, N):
         dval = den.val()
-        if 2 * j + 5 - dval > N:
-            break
         pre = (one - u - j * ux) * upow
         if j % 2:
             pre = -pre
@@ -420,38 +380,11 @@ def _B1u_impl(c, m: int, N: int) -> Series:
             cj = _C1u_cached(c, m + j + 1, t)
             term = (q.truncate(t) * cj).shifted(2 * j + 2 - dval)
             S3 = S3 + term.truncate(N)
-        upow = upow * u * u
-        F = F * (one - (j + 3) * ux)
-        G = G * (one - u - (j + 2) * ux)
-    else:
-        raise RuntimeError("b series sum failed to terminate")
+        upow = upow * u2
 
-    # S4: standalone; explicit u^(2j) x^(2j+2)
-    S4 = Series.zero(W)
-    F = (one - ux) * (one - 2 * ux)   # prod (1-iux),   i <= j+2
-    G = one                           # prod (1-u-iux), i <= j
-    uw = one                          # (ux)^(2j)
-    for j in range(_MAX_SUM_TERMS):
-        den = k0 * F * G * omx
-        if 2 * j + 2 - den.val() > N:
-            break
-        par = ((one - (j + 1) * ux) ** 2) * (one - u - j * ux)
-        num = par * uw * _mono(2, W)
-        if j % 2:
-            num = -num
-        if not num.is_zero():
-            S4 = _accumulate(S4, num / den)
-        uw = uw * ux * ux
-        F = F * (one - (j + 3) * ux)
-        G = G * (one - u - (j + 1) * ux)
-    else:
-        raise RuntimeError("b series sum failed to terminate")
-
-    out = _aligned_sum(
+    return _aligned_sum(
         [b11 * S1.truncate(N), c11 * S2.truncate(N), -S3, S4.truncate(N)]
     )
-    assert out.order >= N
-    return out
 
 
 def _B1u_cached(c, m: int, N: int) -> Series:
@@ -481,9 +414,7 @@ def _C_general(v, u, N: int) -> Series:
     )
     t4 = _rat([0, v], [[1, -v]], W) * _C1u_cached(v, 0, W)
     t5 = _rat([0, 0, 0, v], [[1, -v]], W)
-    out = _aligned_sum([t1, t2, t3, t4, t5])
-    assert out.order >= N
-    return out.truncate(N)
+    return _aligned_sum([t1, t2, t3, t4, t5]).truncate(N)
 
 
 def _B_general(v, u, N: int) -> Series:
@@ -504,9 +435,7 @@ def _B_general(v, u, N: int) -> Series:
     )
     t5 = _rat([0, v * v], [[1, -v]], W) * _C1u_cached(v, 0, W)
     t6 = _rat([0, 0, v], [[1, -v]], W)
-    out = _aligned_sum([t1, t2, t3, t4, t5, t6])
-    assert out.order >= N
-    return out.truncate(N)
+    return _aligned_sum([t1, t2, t3, t4, t5, t6]).truncate(N)
 
 
 def A_series(N: int) -> Series:

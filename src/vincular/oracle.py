@@ -69,15 +69,6 @@ def count_circular_avoiders(
     return sum(1 for rep in circular_classes(n) if avoids_circular(rep, patterns))
 
 
-def oracle_v(n: int) -> tuple[int, ...]:
-    """v[j] = avoiders of the last-letter pair ending in j; index 0 unused."""
-    counts = [0] * (n + 1)
-    for w in iter_words(n):
-        if avoids_linear(w, LAST_LETTER_PATTERNS):
-            counts[w[-1]] += 1
-    return tuple(counts)
-
-
 def _classify(w: Word, n: int) -> str | None:
     """'b' when 1 is right of n, 'c' when 1 left of n and 2 right of n.
 
@@ -91,48 +82,6 @@ def _classify(w: Word, n: int) -> str | None:
     if n >= 3 and w.index(2) > pos_n:
         return "c"
     return None
-
-
-def oracle_b(n: int) -> dict[tuple[int, int], int]:
-    """Cell counts b[(i, j)] over ending pairs i, j; all i != j keys present."""
-    return _oracle_cells(n, "b")
-
-
-def oracle_c(n: int) -> dict[tuple[int, int], int]:
-    return _oracle_cells(n, "c")
-
-
-def _oracle_cells(n: int, which: str) -> dict[tuple[int, int], int]:
-    cells = {
-        (i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1) if i != j
-    }
-    skip = held_out(n)
-    for w in iter_words(n):
-        if w == skip or not avoids_linear(w, REDUCED_PATTERNS):
-            continue
-        if _classify(w, n) == which:
-            cells[(w[-2], w[-1])] += 1
-    return cells
-
-
-def b_members(n: int, i: int, j: int) -> list[Word]:
-    """The actual words counted by b(n, i, j), for spot checks."""
-    return _members(n, i, j, "b")
-
-
-def c_members(n: int, i: int, j: int) -> list[Word]:
-    return _members(n, i, j, "c")
-
-
-def _members(n: int, i: int, j: int, which: str) -> list[Word]:
-    skip = held_out(n)
-    out = []
-    for w in iter_words(n):
-        if w[-2] != i or w[-1] != j or w == skip:
-            continue
-        if avoids_linear(w, REDUCED_PATTERNS) and _classify(w, n) == which:
-            out.append(w)
-    return out
 
 
 def marginals_by_last(cells: dict[tuple[int, int], int], n: int) -> tuple[int, ...]:
@@ -215,10 +164,6 @@ def reduction_counterexample(n: int) -> Word | None:
         if circ != lin:
             return rep
     return None
-
-
-def reduction_check(n: int) -> bool:
-    return reduction_counterexample(n) is None
 
 
 def weighted_circular_sum(n: int, v0, u0):

@@ -62,17 +62,6 @@ def rotations(word: Sequence[int]) -> list[Word]:
     return out
 
 
-def canonical_rotation(word: Sequence[int]) -> Word:
-    """The rotation of word that starts with its smallest letter.
-
-    Words in the same cyclic class share their canonical rotation, so this
-    serves as the class representative.
-    """
-    word = tuple(word)
-    pos = word.index(min(word))
-    return word[pos:] + word[:pos]
-
-
 def circular_classes(n: int) -> Iterator[Word]:
     """Canonical representatives of all (n-1)! cyclic classes of [n].
 

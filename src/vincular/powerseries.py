@@ -8,25 +8,18 @@ division shrinks the order by the valuation of the divisor, since dividing
 by a series that starts at x^w costs w coefficients of certainty.
 
 Coefficients live in one ring: a coefficient that is integral is stored as
-a plain ``int`` and any other as a ``Q`` in lowest terms.  ``Q`` is gmpy2's
-``mpq`` when gmpy2 is importable and ``fractions.Fraction`` otherwise; the
-Fraction fallback is the supported baseline.  Most series met here have
-integer coefficients, so nearly all arithmetic stays on machine-backed ints
-and pays for rationals only where a coefficient really is one.  Both kinds
-expose numerator/denominator and compare and hash alike, so callers never
-need to know which one a coefficient is.
+a plain ``int`` and any other as a ``Q`` (``fractions.Fraction``) in lowest
+terms.  Most series met here have integer coefficients, so nearly all
+arithmetic stays on machine-backed ints and pays for rationals only where a
+coefficient really is one.  Both kinds expose numerator/denominator and
+compare and hash alike, so callers never need to know which one a
+coefficient is.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
-
-Scalar = object  # int or Q; isinstance(x, Series) is the real dispatch test
+from fractions import Fraction as Q
 
 
 def _coeff(c):

@@ -181,10 +181,16 @@ def test_verify_fault_injection_names_the_cell(capsys):
     assert "b(5,3,2)" in fails[0]
 
 
-def test_verify_rejects_bad_fault_cell(capsys):
-    with pytest.raises(SystemExit, match="fault"):
+# Malformed cells, then cells the oracle check never reads: j = 0, i = j,
+# a negative size that would wrap round the table, and a size past it.
+@pytest.mark.parametrize(
+    "cell", ["q:1:2:3", "v:5:0", "b:5:3:3", "c:5:1:1", "b:-1:1:2", "b:40:1:2"])
+def test_verify_rejects_bad_fault_cell(capsys, cell):
+    with pytest.raises(SystemExit, match="fault") as exc:
         run(capsys, "verify", "--oracle-cap", "5", "--N", "12",
-            "--order", "8", "--inject-fault", "q:1:2:3")
+            "--order", "8", "--inject-fault", cell)
+    message = str(exc.value.code)
+    assert message.startswith("error: ") and "\n" not in message
 
 
 def test_conjectures(capsys):

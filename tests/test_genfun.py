@@ -9,7 +9,7 @@ import pytest
 
 from vincular import genfun
 from vincular.oracle import weighted_circular_sum
-from vincular.powerseries import Q, as_int
+from vincular.powerseries import Q, Series, as_int
 from vincular.tables import build_tables
 
 T = build_tables(14)
@@ -58,10 +58,11 @@ def test_weight_one_specializations():
 
 
 def test_weighted_marginals():
-    for u in (2, 3):
-        bu = genfun.B1u_series(u, 10)
-        cu = genfun.C1u_series(u, 10)
-        for n in range(2, 11):
+    # at u = 3/7 every quotient in the b series' four sums is rational
+    for u, order in ((2, 10), (3, 10), (Q(3, 7), 6)):
+        bu = genfun.B1u_series(u, order)
+        cu = genfun.C1u_series(u, order)
+        for n in range(2, order + 1):
             assert bu[n] == sum(
                 T.b_last[n][j] * u ** (j - 1) for j in range(1, n + 1))
             assert cu[n] == sum(
@@ -94,6 +95,11 @@ def test_nonnegative_integer_coefficients():
         s = build(16)
         for coef in s.coeffs:
             assert coef.denominator == 1 and coef >= 0
+
+
+def test_cache_rejects_a_short_build():
+    with pytest.raises(ValueError):
+        genfun._cached(("probe",), 5, lambda: Series.zero(3))
 
 
 def test_cache_serves_truncations():

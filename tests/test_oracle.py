@@ -5,18 +5,14 @@ import pytest
 from vincular.oracle import (
     CIRCULAR_PATTERN,
     REDUCED_PATTERNS,
-    b_members,
-    c_members,
     count_L,
     count_circular_avoiders,
     held_out,
-    oracle_b,
-    oracle_c,
     oracle_report,
-    oracle_v,
-    reduction_check,
+    reduction_counterexample,
     weighted_circular_sum,
 )
+from vincular.perms import avoids_linear
 from vincular.powerseries import Q
 
 # a_1..a_8, also the circular counts shifted one size up.
@@ -47,44 +43,53 @@ def test_held_out_word():
     assert rep.count_l == 1 + sum(rep.b_cells.values()) + c_sizes
 
 
+def counted_split_word(w, n):
+    """w avoids the reduced pair and is not the held-out word."""
+    return avoids_linear(w, REDUCED_PATTERNS) and w != held_out(n)
+
+
 def test_b_cell_and_members_at_532():
-    assert oracle_b(5)[(3, 2)] == 3
-    assert sorted(b_members(5, 3, 2)) == [
-        (4, 5, 1, 3, 2), (5, 1, 4, 3, 2), (5, 4, 1, 3, 2)]
+    assert oracle_report(5).b_cells[(3, 2)] == 3
+    # three distinct b-type words ending in 3, 2, so these are all of them
+    for w in [(4, 5, 1, 3, 2), (5, 1, 4, 3, 2), (5, 4, 1, 3, 2)]:
+        assert counted_split_word(w, 5) and w.index(1) > w.index(5)
 
 
 def test_b_cells_tiny():
-    b2 = oracle_b(2)
+    b2 = oracle_report(2).b_cells
     assert b2[(2, 1)] == 1 and b2[(1, 2)] == 0
-    b3 = oracle_b(3)
+    b3 = oracle_report(3).b_cells
     ones = {(1, 2), (2, 1), (3, 1)}
     for key, value in b3.items():
         assert value == (1 if key in ones else 0)
 
 
 def test_c_cell_and_members_at_524():
-    assert oracle_c(5)[(2, 4)] == 2
-    assert sorted(c_members(5, 2, 4)) == [(1, 5, 3, 2, 4), (3, 1, 5, 2, 4)]
+    assert oracle_report(5).c_cells[(2, 4)] == 2
+    # two distinct c-type words ending in 2, 4, so these are all of them
+    for w in [(1, 5, 3, 2, 4), (3, 1, 5, 2, 4)]:
+        assert counted_split_word(w, 5)
+        assert w.index(1) < w.index(5) < w.index(2)
 
 
 def test_c_cells_tiny():
-    c3 = oracle_c(3)
+    c3 = oracle_report(3).c_cells
     for key, value in c3.items():
         assert value == (1 if key == (3, 2) else 0)
     for n in range(4, 8):
-        assert oracle_c(n)[(n, 2)] == 1
+        assert oracle_report(n).c_cells[(n, 2)] == 1
 
 
 def test_v_column():
-    assert oracle_v(4) == (0, 5, 5, 3, 1)
-    assert oracle_v(1) == (0, 1)
+    assert oracle_report(4).v == (0, 5, 5, 3, 1)
+    assert oracle_report(1).v == (0, 1)
     for n in range(1, 8):
-        assert oracle_v(n)[n] == 1
+        assert oracle_report(n).v[n] == 1
 
 
 def test_reduction_small():
     for n in range(2, 7):
-        assert reduction_check(n)
+        assert reduction_counterexample(n) is None
 
 
 def test_report_consistency():
