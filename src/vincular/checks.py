@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import genfun, oracle
 from .powerseries import Q
-from .tables import Tables, build_tables, check_conjectures
+from .tables import CELLS_MAX, Tables, build_tables, check_conjectures
 
 # The thirty reference values a_1..a_30 this library is expected to
 # reproduce along every route.
@@ -69,9 +69,9 @@ def apply_fault(tables: Tables, cell: str, oracle_max: int | None = None) -> str
     The argument reads "b:n:i:j", "c:n:i:j" or "v:n:j"; the named cell
     is incremented by one so the oracle comparison must fail and name it.
     Only cells that :func:`check_oracle_dp` reads are accepted: sizes
-    2 <= n <= oracle_max (default: the table size), letters 1..n, and
-    i != j.  Anything else raises ValueError, since corrupting it would
-    show nothing.
+    2 <= n <= oracle_max (default: the largest size with cell tables,
+    min(N, CELLS_MAX)), letters 1..n, and i != j.  Anything else raises
+    ValueError, since corrupting it would show nothing.
     """
     kind, *fields = cell.split(":")
     arity = {"v": 2, "b": 3, "c": 3}.get(kind)
@@ -82,7 +82,9 @@ def apply_fault(tables: Tables, cell: str, oracle_max: int | None = None) -> str
     if arity is None or len(nums) != arity:
         raise ValueError(
             f"bad fault cell {cell!r}; use v:n:j or b:n:i:j or c:n:i:j")
-    n_max = tables.N if oracle_max is None else min(oracle_max, tables.N)
+    n_max = len(tables.b_cells) - 1  # min(N, CELLS_MAX)
+    if oracle_max is not None:
+        n_max = min(oracle_max, n_max)
     n, *letters = nums
     read = (2 <= n <= n_max and all(1 <= k <= n for k in letters)
             and (kind == "v" or letters[0] != letters[1]))
@@ -111,9 +113,9 @@ def check_dp_reference(tables: Tables) -> CheckResult:
 
 def check_series_reference(order: int = 31) -> CheckResult:
     """Series-extracted sequence against the thirty reference values."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     a = genfun.a_from_series(genfun.A_series(order))
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     upto = min(order - 1, 30)
     for n in range(1, upto + 1):
         if a[n] != REFERENCE_A[n - 1]:
@@ -125,8 +127,16 @@ def check_series_reference(order: int = 31) -> CheckResult:
 
 
 def check_oracle_dp(tables: Tables, n: int) -> CheckResult:
-    """Every v/b/c cell plus both counts at one size against brute force."""
-    t0 = time.time()
+    """Every v/b/c cell plus both counts at one size against brute force.
+
+    Raises ValueError past the sizes whose cell tables were kept.
+    """
+    kept = len(tables.b_cells) - 1
+    if n > kept:
+        raise ValueError(
+            f"the oracle check at n={n} reads cell tables, which this build "
+            f"kept only for n <= {kept}")
+    t0 = time.perf_counter()
     rep = oracle.oracle_report(n)
     name = f"oracle-dp-n{n}"
     for j in range(1, n + 1):
@@ -154,7 +164,7 @@ def check_oracle_dp(tables: Tables, n: int) -> CheckResult:
         return CheckResult(
             name, False,
             f"|A_{n}|: oracle={rep.count_circular} dp a_{n - 1}={tables.a[n - 1]}")
-    return CheckResult(name, True, f"all cells and counts agree ({time.time() - t0:.1f}s)")
+    return CheckResult(name, True, f"all cells and counts agree ({time.perf_counter() - t0:.1f}s)")
 
 
 def check_reduction(n: int) -> CheckResult:
@@ -179,10 +189,10 @@ def check_c1u_at_one(order: int = 32) -> CheckResult:
 
 
 def check_b1u_at_one(order: int = 32) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = genfun.B1u_series(1, order) == genfun.B11_series(order)
     return CheckResult("series-b-weight-one", ok,
-                       f"order {order} ({time.time() - t0:.1f}s)")
+                       f"order {order} ({time.perf_counter() - t0:.1f}s)")
 
 
 def check_a_vu_diagonal(order: int = 32) -> CheckResult:
@@ -242,7 +252,7 @@ def check_power_inequality(tables: Tables) -> CheckResult:
 
 def check_bivariate_oracle(n_max: int = 8, v=2, u=3) -> CheckResult:
     """Bivariate circular series against oracle weighted sums."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     s = genfun.A_vu_series(v, u, n_max)
     for n in range(3, n_max + 1):
         want = oracle.weighted_circular_sum(n, v, u)
@@ -252,7 +262,7 @@ def check_bivariate_oracle(n_max: int = 8, v=2, u=3) -> CheckResult:
                 f"(v,u)=({v},{u}) n={n}: series={s[n]} oracle={want}")
     return CheckResult(
         "bivariate-oracle", True,
-        f"(v,u)=({v},{u}), 3 <= n <= {n_max} ({time.time() - t0:.1f}s)")
+        f"(v,u)=({v},{u}), 3 <= n <= {n_max} ({time.perf_counter() - t0:.1f}s)")
 
 
 def run_all(
@@ -262,10 +272,18 @@ def run_all(
     order: int = 32,
     fault: str | None = None,
 ) -> list[CheckResult]:
-    """The full suite at the given scales, most trustworthy checks first."""
-    t0 = time.time()
+    """The full suite at the given scales, most trustworthy checks first.
+
+    Raises ValueError, before any check runs, when oracle_max is past
+    CELLS_MAX: the cell tables stop there.
+    """
+    if oracle_max > CELLS_MAX:
+        raise ValueError(
+            f"oracle cap {oracle_max} is past {CELLS_MAX}, the largest size "
+            "whose cell tables are kept")
+    t0 = time.perf_counter()
     tables = build_tables(max(table_n, 30, oracle_max, 12))
-    build_dt = time.time() - t0
+    build_dt = time.perf_counter() - t0
     results = [CheckResult("dp-build", True, f"N={tables.N} ({build_dt:.1f}s)")]
     if fault is not None:
         cell = apply_fault(tables, fault, oracle_max)

@@ -25,7 +25,7 @@ import sys
 from . import checks, genfun, oracle
 from .perms import VincularPattern
 from .powerseries import Q, as_int
-from .tables import build_tables, check_conjectures
+from .tables import CELLS_MAX, build_tables, check_conjectures
 
 DEFAULT_PATTERN_TEXT = "23-4-1"
 
@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         "the structural identities; exit 0 only if every check passes.")
     verify.add_argument(
         "--oracle-cap", type=int, default=10,
-        help="largest size the brute-force comparisons cover (default 10)")
+        help="largest size the brute-force comparisons cover, at most "
+        f"{CELLS_MAX} (default 10)")
     verify.add_argument(
         "--reduction-max", type=int, default=8,
         help="largest size for the delete-smallest reduction check (default 8)")

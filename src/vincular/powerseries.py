@@ -186,12 +186,18 @@ class Series:
     def __pow__(self, k: int) -> "Series":
         if k < 0:
             raise ValueError("negative powers: divide explicitly")
-        out = Series.one(self.order)
+        if k == 0:
+            return Series.one(self.order)
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        out = base  # the lowest power the binary expansion of k needs
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 out = out * base
-            base = base * base if k > 1 else base
             k >>= 1
         return out
 

@@ -4,21 +4,49 @@ The three arrays are built bottom-up in the only order their recurrences
 allow: every v row first, then every c row (cells consume c marginals of
 smaller sizes and v rows), then every b row (cells consume b and c
 marginals of smaller sizes).  All values are plain Python ints, so the
-arithmetic is exact at any size; memory is cubic in the target size.
+arithmetic is exact at any size.
 
-Triple sums in the ending-in-(1, j) recurrences are folded through prefix
-sums (per-row running totals and a diagonal running total over the c
-marginals), which drops the build cost to roughly N^4 without touching the
-recurrences themselves.
+At size n only one column and one row of each cell table are computed;
+every other nonzero cell copies a marginal of size n-1, so each marginal
+by final letter is that computed column or row plus a suffix sum of the
+size-(n-1) marginal.  The sums inside the computed cells are folded
+through prefix sums (per-row running totals of v and b, a diagonal and an
+anti-diagonal running total over the c marginals) and, for c, through the
+closed form sum_d C(j-3, d-3) C(j-d, s-d) = C(j-3, s-3) 2^(s-3), without
+touching the recurrences themselves.  A build takes O(N^3) big-integer
+operations and O(N^2) stored integers.  Full cell tables, which only the
+oracle comparison and the tests read, are kept for n <= CELLS_MAX.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 Row = list[int]
 Cells = list[list[int]]
+
+# Largest size whose full b and c cell tables are kept.  The oracle that
+# checks cells enumerates n! words, so it never reaches past this.
+CELLS_MAX = 12
+
+
+def _require(ok: bool, what: str) -> None:
+    """Raise on a broken exactness invariant (unlike assert, also under -O)."""
+    if not ok:
+        raise RuntimeError(f"recurrence invariant broken: {what}")
+
+
+def _power_rows(N: int, r: int) -> list[Row]:
+    """Row J holds the coefficients C(J, S) r^S of (1 + r x)^J, J < N.
+
+    Looked up instead of calling math.comb inside the O(N^3) loops.
+    """
+    rows: list[Row] = [[1]]
+    for _ in range(1, N):
+        prev = rows[-1]
+        rows.append([1, *(prev[k] + r * prev[k - 1] for k in range(1, len(prev))),
+                     r * prev[-1]])
+    return rows
 
 
 def _prefix(row: Row) -> Row:
@@ -34,6 +62,7 @@ def compute_v(N: int) -> list[Row]:
     """Rows v[n][j] for 1 <= j <= n <= N; v[n][0] is padding."""
     if N < 1:
         raise ValueError("N must be positive")
+    binom = _power_rows(N, 1)
     v: list[Row] = [[], [0, 1]]
     pre: list[Row] = [[], _prefix(v[1])]
     for n in range(2, N + 1):
@@ -43,12 +72,13 @@ def compute_v(N: int) -> list[Row]:
         row[1] = pre[n - 1][n - 1]
         for j in range(2, n):
             total = pre[n - 1][n - 1] - pre[n - 1][j - 1]
+            weight = binom[j - 2]
             for d in range(2, j + 1):
                 m = n - d
                 # sum of v(n-d, i-d) over i in [j+1, n]
-                total += comb(j - 2, d - 2) * (pre[m][m] - pre[m][j - d])
+                total += weight[d - 2] * (pre[m][m] - pre[m][j - d])
             row[j] = total
-        assert all(x >= 0 for x in row)
+        _require(min(row) >= 0, f"negative v({n}, .)")
         v.append(row)
         pre.append(_prefix(row))
     return v
@@ -58,53 +88,81 @@ def _empty_cells(n: int) -> Cells:
     return [[0] * (n + 1) for _ in range(n + 1)]
 
 
+def _marginal(n: int, low: int, col: Row, row: Row, prev: Row) -> Row:
+    """Sums by final letter of the size-n cells, in O(n).
+
+    Column ``low`` holds col[i] (low < i <= n), row ``low`` holds row[j]
+    (low < j < n), each cell (i, j) with low < j < i < n is the copy
+    prev[i - 1] of the size-(n-1) marginal (a final letter below the
+    penultimate one is removable), and every other cell is zero.
+    """
+    marg = [0] * (n + 1)
+    marg[low] = sum(col)
+    tail = 0  # the copies in column j: prev[j] + ... + prev[n-2]
+    for j in range(n - 1, low, -1):
+        marg[j] = row[j] + tail
+        tail += prev[j - 1]
+    return marg
+
+
+def _keep_cells(cells: list[Cells], n: int, low: int, col: Row, row: Row,
+                prev: Row, marg: Row, name: str) -> None:
+    """Append the full size-n cell table laid out as in :func:`_marginal`."""
+    cur = _empty_cells(n)
+    for i in range(low + 1, n + 1):
+        cur[i][low] = col[i]
+    for j in range(low + 1, n):
+        cur[low][j] = row[j]
+    for i in range(low + 2, n):
+        cur[i][low + 1:i] = [prev[i - 1]] * (i - low - 1)
+    sums = [sum(cur[i][j] for i in range(n + 1)) for j in range(n + 1)]
+    _require(sums == marg, f"{name}({n}, ., .) cells do not resum to the marginals")
+    cells.append(cur)
+
+
 def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row]]:
-    """Cell tables c[n][i][j] and marginals by final letter, up to N.
+    """Cell tables c[n][i][j] for n <= CELLS_MAX and marginals by final
+    letter for every n <= N.
 
     Cells with i == 1, j == 1 or j == n stay zero, as does the wedge
     3 <= i < j <= n-1; the remaining cells follow the three recurrences
     plus the two closed-form boundary columns.
     """
     vpre = [_prefix(row) if row else [] for row in v]
+    weights = _power_rows(N, 2)
     cells: list[Cells] = [_empty_cells(i) for i in range(min(N, 1) + 1)]
     last: list[Row] = [[0] * (i + 1) for i in range(min(N, 1) + 1)]
+    col: Row = []
     for n in range(2, N + 1):
-        cur = _empty_cells(n)
+        prev, prev_col = last[n - 1], col
+        col = [0] * (n + 1)  # final letter 2: cells (i, 2)
         # penultimate letter n forces the word (n-1)...1n2
         if n >= 3:
-            cur[n][2] = 1
+            col[n] = 1
         for i in range(3, n):
-            # final letter 2: strip the interval [2, d] off smaller members
-            cur[i][2] = sum(last[n - i + d][d] for d in range(2, i))
-        for i in range(4, n):
-            for j in range(3, i):
-                # final letter below the penultimate one is removable
-                cur[i][j] = last[n - 1][i - 1]
+            # final letter 2: strip the interval [2, d] off smaller members,
+            # sum over d in [2, i-1] of c(n-i+d, d); all but the last term
+            # is the same sum at size n-1
+            col[i] = prev_col[i - 1] + prev[i - 1]
+        row = [0] * (n + 1)  # penultimate letter 2: cells (2, j)
         if n >= 4:
-            cur[2][n - 1] = 2 ** (n - 4)
+            row[n - 1] = 2 ** (n - 4)
         for j in range(3, n - 1):
-            # penultimate letter 2: split off a decreasing prefix (d-3
-            # letters), a decreasing insert (e letters), and a last-letter
-            # avoider; fold the k-sum through the v prefix rows.
+            # split off a decreasing prefix (d-3 letters) and a decreasing
+            # insert (e letters) before a last-letter avoider; the (d, e)
+            # weights with d + e = s sum to C(j-3, s-3) 2^(s-3), and the
+            # k-sum folds through the v prefix rows.
             total = 0
-            for d in range(3, j + 1):
-                for e in range(0, j - d + 1):
-                    s = d + e
-                    m = n - s - 1
-                    ksum = vpre[m][m] - vpre[m][j - s]
-                    total += comb(j - 3, d - 3) * comb(j - d, e) * ksum
-            cur[2][j] = total
-        marg = [0] * (n + 1)
-        for i in range(1, n + 1):
-            row_i = cur[i]
-            for j in range(1, n + 1):
-                assert row_i[j] >= 0
-                marg[j] += row_i[j]
-        assert marg[1] == 0 and marg[n] == 0
-        assert all(cur[1][j] == 0 for j in range(1, n + 1))
-        assert all(cur[n][j] == (n >= 3 and j == 2) for j in range(1, n + 1))
-        assert all(cur[i][j] == 0 for i in range(3, n) for j in range(i + 1, n))
-        cells.append(cur)
+            weight = weights[j - 3]
+            for s in range(3, j + 1):
+                m = n - s - 1
+                total += weight[s - 3] * (vpre[m][m] - vpre[m][j - s])
+            row[j] = total
+        _require(min(col) >= 0 and min(row) >= 0, f"negative c({n}, ., .)")
+        marg = _marginal(n, 2, col, row, prev)
+        _require(marg[1] == 0 and marg[n] == 0, f"c({n}) ending in 1 or {n}")
+        if n <= CELLS_MAX:
+            _keep_cells(cells, n, 2, col, row, prev, marg, "c")
         last.append(marg)
     return cells, last
 
@@ -121,54 +179,56 @@ def _diagonal_prefix(c_last: list[Row], N: int) -> list[Row]:
     return P
 
 
+def _antidiagonal_prefix(P: list[Row], N: int) -> list[Row]:
+    """R[m][x] = sum over delta in [1, x] of P[delta][m-delta], x < m."""
+    R: list[Row] = []
+    for m in range(N + 1):
+        row = [0] * max(m, 1)
+        for x in range(1, m):
+            row[x] = row[x - 1] + P[x][m - x]
+        R.append(row)
+    return R
+
+
 def compute_b(N: int, c_last: list[Row]) -> tuple[list[Cells], list[Row]]:
-    """Cell tables b[n][i][j] and marginals by final letter, up to N."""
+    """Cell tables b[n][i][j] for n <= CELLS_MAX and marginals by final
+    letter for every n <= N."""
     P = _diagonal_prefix(c_last, N)
+    R = _antidiagonal_prefix(P, N)
+    binom = _power_rows(N, 1)
     cells: list[Cells] = [_empty_cells(i) for i in range(min(N, 1) + 1)]
     last: list[Row] = [[0] * (i + 1) for i in range(min(N, 1) + 1)]
     pre: list[Row] = [_prefix(row) for row in last]
     for n in range(2, N + 1):
-        cur = _empty_cells(n)
+        prev = last[n - 1]
+        col = [0] * (n + 1)  # final letter 1: cells (i, 1)
         # penultimate letter n forces (n-1)...2n1
-        cur[n][1] = 1
+        col[n] = 1
         for i in range(2, n):
-            # final letter 1: delete it, or delete [1, d] when 2 sits left of n
-            cur[i][1] = last[n - 1][i - 1] + sum(
-                c_last[n - i + d][d] for d in range(2, i)
-            )
-        for i in range(3, n):
-            for j in range(2, i):
-                cur[i][j] = last[n - 1][i - 1]
+            # delete the final 1, or delete [1, d] when 2 sits left of n
+            col[i] = prev[i - 1] + P[n - i][i - 1]
+        row = [0] * (n + 1)  # penultimate letter 1: cells (1, j)
         for j in range(2, n):
-            # penultimate letter 1: the word ends gamma,1,j with gamma a
-            # decreasing set of d-2 letters under j; k is the rightmost
-            # letter exceeding j.  k = n gives the closed 2^(j-2) count;
-            # otherwise deleting gamma,1,j leaves a b- or c-type member.
+            # the word ends gamma,1,j with gamma a decreasing set of d-2
+            # letters under j; k is the rightmost letter exceeding j.
+            # k = n gives the closed 2^(j-2) count; otherwise deleting
+            # gamma,1,j leaves a b-type member (prefix row of b) or a
+            # c-type one (anti-diagonal prefix over k).
             total = 2 ** (j - 2)
+            weight = binom[j - 2]
+            x = n - j - 1  # k runs over n-x..n-1, i.e. delta = n-k over 1..x
             for d in range(2, j + 1):
-                weight = comb(j - 2, d - 2)
                 m = n - d
-                hi = min(n - 1 - d, m - 1)
-                lo = j - d
-                if hi > lo:
-                    total += weight * (pre[m][hi] - pre[m][lo])
-                acc = 0
-                for k in range(j + 1, n):
-                    t = k - d
-                    if t >= 2:
-                        acc += P[n - k][t]
-                total += weight * acc
-            cur[1][j] = total
-        marg = [0] * (n + 1)
-        for i in range(1, n + 1):
-            row_i = cur[i]
-            for j in range(1, n + 1):
-                assert row_i[j] >= 0
-                marg[j] += row_i[j]
-        assert marg[n] == 0
-        assert all(cur[n][j] == (j == 1) for j in range(1, n + 1))
-        assert all(cur[i][j] == 0 for i in range(2, n) for j in range(i + 1, n))
-        cells.append(cur)
+                # k - d >= 2 caps delta at m-2; P[m-1][1] = 0, so
+                # R[m][m-1] = R[m][m-2] and x needs no cap
+                inner = pre[m][m - 1] - pre[m][j - d] + R[m][x]
+                total += weight[d - 2] * inner
+            row[j] = total
+        _require(min(col) >= 0 and min(row) >= 0, f"negative b({n}, ., .)")
+        marg = _marginal(n, 1, col, row, prev)
+        _require(marg[n] == 0, f"b({n}) ending in {n}")
+        if n <= CELLS_MAX:
+            _keep_cells(cells, n, 1, col, row, prev, marg, "b")
         last.append(marg)
         pre.append(_prefix(marg))
     return cells, last
@@ -187,7 +247,11 @@ def compute_a(N: int, b_last: list[Row], c_last: list[Row]) -> list[int]:
 
 @dataclass(frozen=True)
 class Tables:
-    """All recurrence arrays up to size N."""
+    """All recurrence arrays up to size N.
+
+    ``b_cells`` and ``c_cells`` hold the full cell tables for sizes
+    n <= min(N, CELLS_MAX) only; every other array covers sizes up to N.
+    """
 
     N: int
     v: list[Row]

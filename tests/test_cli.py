@@ -193,6 +193,19 @@ def test_verify_rejects_bad_fault_cell(capsys, cell):
     assert message.startswith("error: ") and "\n" not in message
 
 
+@pytest.mark.parametrize("argv", [
+    ("--oracle-cap", "13"),
+    ("--oracle-cap", "13", "--inject-fault", "b:13:3:2"),
+])
+def test_verify_rejects_oracle_cap_past_cells(capsys, argv):
+    # fails before any check runs: no oracle enumeration of 13! words
+    with pytest.raises(SystemExit, match="oracle cap 13") as exc:
+        run(capsys, "verify", "--N", "12", "--order", "8", *argv)
+    message = str(exc.value.code)
+    assert message.startswith("error: ") and "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
 def test_conjectures(capsys):
     code, out, _ = run(capsys, "conjectures", "--N", "8")
     assert code == 0

@@ -72,6 +72,23 @@ def test_power():
         f ** -1
 
 
+def test_power_multiply_count(monkeypatch):
+    f = Series([Q(1, 2), 1, -3, 0, 2, 5])
+    square, cube = f * f, f * f * f
+    calls = []
+    mul = Series.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counting)
+    for k, want, muls in ((2, square, 1), (3, cube, 2), (1, f, 0)):
+        calls.clear()
+        assert f ** k == want
+        assert len(calls) == muls, k
+
+
 def test_geometric_inverse():
     geo = 1 / Series.from_poly([1, -1], 8)
     assert ints(geo) == (1,) * 9

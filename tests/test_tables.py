@@ -1,12 +1,85 @@
 """Recurrence tables against the oracle and the reference sequence."""
 
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from vincular.checks import REFERENCE_A
+import vincular
+from vincular.checks import REFERENCE_A, apply_fault, check_oracle_dp
 from vincular.oracle import oracle_report
-from vincular.tables import build_tables, check_conjectures, compute_v
+from vincular.tables import CELLS_MAX, build_tables, check_conjectures, compute_v
 
 T12 = build_tables(12)
+
+# sha256 digests of build_tables(130), pinned from the O(N^4) build that
+# summed every cell: a_1..a_130 joined by commas, and the b_last, c_last
+# and v rows for n = 1..130, each row joined by commas and rows by ";".
+PINS_130 = {
+    "a": "12ddb49e0273c3914db25644e67f17b4e73c5e3f25685afc9a5213b230001d08",
+    "b_last": "b9a5763ff23f013c27612241bfb054269691a6e6f1a96a1020ab074476e50149",
+    "c_last": "2a2cf7f92a12ff816c064a82a96564945c992581d0aa40ba9bb75143c88bfd72",
+    "v": "5b6317d8c19b6f64bd21da082c58a55c98af1fc4c6a3f20e4419c63b1061bce7",
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _rows(rows):
+    return ";".join(",".join(map(str, row)) for row in rows[1:])
+
+
+def test_pinned_digests_at_130():
+    t = build_tables(130)
+    got = {
+        "a": _sha(",".join(map(str, t.a[1:131]))),
+        "b_last": _sha(_rows(t.b_last)),
+        "c_last": _sha(_rows(t.c_last)),
+        "v": _sha(_rows(t.v)),
+    }
+    assert got == PINS_130
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, CELLS_MAX, CELLS_MAX + 1, 40])
+def test_cells_kept_up_to_cutoff(N):
+    t = build_tables(N)
+    kept = min(N, CELLS_MAX)
+    for cells in (t.b_cells, t.c_cells):
+        assert len(cells) == kept + 1
+        for n, grid in enumerate(cells):
+            assert len(grid) == n + 1 and all(len(row) == n + 1 for row in grid)
+    assert len(t.b_last) == len(t.c_last) == len(t.v) == N + 1
+
+
+def test_cell_checks_stop_at_cutoff():
+    t = build_tables(CELLS_MAX + 2)
+    with pytest.raises(ValueError, match="kept only"):
+        check_oracle_dp(t, CELLS_MAX + 1)
+    with pytest.raises(ValueError, match="never read"):
+        apply_fault(t, f"b:{CELLS_MAX + 1}:3:2")
+
+
+def test_invariants_raise_under_optimize():
+    # a negative v entry drives a c cell negative; the check must not be
+    # an assert, which python -O strips
+    src = str(Path(vincular.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from vincular.tables import compute_c, compute_v\n"
+        "v = compute_v(8)\n"
+        "v[3][3] = -1000\n"
+        "try:\n"
+        "    compute_c(8, v)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code, src],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert "recurrence invariant broken: negative c(" in out.stdout
 
 
 def test_sequence_prefix():
