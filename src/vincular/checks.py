@@ -9,7 +9,7 @@ then the recurrence tables, then the series engine, in that order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from . import genfun, oracle
 from .powerseries import Q
@@ -56,6 +56,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -274,33 +275,46 @@ def run_all(
 ) -> list[CheckResult]:
     """The full suite at the given scales, most trustworthy checks first.
 
-    Raises ValueError, before any check runs, when oracle_max is past
-    CELLS_MAX: the cell tables stop there.
+    Each result carries the seconds its check took.  Raises ValueError,
+    before any check runs, when oracle_max is past CELLS_MAX (the cell
+    tables stop there) or when oracle_max or reduction_max is below 2,
+    which would leave out every brute-force check of that kind.
     """
     if oracle_max > CELLS_MAX:
         raise ValueError(
             f"oracle cap {oracle_max} is past {CELLS_MAX}, the largest size "
             "whose cell tables are kept")
+    for label, value in (("oracle cap", oracle_max), ("reduction maximum", reduction_max)):
+        if value < 2:
+            raise ValueError(
+                f"{label} {value} is below 2, the smallest size it checks; "
+                "it would run no check")
     t0 = time.perf_counter()
     tables = build_tables(max(table_n, 30, oracle_max, 12))
     build_dt = time.perf_counter() - t0
-    results = [CheckResult("dp-build", True, f"N={tables.N} ({build_dt:.1f}s)")]
+    results = [CheckResult("dp-build", True, f"N={tables.N} ({build_dt:.1f}s)", build_dt)]
+
+    def run(check, *args) -> None:
+        t0 = time.perf_counter()
+        res = check(*args)
+        results.append(replace(res, seconds=time.perf_counter() - t0))
+
     if fault is not None:
         cell = apply_fault(tables, fault, oracle_max)
         results.append(CheckResult(
             "fault-injection", True, f"corrupted {cell}; expect a FAIL below"))
-    results.append(check_dp_reference(tables))
-    results.append(check_series_reference(order=max(order, 2)))
+    run(check_dp_reference, tables)
+    run(check_series_reference, max(order, 2))
     for n in range(2, oracle_max + 1):
-        results.append(check_oracle_dp(tables, n))
+        run(check_oracle_dp, tables, n)
     for n in range(2, reduction_max + 1):
-        results.append(check_reduction(n))
-    results.append(check_v0_shift(order))
-    results.append(check_c1u_at_one(order))
-    results.append(check_b1u_at_one(order))
-    results.append(check_a_vu_diagonal(order))
-    results.append(check_weighted_marginals(tables))
-    results.append(check_integrality(order))
-    results.append(check_power_inequality(tables))
-    results.append(check_bivariate_oracle())
+        run(check_reduction, n)
+    run(check_v0_shift, order)
+    run(check_c1u_at_one, order)
+    run(check_b1u_at_one, order)
+    run(check_a_vu_diagonal, order)
+    run(check_weighted_marginals, tables)
+    run(check_integrality, order)
+    run(check_power_inequality, tables)
+    run(check_bivariate_oracle)
     return results

@@ -13,7 +13,7 @@ run, letters above 9 are joined with underscores.  Examples::
 
 The recurrence (dp) and series (gf) engines are specific to the default
 pattern; anything else needs the brute-force oracle, which is capped at
-a configurable size because it enumerates n! words.
+a configurable size because it scans up to n! words.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _count_one(engine: str, n: int, pattern: VincularPattern,
     if engine == "oracle":
         if n > args.oracle_cap and not args.force_oracle:
             raise SystemExit(
-                f"error: oracle enumerates {n}! words; n > cap "
+                f"error: oracle scans up to {n}! words; n > cap "
                 f"({args.oracle_cap}); pass --force-oracle to insist")
         if linear:
             if pattern == oracle.CIRCULAR_PATTERN:
@@ -189,10 +189,23 @@ def cmd_verify(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from exc
-    for res in results:
-        print(res.line())
     failed = [res for res in results if not res.passed]
     total = len(results)
+    if args.format == "json":
+        doc = {
+            "checks": [
+                {"name": res.name, "passed": res.passed, "detail": res.detail,
+                 "seconds": res.seconds}
+                for res in results
+            ],
+            "total": total,
+            "failed": len(failed),
+            "seconds": sum(res.seconds for res in results),
+        }
+        _emit(json.dumps(doc, indent=2))
+        return 1 if failed else 0
+    for res in results:
+        print(res.line())
     if failed:
         print(f"{len(failed)} of {total} checks FAILED")
         return 1
@@ -252,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest n the oracle accepts without --force-oracle (default 10)")
     count.add_argument(
         "--force-oracle", action="store_true",
-        help="let the oracle run past the cap (n! words; slow)")
+        help="let the oracle run past the cap (up to n! words; slow)")
     count.set_defaults(func=cmd_count)
 
     table = sub.add_parser(
@@ -306,6 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="self-test hook: corrupt one recurrence cell (v:n:j, b:n:i:j "
         "or c:n:i:j with 2 <= n <= the oracle cap, letters in 1..n and "
         "i != j) and expect a FAIL naming it")
+    verify.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="text: one PASS/FAIL line per check and a summary; json: one "
+        "object per check with name, passed, detail and seconds, plus the "
+        "totals")
     verify.set_defaults(func=cmd_verify)
 
     conj = sub.add_parser(

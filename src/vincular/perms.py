@@ -8,12 +8,23 @@ sit in adjacent host positions in any occurrence.
 Circular permutations are identified with the set of words obtained by
 repeatedly moving the last letter to the front; a circular word contains a
 pattern when at least one of those rotations contains it linearly.
+
+Avoidance runs on compiled tests.  :func:`closes` turns a pattern, once,
+into a predicate that is true when some occurrence ends at the word's last
+position: nested ``for`` loops generated from the pattern's integers, in
+which a bonded position is a forced index and each letter is compared only
+with its value neighbours among the letters placed before it.  A word
+contains a pattern iff one of its prefixes is closed by it, and a circular
+word iff one of its rotations is.  :func:`iter_occurrences` stays the
+plain backtracking search, the reference the compiled tests are checked
+against.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations as _permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 
@@ -170,12 +181,92 @@ def contains(host: Sequence[int], pattern: VincularPattern) -> bool:
     return False
 
 
+def closes(pattern: VincularPattern) -> Callable[[Sequence[int]], bool]:
+    """The compiled test of pattern: true on a word of distinct letters
+    when some occurrence ends at its last position.
+
+    Compiled once per (entries, bonds) and cached.  The empty pattern
+    closes every word, the empty word included.
+
+    >>> closes(VincularPattern((1, 2, 3), bonds={0}))((1, 2, 4, 3))
+    True
+    >>> closes(VincularPattern((1, 2, 3), bonds={0}))((2, 3, 4, 1))
+    False
+    """
+    return _compiled(pattern.entries, pattern.bonds)
+
+
+@cache
+def _compiled(entries: Word, bonds: frozenset[int]) -> Callable[[Sequence[int]], bool]:
+    namespace: dict = {}
+    exec(_closes_source(entries, bonds), namespace)
+    return namespace["closes"]
+
+
+def _closes_source(entries: Word, bonds: frozenset[int]) -> str:
+    """Source of the closes test; it holds no value taken from the pattern
+    but positions in range(k) and the comparisons their order implies.
+
+    Letter t of the pattern lives in a{t} at host index i{t}.  The last
+    letter sits at n-1, and a bonded run ending there is fixed too; the
+    other positions run left to right, each a loop over its free range or
+    the index forced by a bond.
+    """
+    k = len(entries)
+    if k == 0:
+        return "def closes(w):\n    return True\n"
+    fixed = k - 1
+    while fixed > 0 and fixed - 1 in bonds:
+        fixed -= 1
+    lines = ["def closes(w):", "    n = len(w)", f"    if n < {k}:", "        return False"]
+    placed: list[int] = []
+    pad, miss = "    ", "return False"
+
+    def place(t: int, index: str) -> None:
+        lines.append(f"{pad}a{t} = w[{index}]")
+        below = [q for q in placed if entries[q] < entries[t]]
+        above = [q for q in placed if entries[q] > entries[t]]
+        terms = []
+        if below:
+            terms.append(f"a{max(below, key=entries.__getitem__)} < a{t}")
+        if above:
+            terms.append(f"a{t} < a{min(above, key=entries.__getitem__)}")
+        if terms:
+            lines.append(f"{pad}if not ({' and '.join(terms)}):")
+            lines.append(f"{pad}    {miss}")
+        placed.append(t)
+
+    for t in range(k - 1, fixed - 1, -1):
+        place(t, f"n - {k - t}")
+    for t in range(fixed):
+        if t > 0 and t - 1 in bonds:
+            lines.append(f"{pad}i{t} = i{t - 1} + 1")
+        else:
+            start = f"i{t - 1} + 1" if t > 0 else "0"
+            lines.append(f"{pad}for i{t} in range({start}, n - {k - 1 - t}):")
+            pad, miss = pad + "    ", "continue"
+        place(t, f"i{t}")
+    lines.append(f"{pad}return True")
+    if fixed > 0:
+        lines.append("    return False")
+    return "\n".join(lines) + "\n"
+
+
 def avoids_linear(host: Sequence[int], patterns: Iterable[VincularPattern]) -> bool:
-    """True when host contains none of the given patterns."""
-    return not any(contains(host, p) for p in patterns)
+    """True when host contains none of the given patterns, i.e. when no
+    prefix of host is closed by one of them."""
+    host = tuple(host)
+    tests = [closes(p) for p in patterns]
+    return not any(test(host[:m]) for m in range(len(host) + 1) for test in tests)
 
 
 def avoids_circular(word: Sequence[int], patterns: Iterable[VincularPattern]) -> bool:
-    """True when every rotation of word avoids every given pattern."""
-    patterns = tuple(patterns)
-    return all(avoids_linear(rot, patterns) for rot in rotations(word))
+    """True when every rotation of word avoids every given pattern.
+
+    An occurrence in a rotation that ends at letter x is also one in the
+    rotation ending with x, so it is enough that no rotation is closed.
+    """
+    word = tuple(word)
+    tests = [closes(p) for p in patterns]
+    return not any(
+        test(word[m:] + word[:m]) for m in range(len(word) or 1) for test in tests)

@@ -206,6 +206,51 @@ def test_verify_rejects_oracle_cap_past_cells(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("--oracle-cap", "1"), "oracle cap 1"),
+    (("--oracle-cap", "0"), "oracle cap 0"),
+    (("--reduction-max", "1"), "reduction maximum 1"),
+    (("--oracle-cap", "1", "--reduction-max", "1"), "oracle cap 1"),
+])
+def test_verify_rejects_caps_that_drop_the_oracle(capsys, argv, name):
+    # a cap below 2 would silently run no oracle-dp or reduction check
+    with pytest.raises(SystemExit, match=name) as exc:
+        run(capsys, "verify", "--N", "12", "--order", "8", *argv)
+    message = str(exc.value.code)
+    assert message.startswith("error: ") and "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_json(capsys):
+    argv = ("verify", "--oracle-cap", "4", "--reduction-max", "3",
+            "--N", "12", "--order", "8")
+    code, text, _ = run(capsys, *argv)
+    json_code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == json_code == 0
+    doc = json.loads(out)
+    names = [check["name"] for check in doc["checks"]]
+    assert names[:5] == ["dp-build", "dp-reference-table", "series-reference-table",
+                         "oracle-dp-n2", "oracle-dp-n3"]
+    assert "reduction-n3" in names and "reduction-n4" not in names
+    assert doc["total"] == len(names) == len(text.splitlines()) - 1
+    assert doc["failed"] == 0
+    for check in doc["checks"]:
+        assert set(check) == {"name", "passed", "detail", "seconds"}
+        assert check["passed"] is True and check["seconds"] >= 0
+    assert doc["seconds"] == pytest.approx(sum(c["seconds"] for c in doc["checks"]))
+
+
+def test_verify_json_reports_a_failure(capsys):
+    code, out, _ = run(capsys, "verify", "--oracle-cap", "5", "--N", "12",
+                       "--order", "8", "--inject-fault", "c:5:2:4",
+                       "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    failed = [check for check in doc["checks"] if not check["passed"]]
+    assert doc["failed"] == len(failed) == 1
+    assert failed[0]["name"] == "oracle-dp-n5" and "c(5,2,4)" in failed[0]["detail"]
+
+
 def test_conjectures(capsys):
     code, out, _ = run(capsys, "conjectures", "--N", "8")
     assert code == 0

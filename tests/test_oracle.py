@@ -1,18 +1,23 @@
 """Brute-force counts and cell classifications, frozen at small sizes."""
 
+from itertools import permutations
+
 import pytest
 
 from vincular.oracle import (
     CIRCULAR_PATTERN,
+    LAST_LETTER_PATTERNS,
     REDUCED_PATTERNS,
     count_L,
     count_circular_avoiders,
+    count_linear_avoiders,
     held_out,
+    iter_avoiders,
     oracle_report,
     reduction_counterexample,
     weighted_circular_sum,
 )
-from vincular.perms import avoids_linear
+from vincular.perms import VincularPattern, avoids_linear, contains, rotations
 from vincular.powerseries import Q
 
 # a_1..a_8, also the circular counts shifted one size up.
@@ -118,3 +123,65 @@ def test_patterns_are_the_documented_ones():
     assert CIRCULAR_PATTERN.entries == (2, 3, 4, 1)
     assert CIRCULAR_PATTERN.bonds == frozenset({0})
     assert tuple(p.entries for p in REDUCED_PATTERNS) == ((1, 2, 3), (4, 1, 2, 3))
+
+
+def _full_scan_avoids(word, patterns):
+    return not any(contains(word, p) for p in patterns)
+
+
+def _full_scan_report(n):
+    """oracle_report(n) rebuilt over all n! words with the backtracking
+    search, without pruning or compiled tests."""
+    count_l = 0
+    v = [0] * (n + 1)
+    cells = {"b": {}, "c": {}}
+    for w in permutations(range(1, n + 1)):
+        if _full_scan_avoids(w, REDUCED_PATTERNS):
+            count_l += 1
+            pos_one, pos_n = w.index(1), w.index(n)
+            if w == held_out(n):
+                kind = None
+            elif pos_one > pos_n:
+                kind = "b"
+            elif n >= 3 and w.index(2) > pos_n:
+                kind = "c"
+            else:
+                kind = None
+            if kind:
+                key = (w[-2], w[-1])
+                cells[kind][key] = cells[kind].get(key, 0) + 1
+        if _full_scan_avoids(w, LAST_LETTER_PATTERNS):
+            v[w[-1]] += 1
+    circular = sum(
+        1 for rest in permutations(range(2, n + 1))
+        if all(_full_scan_avoids(r, (CIRCULAR_PATTERN,)) for r in rotations((1,) + rest)))
+    return count_l, tuple(v), cells["b"], cells["c"], circular
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pruned_report_matches_full_scan(n):
+    rep = oracle_report(n)
+    count_l, v, b_cells, c_cells, circular = _full_scan_report(n)
+    assert (rep.count_l, rep.v, rep.count_circular) == (count_l, v, circular)
+    assert {k: c for k, c in rep.b_cells.items() if c} == b_cells
+    assert {k: c for k, c in rep.c_cells.items() if c} == c_cells
+
+
+def test_pruned_linear_counts_match_full_scan():
+    for pat in (VincularPattern((2, 3, 1), bonds={1}), VincularPattern((1, 2, 3), bonds={0})):
+        for n in range(8):
+            want = sum(1 for w in permutations(range(1, n + 1)) if not contains(w, pat))
+            assert count_linear_avoiders(n, (pat,)) == want
+
+
+def test_iter_avoiders_with_first_letters():
+    words = list(iter_avoiders(6, REDUCED_PATTERNS, first=(3, 1)))
+    want = [w for w in permutations(range(1, 7))
+            if w[:2] == (3, 1) and avoids_linear(w, REDUCED_PATTERNS)]
+    assert words == want and words
+    # a first prefix that already contains a pattern yields nothing
+    assert list(iter_avoiders(5, REDUCED_PATTERNS, first=(1, 2, 3))) == []
+    assert list(iter_avoiders(3, (), first=(2, 3, 1))) == [(2, 3, 1)]
+    for bad in ((1, 1), (0,), (6,)):
+        with pytest.raises(ValueError):
+            list(iter_avoiders(5, REDUCED_PATTERNS, first=bad))

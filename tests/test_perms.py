@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vincular import perms
 from vincular.perms import (
     VincularPattern,
     avoids_circular,
     avoids_linear,
     circular_classes,
+    closes,
+    contains,
+    iter_occurrences,
     occurrences,
     rotations,
     standardize,
@@ -120,14 +124,61 @@ def test_all_bonds_matches_window_scan():
         assert got == want
 
 
+def test_closes_matches_backtracking():
+    # every pattern of length 1..4 with every subset of bonds, on every
+    # word of length <= 6: closed iff some occurrence ends at the last index
+    patterns = [
+        VincularPattern(entries, bonds)
+        for k in range(1, 5)
+        for entries in permutations(range(1, k + 1))
+        for r in range(k)
+        for bonds in combinations(range(k - 1), r)
+    ]
+    assert len(patterns) == 1 + 2 * 2 + 6 * 4 + 24 * 8
+    words = [w for m in range(7) for w in permutations(range(1, m + 1))]
+    for pat in patterns:
+        test = closes(pat)
+        for w in words:
+            want = any(occ[-1] == len(w) - 1 for occ in iter_occurrences(w, pat))
+            assert test(w) == want, (pat, w)
+
+
+def test_closes_on_letters_that_are_not_1_to_n():
+    # prefixes handed over by the oracle hold any distinct letters
+    assert closes(P12_3)((7, 9, 2, 11))
+    assert not closes(P12_3)((9, 12, 7, 11))
+    assert closes(P41_23)((9, 1, 3, 2, 5, 6))
+
+
+def test_empty_pattern_closes_every_word():
+    empty = VincularPattern(())
+    assert closes(empty)(()) and closes(empty)((2, 1))
+    assert not avoids_linear((), (empty,))
+    assert contains((), empty)
+
+
+def test_pattern_compiled_once():
+    perms._compiled.cache_clear()
+    for _ in range(3):
+        for host in permutations(range(1, 5)):
+            avoids_linear(host, (VincularPattern((1, 2, 3), bonds={0}),))
+            avoids_circular(host, (VincularPattern((2, 3, 4, 1), bonds={0}),))
+    assert perms._compiled.cache_info().misses == 2
+    assert closes(VincularPattern((1, 2, 3), bonds={0})) is closes(P12_3)
+
+
 def _word(n):
     return st.permutations(tuple(range(1, n + 1))).map(tuple)
 
 
 @given(st.integers(1, 6).flatmap(_word))
 def test_avoidance_iff_no_occurrence(host):
-    for pat in (P12_3, P41_23, CIRC):
+    for pat in (P12_3, P41_23, CIRC, P2_31):
         assert avoids_linear(host, (pat,)) == (not occurrences(host, pat))
+        assert avoids_circular(host, (pat,)) == (
+            not any(contains(rot, pat) for rot in rotations(host)))
+    assert avoids_linear(host, REDUCED) == (
+        not any(contains(host, pat) for pat in REDUCED))
 
 
 @given(st.integers(1, 6).flatmap(_word))
