@@ -3,17 +3,17 @@
 Every public function returns a :class:`Series` of exactly the requested
 order with exact rational coefficients.  The closed forms involve infinite
 sums whose terms are rational expressions of strictly growing valuation;
-each sum is evaluated with running denominator products until the terms
-provably stop touching the requested coefficient window.
+each sum is evaluated until the terms provably stop touching the requested
+coefficient window.
 
-Dividing by a series of valuation w costs w coefficients of certainty, and
-several weight specializations (weight 1, geometric weights 1/(1-kx)) make
-kernel factors vanish at the constant term.  Internal work therefore
-happens at a padded order, and truncating down to the caller's request
-raises ValueError if the achieved order falls short.  Series that
-different formulas share (the last-letter series at assorted geometric
-weights, the one-variable b and c series) are cached at the largest order
-built so far.
+Every weight is geometric, p = c/(1 - m*c*x), and there each kernel
+factor is a linear polynomial over L = 1 - m*c*x whose powers cancel, so
+a term is a polynomial of degree at most 3 over a product of linear
+factors.  That product is kept as a running reciprocal: a factor
+a0 + a1*x costs one pass over the coefficients, and one with a0 = 0 (at
+c = 1) moves an explicit x-power offset.  With every valuation explicit,
+each series is built at exactly the order asked for.  Series that
+different formulas share are cached at the largest order built so far.
 
 Weight conventions, with the coefficient of x^n counting words of size n:
 
@@ -30,16 +30,15 @@ Weight conventions, with the coefficient of x^n counting words of size n:
 
 from __future__ import annotations
 
-from math import factorial
+from itertools import count
+from math import factorial, lcm
 
-from .powerseries import Q, Series, as_int, expand_rational
+from .powerseries import Q, Series, _coeff, as_int
 
 
 class KernelSpecializationError(ValueError):
     """A weight makes a kernel vanish identically, with no removable limit."""
 
-
-_MAX_SUM_TERMS = 4096
 
 _SERIES_CACHE: dict[tuple, Series] = {}
 
@@ -51,10 +50,9 @@ def clear_caches() -> None:
 def _cached(key: tuple, N: int, build) -> Series:
     """Serve key from the cache, rebuilding when more order is needed.
 
-    Builds may return working order beyond the request, but only the
-    first N coefficients are guaranteed (tail sums stop contributing
-    exactly there), so the entry is truncated to N before it is stored:
-    a cached series is reliable through its whole order.
+    The entry is truncated to N before it is stored, so a build that
+    falls short of N raises ValueError and a cached series is reliable
+    through its whole order.
     """
     hit = _SERIES_CACHE.get(key)
     if hit is None or hit.order < N:
@@ -63,74 +61,135 @@ def _cached(key: tuple, N: int, build) -> Series:
     return hit.truncate(N)
 
 
-def _mono(exp: int, order: int) -> Series:
-    return Series.monomial(exp, order)
+# ---------------------------------------------------------------------------
+# linear factors and running reciprocals
 
 
-def _rat(num_poly, den_polys, order: int) -> Series:
-    """num / (product of denominator polynomials), all expanded at order."""
-    den = Series.from_poly(den_polys[0], order)
-    for p in den_polys[1:]:
-        den = den * Series.from_poly(p, order)
-    return Series.from_poly(num_poly, order) / den
+def _over_linear(r: list, a0, a1):
+    """Divide sum_k r[k] x^k by a0 + a1*x in place, in O(len r).
+
+    The quotient is scale * x^-shift times the list left behind; a factor
+    a1*x only sets (scale, shift) = (1/a1, 1) and leaves the list alone.
+    """
+    if not a0:
+        return 1 / Q(a1), 1
+    b = _coeff(Q(a1) / a0)
+    for n in range(1, len(r)):
+        r[n] -= b * r[n - 1]
+    return 1 / Q(a0), 0
 
 
-def _aligned_sum(terms: list[Series]) -> Series:
-    low = min(t.order for t in terms)
-    out = Series.zero(low)
-    for t in terms:
-        out = out + t.truncate(low)
+def _pmul(p, q, n: int) -> list:
+    """The first n coefficients of the product of coefficient lists p, q."""
+    out = [0] * n
+    for i, a in enumerate(p[:n]):
+        if a:
+            for k, b in enumerate(q[: n - i], i):
+                out[k] += a * b
     return out
 
 
-def _accumulate(total: Series, term: Series) -> Series:
-    """Add, eroding to the shorter reliable order."""
-    low = min(total.order, term.order)
-    return total.truncate(low) + term.truncate(low)
+def _place(lo: int, scale, cs, N: int) -> Series:
+    """x^lo * scale * sum_k cs[k] x^k, with cs reaching x^N, as a Series.
 
-
-def _kernel_denominators(k0: Series, u: Series, ux: Series, a: int, b: int,
-                         lead: int, N: int):
-    """Yield (j, den_j) for the terms of one kernel sum that reach order N.
-
-    den_j = k0 * prod_{i <= j+a} (1 - i*ux) * prod_{i <= j+b} (1 - u - i*ux),
-    kept as a running product.  Term j contributes nothing below
-    x^(lead + 2j - val(den_j)), where lead counts the explicit x powers of
-    its numerator and of any outer factor the sum is multiplied by.  Each
-    step raises val(den_j) by at most one (only a 1-u-i*ux factor can
-    vanish at x = 0), so the terms pass x^N after finitely many steps.
+    The Laurent part below x^0 must cancel exactly.
     """
-    one = Series.one(ux.order)
-    den = k0
-    for i in range(1, a + 1):
-        den = den * (one - i * ux)
-    for i in range(1, b + 1):
-        den = den * (one - u - i * ux)
-    for j in range(_MAX_SUM_TERMS):
-        if lead + 2 * j - den.val() > N:
+    cs = list(cs)
+    if lo < 0:
+        if any(cs[:-lo]):
+            raise RuntimeError("a kernel sum left a term below x^0")
+        cs = cs[-lo:]
+    return Series(([0] * lo + cs)[: N + 1]) * scale
+
+
+def _div_linear(s: Series, *factors) -> Series:
+    """s divided by linear factors (a0, a1); each a1*x costs one order."""
+    cs, scale, shift = list(s.coeffs), 1, 0
+    for a0, a1 in factors:
+        f, w = _over_linear(cs, a0, a1)
+        scale, shift = scale * f, shift + w
+    return _place(-shift, scale, cs, s.order - shift)
+
+
+def _times_poly(s: Series, poly) -> Series:
+    """s times a polynomial, truncated to s's order, in O(order)."""
+    return Series(_pmul(poly, s.coeffs, s.order + 1))
+
+
+def _kernel_terms(init, step, term, top: int):
+    """Yield (j, lo, scale, cs) for the terms of sum_j x^e_j k_j P_j / D_j.
+
+    D_j is the product of the linear factors init and step(1..j), and
+    term(j) = (e_j, k_j, P_j).  1/D_j is kept as scale * x^-w * r(x), so
+    term j is x^lo * scale * sum_k cs[k] x^k, lo = e_j - w, through x^top.
+    Zero polynomials are skipped; lo must grow with j, bounding the loop.
+    """
+    r = [1] + [0] * (top + len(init))
+    scale, w, factors, prev = 1, 0, init, None
+    for j in count():
+        for a0, a1 in factors:
+            f, shift = _over_linear(r, a0, a1)
+            scale, w = scale * f, w + shift
+        e, k, poly = term(j)
+        lo = e - w
+        if prev is not None and lo <= prev:
+            raise RuntimeError("kernel sum terms do not advance")
+        if lo > top:
             return
-        yield j, den
-        den = den * (one - (j + a + 1) * ux) * (one - u - (j + b + 1) * ux)
-    raise RuntimeError("kernel sum failed to terminate")
+        del r[top - lo + 1:]
+        poly = [_coeff(a) for a in poly]
+        if any(poly):
+            yield j, lo, scale * k, _pmul(poly, r, len(r))
+        prev, factors = lo, step(j + 1)
 
 
-def _alternating_sum(k0: Series, u: Series, ux: Series, a: int, b: int,
-                     lead: int, N: int, pw: Series, numer) -> Series:
-    """sum_j (-1)^j numer(j) pw (ux)^(2j) / den_j over the denominators above.
+def _kernel_sum(init, step, term, top: int):
+    """The sum of :func:`_kernel_terms` as (lo, scale, cs), the terms
+    added as one vector over one common denominator to stay on ints."""
+    base, den, acc = top + 1, 1, []
+    for _, lo, k, cs in _kernel_terms(init, step, term, top):
+        if not acc:
+            base, acc = lo, [0] * len(cs)
+        k = Q(k)
+        if den % k.denominator:
+            grown = lcm(den, k.denominator)
+            acc = [a * (grown // den) for a in acc]
+            den = grown
+        f = k.numerator * (den // k.denominator)
+        for i, a in enumerate(cs, lo - base):
+            acc[i] += f * a
+    return base, Q(1, den), acc
 
-    Terms are skipped (not stopped on) when a specialization of u zeroes a
-    numerator identically.
+
+def _times(outer, val: int, part, N: int) -> Series:
+    """outer(order) times a kernel sum (lo, scale, cs), through x^N, in
+    one dense multiply; outer vanishes below x^val, so cs reaches x^(N-val).
     """
-    total = Series.zero(ux.order)
-    ux2 = ux * ux
-    for j, den in _kernel_denominators(k0, u, ux, a, b, lead, N):
-        num = numer(j) * pw
-        if j % 2:
-            num = -num
-        if not num.is_zero():
-            total = _accumulate(total, num / den)
-        pw = pw * ux2
-    return total
+    lo, scale, cs = part
+    if not cs:
+        return Series.zero(N)
+    f = outer(len(cs) - 1 + val)
+    if any(f.coeffs[:val]):
+        raise RuntimeError(f"outer series does not vanish below x^{val}")
+    prod = Series(f.coeffs[val:]) * Series(cs)
+    return _place(lo + val, scale, prod.coeffs, N)
+
+
+def _geometric(c, m: int):
+    """1 - p + px, 1 - i*px and 1 - p - i*px at p = c/(1 - m*c*x), each
+    times L = 1 - m*c*x: the linear factors K0, F(i) and G(i)."""
+    K0 = (1 - c, c * (1 - m))
+    return K0, (lambda i: (1, -(m + i) * c)), (lambda i: (1 - c, -(m + i) * c))
+
+
+def _alt(c, j: int):
+    """(-1)^j c^(2j), the scalar part of the kernel sums' (-px)^(2j)."""
+    return (-1) ** j * c ** (2 * j)
+
+
+def _p2(c, m: int, j: int) -> list:
+    """(1 - j*px)^2 - p + (j-1) p^2 x, times L^2."""
+    return [1 - c, c * c * (m + j - 1) - 2 * c * (m + j), (c * (m + j)) ** 2]
 
 
 # ---------------------------------------------------------------------------
@@ -140,65 +199,49 @@ def _alternating_sum(k0: Series, u: Series, ux: Series, a: int, b: int,
 def V0_series(N: int) -> Series:
     """Counts, by size, of last-letter avoiders whose final letter is 1.
 
-    Ratio of two explicit sums; term j starts at x^(j+1) in the numerator
-    sum and x^j in the denominator sum, so both loops stop at the working
-    order.  The denominator has valuation 1, costing one coefficient.
+    Ratio of two explicit sums over prod (1 - ix); term j starts at
+    x^(j+1) in the numerator sum and x^j in the denominator sum, which
+    has valuation 1 and so costs one coefficient.
     """
 
     def build() -> Series:
-        W = N + 4
-        num = Series.zero(W)
-        den = Series.zero(W)
-        nrun = Series.from_poly([1, -1], W)  # prod (1-ix), i <= j+1
-        drun = Series.one(W)                 # prod (1-ix), i <= j
-        for j in range(1, W + 1):
-            nrun = nrun * Series.from_poly([1, -(j + 1)], W)
-            drun = drun * Series.from_poly([1, -j], W)
-            scale = Q(1, factorial(j + 1))
-            npoly = [0] * (j + 1) + [j + 1, -(j * j + j + 1)]
-            dpoly = [0] * j + [j + 1, -(j * j)]
-            num = num + scale * (Series.from_poly(npoly, W) / nrun)
-            den = den + scale * (Series.from_poly(dpoly, W) / drun)
-        return num / den
+        _, F, _ = _geometric(1, 0)
+        num = _kernel_sum([F(1), F(2)], lambda j: [F(j + 2)], lambda j: (
+            j + 2, Q(1, factorial(j + 2)), [j + 2, -(j * j + 3 * j + 3)]),
+            N + 1)
+        den = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
+            j + 1, Q(1, factorial(j + 2)), [j + 2, -(j + 1) ** 2]), N + 1)
+        return _place(*num, N + 1) / _place(*den, N + 1)
 
     return _cached(("V0",), N, build)
 
 
-def _V_at(p: Series, N: int) -> Series:
+def _V_at(c, m: int, N: int) -> Series:
     """Last-letter series with the final letter j weighted by p^(j-1).
 
-    Two alternating kernel sums over j, the second carrying the
-    final-letter-1 series.
+    Two alternating kernel sums over j at p = c/(1 - m*c*x); the second
+    is multiplied by the final-letter-1 series.
     """
-    W = p.order
-    one = Series.one(W)
-    px = p * _mono(1, W)
-    ppx = p * px
-    p2x2 = px * px
-    k0 = one - p + px
-    v0 = V0_series(W)
-    first = _alternating_sum(
-        k0, p, px, 1, 1, 1, N, px,
-        lambda j: ((p - one) - j * ppx + (2 * j + 1) * px
-                   - (j * j + j + 1) * p2x2))
-    second = _alternating_sum(
-        k0, p, px, 0, 1, 1, N, one,
-        lambda j: v0 * ((one - j * px) ** 2 - p + (j - 1) * ppx))
-    return _accumulate(first, second)
+    K0, F, G = _geometric(c, m)
+    # c * ((p-1) - j p^2 x + (2j+1) px - (j^2+j+1) p^2 x^2), times L^2
+    first = _kernel_sum(
+        [K0, F(1), G(1)], lambda j: (F(j + 1), G(j + 1)),
+        lambda j: (2 * j + 1, _alt(c, j) * c, [
+            c - 1, c * (2 * m + 2 * j + 1) - c * c * (m + j),
+            -c * c * (m * m + (2 * j + 1) * m + j * j + j + 1)]),
+        N)
+    second = _kernel_sum(
+        [K0, G(1)], lambda j: (F(j), G(j + 1)),
+        lambda j: (2 * j, _alt(c, j), _p2(c, m, j)), N - 1)
+    return _place(*first, N) + _times(V0_series, 1, second, N)
 
 
 def _V_scaled_geom(c, m: int, N: int) -> Series:
     """Last-letter series at the geometric weight p = c/(1 - m*c*x)."""
-    c = Q(c)
+    c = _coeff(c)
     if c == 1 and m == 1:
         raise KernelSpecializationError("weight 1/(1-x) collapses 1-p+px")
-
-    def build() -> Series:
-        W = 2 * N + 16
-        p = expand_rational([c], [1, -m * c], W)
-        return _V_at(p, N)
-
-    return _cached(("V", c, m), N, build)
+    return _cached(("V", c, m), N, lambda: _V_at(c, m, N))
 
 
 def V1_series(N: int) -> Series:
@@ -214,16 +257,12 @@ def C11_series(N: int) -> Series:
     """Totals, by size, of words with 1 left of n and 2 right of n."""
 
     def build() -> Series:
-        W = N + 4
-        v1 = V1_series(W)
-        vg = _V_scaled_geom(1, 3, W)
         par = (
-            Series.from_poly([1, -1], W) * vg
-            - Series.from_poly([1, -4, 3], W) * v1
-            + Series.from_poly([3, -6, -3], W)
+            _times_poly(_V_scaled_geom(1, 3, N), [1, -1])
+            - _times_poly(V1_series(N), [1, -4, 3])
+            + Series.from_poly([3, -6, -3], N)
         )
-        den = Series.from_poly([3, -6], W) * Series.from_poly([1, -3], W)
-        return (par * _mono(3, W)) / den
+        return _div_linear(_times_poly(par, [0, 0, 0, 1]), (3, -6), (1, -3))
 
     return _cached(("C11",), N, build)
 
@@ -231,41 +270,34 @@ def C11_series(N: int) -> Series:
 def _C1u_impl(c, k: int, N: int) -> Series:
     """One-variable c series at the weight u = c/(1 - k*c*x).
 
-    Four closed terms over the kernels 1-u+ux, 1-u-2ux and 1-2ux.  When the
-    weight is identically 1 the factor 1-u vanishes exactly and only the
-    first term survives (as the honest series quotient by the valuation-1
-    kernel x), so the last three are skipped before their pieces are built.
+    Four closed terms over the kernels 1-u+ux, 1-u-2ux and 1-2ux, whose
+    common factor 1-u+ux is divided out last.  When the weight is
+    identically 1 the factor 1-u vanishes exactly and only the first term
+    survives, so the last three are skipped before their pieces are built.
+    At c = 1 the kernels 1-u+ux and 1-u-2ux vanish at 0 and each costs one
+    order, so the pieces are built that much higher.
     """
-    c = Q(c)
+    c = _coeff(c)
     if c == 1 and k == 1:
         raise KernelSpecializationError("weight 1/(1-x) collapses 1-u+ux")
-    W = N + 8
-    one = Series.one(W)
-    X = _mono(1, W)
-    u = expand_rational([c], [1, -k * c], W)
-    ux = u * X
-    one_m_u = one - u
-    k1 = one - u + ux
-    k2 = one_m_u - 2 * ux
-    k3 = one - 2 * ux
-    omx = Series.from_poly([1, -1], W)
-    c11 = C11_series(W)
-    t1 = ((one - ux) * c11 * X) / (omx * k1)
-    if one_m_u.is_zero():
-        out = t1
-    else:
-        v1 = V1_series(W)
-        vg = _V_scaled_geom(c, k + 2, W)
-        x4 = _mono(4, W)
-        t2 = (one_m_u * u * x4 * v1) / (k1 * k2)
-        t3 = (one_m_u * u * u * x4 * vg) / (k1 * k2 * k3)
-        t4 = (one_m_u * (one - ux - ux * X) * _mono(3, W)) / (omx * k1 * k3)
-        out = _aligned_sum([t1, t2, -t3, t4])
-    return out
+    K0, F, G = _geometric(c, k)
+    z = 1 if c == 1 else 0
+    W = N + z
+    num = _div_linear(
+        _times_poly(C11_series(W), [0, 1, -(k + 1) * c]), (1, -1))
+    if not (c == 1 and k == 0):
+        g0 = [c * a for a in G(0)]
+        inner = V1_series(W + z) - _div_linear(
+            _V_scaled_geom(c, k + 2, W + z) * c, F(2))
+        t23 = _div_linear(_times_poly(inner, [0, 0, 0, 0] + g0), G(2))
+        t4 = Series.from_poly(_pmul([0, 0, 0] + list(G(0)),
+                                    [1, -(k + 1) * c, -c], 7), W)
+        num = num + t23 + _div_linear(t4, (1, -1), F(2))
+    return _div_linear(num, K0)
 
 
 def _C1u_cached(c, k: int, N: int) -> Series:
-    c = Q(c)
+    c = _coeff(c)
     return _cached(("C1u", c, k), N, lambda: _C1u_impl(c, k, N))
 
 
@@ -278,51 +310,39 @@ def C1u_series(u, N: int) -> Series:
 # b-type series
 
 
+def _coupled(terms, c, m: int, N: int) -> Series:
+    """Sum of kernel terms j, each times the c series at c/(1-(m+j)cx)."""
+    total = Series.zero(N)
+    for j, lo, k, cs in terms:
+        total = total + _times(
+            lambda n: _C1u_cached(c, m + j, n), 3, (lo, k, cs), N)
+    return total
+
+
 def B11_series(N: int) -> Series:
     """Totals, by size, of words with 1 right of n.
 
-    Solved from three explicit sums plus one sum weighted by c series at
-    geometric weights 1/(1-(j+1)x).  The c-weighted terms carry an explicit
-    x^(j+1), so the c input for term j is only needed to a shrinking order;
-    the whole bracket is then divided by a valuation-1 denominator sum.
+    Solved from three explicit sums over prod (1 - ix) plus one sum
+    weighted by c series at geometric weights 1/(1-(j+2)x); the whole
+    bracket is then divided by a valuation-1 denominator sum, so
+    everything is built one order higher.
     """
 
     def build() -> Series:
-        W = N + 8
-        one = Series.one(W)
-        c11 = C11_series(W)
-        inv_omx = expand_rational([1], [1, -1], W)
-
-        T1 = Series.zero(W)
-        T3 = Series.zero(W)
-        D = Series.zero(W)
-        run = Series.one(W)  # prod (1-ix), i <= j
-        run2 = Series.from_poly([1, -1], W) * Series.from_poly([1, -2], W)
-        for j in range(1, W + 1):
-            run = run * Series.from_poly([1, -j], W)
-            run2 = run2 * Series.from_poly([1, -(j + 2)], W)
-            fact = factorial(j + 1)
-            T1 = T1 + Series.from_poly([0] * (j + 1) + [j * j], W) / (fact * run)
-            D = D + Series.from_poly([0] * j + [-(j + 1), j * j], W) / (fact * run)
-            t3poly = [0] * (j + 2) + [1, -2 * (j + 1), (j + 1) * (j + 1)]
-            T3 = T3 + Series.from_poly(t3poly, W) / (factorial(j - 1) * run2)
-
-        T2C = Series.zero(N + 1)
-        run2 = Series.from_poly([1, -1], W) * Series.from_poly([1, -2], W)
-        for j in range(1, _MAX_SUM_TERMS):
-            run2 = run2 * Series.from_poly([1, -(j + 2)], W)
-            if j + 4 > N + 1:
-                break
-            nc = max(3, N - j)
-            cj = _C1u_cached(1, j + 1, nc)
-            core = (Q(j, factorial(j + 1)) * one) / run2
-            term = (core.truncate(nc) * cj).shifted(j + 1)
-            T2C = T2C + term.truncate(N + 1)
-        else:
-            raise RuntimeError("b series sum failed to terminate")
-
-        bracket = _aligned_sum([c11 * inv_omx * T1, T2C, inv_omx * T3])
-        return -(bracket / D)
+        W = N + 1
+        _, F, _ = _geometric(1, 0)
+        T1 = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
+            j + 2, Q(1, factorial(j + 2)), [(j + 1) ** 2]), W - 3)
+        D = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
+            j + 1, Q(1, factorial(j + 2)), [-(j + 2), (j + 1) ** 2]), W)
+        F3 = [F(1), F(2), F(3)]
+        T3 = _kernel_sum(F3, lambda j: [F(j + 3)], lambda j: (
+            j + 3, Q(1, factorial(j)), [1, -2 * (j + 2), (j + 2) ** 2]), W)
+        T2C = _coupled(_kernel_terms(F3, lambda j: [F(j + 3)], lambda j: (
+            j + 2, Q(j + 1, factorial(j + 2)), [1]), W - 3), 1, 2, W)
+        bracket = _div_linear(
+            _times(C11_series, 3, T1, W) + _place(*T3, W), (1, -1)) + T2C
+        return -(bracket / _place(*D, W))
 
     return _cached(("B11",), N, build)
 
@@ -336,59 +356,31 @@ def _B1u_impl(c, m: int, N: int) -> Series:
     three vanish identically and are skipped before any c input is built
     (the skipped c argument would sit at the collapsed weight 1/(1-x)).
     """
-    c = Q(c)
+    c = _coeff(c)
     if c == 1 and m == 1:
         raise KernelSpecializationError("weight 1/(1-x) collapses 1-u+ux")
-    W = 2 * N + 16
-    one = Series.one(W)
-    X = _mono(1, W)
-    u = expand_rational([c], [1, -m * c], W)
-    ux = u * X
-    uux = u * ux
-    k0 = one - u + ux
-    omx = Series.from_poly([1, -1], W)
-    b11 = B11_series(N)
-    c11 = C11_series(N)
+    K0, F, G = _geometric(c, m)
 
     # S1 multiplies the b series, S2 the c series, S4 stands alone.
-    S1 = _alternating_sum(
-        k0, u, ux, 0, 1, 1, N, X,
-        lambda j: (one - j * ux) ** 2 + (j - 1) * uux - u)
-    S2 = _alternating_sum(
-        k0 * omx, u, ux, 0, 1, 4, N, X,
-        lambda j: (one - u - j * ux) ** 2)
-    S4 = _alternating_sum(
-        k0 * omx, u, ux, 2, 0, 2, N, _mono(2, W),
-        lambda j: (one - (j + 1) * ux) ** 2 * (one - u - j * ux))
-
+    S1 = _kernel_sum([K0, G(1)], lambda j: (F(j), G(j + 1)),
+                     lambda j: (2 * j + 1, _alt(c, j), _p2(c, m, j)), N - 2)
+    S2 = _kernel_sum([K0, (1, -1), G(1)], lambda j: (F(j), G(j + 1)),
+                     lambda j: (2 * j + 1, _alt(c, j), _pmul(G(j), G(j), 3)),
+                     N - 3)
+    S4 = _kernel_sum([K0, (1, -1), F(1), F(2)], lambda j: (F(j + 2), G(j)),
+                     lambda j: (2 * j + 2, _alt(c, j), _pmul(
+                         _pmul(F(j + 1), F(j + 1), 3), G(j), 4)), N)
     # S3 couples term j with the c series at weight u/(1-(j+1)ux), which
-    # stays in the geometric family as c/(1-(m+j+1)cx).  The explicit
-    # x^(2j+2) is split: enough goes into the division to keep the
-    # quotient a power series, the rest is an exact shift afterwards.
-    S3 = Series.zero(N)
-    u2 = u * u
-    upow = u * u2  # u^(2j+3)
-    for j, den in _kernel_denominators(k0, u, ux, 2, 1, 5, N):
-        dval = den.val()
-        pre = (one - u - j * ux) * upow
-        if j % 2:
-            pre = -pre
-        if not pre.is_zero():
-            q = (pre * _mono(dval, W)) / den
-            nc = max(3, N - j)
-            t = min(q.order, nc)
-            cj = _C1u_cached(c, m + j + 1, t)
-            term = (q.truncate(t) * cj).shifted(2 * j + 2 - dval)
-            S3 = S3 + term.truncate(N)
-        upow = upow * u2
-
-    return _aligned_sum(
-        [b11 * S1.truncate(N), c11 * S2.truncate(N), -S3, S4.truncate(N)]
-    )
+    # stays in the geometric family as c/(1-(m+j+1)cx).
+    S3 = _coupled(_kernel_terms(
+        [K0, F(1), F(2), G(1)], lambda j: (F(j + 2), G(j + 1)),
+        lambda j: (2 * j + 2, _alt(c, j) * c ** 3, G(j)), N - 3), c, m + 1, N)
+    return (_times(B11_series, 2, S1, N) + _times(C11_series, 3, S2, N)
+            - S3 + _place(*S4, N))
 
 
 def _B1u_cached(c, m: int, N: int) -> Series:
-    c = Q(c)
+    c = _coeff(c)
     return _cached(("B1u", c, m), N, lambda: _B1u_impl(c, m, N))
 
 
@@ -403,46 +395,47 @@ def B1u_series(u, N: int) -> Series:
 
 def _C_general(v, u, N: int) -> Series:
     """Two-variable c series at scalar weights, u away from 1."""
-    W = N + 4
-    X = _mono(1, W)
-    t1 = _rat([0, 0, 0, 0, u], [[1 - u, -2 * u]], W) * (
-        V1_series(W) - _rat([u], [[1, -2 * u]], W) * _V_scaled_geom(u, 2, W)
+    inner = V1_series(N) - _div_linear(
+        _V_scaled_geom(u, 2, N) * u, (1, -2 * u))
+    cv = _C1u_cached(v, 0, N)
+    return (
+        _div_linear(_times_poly(inner, [0, 0, 0, 0, u]), (1 - u, -2 * u))
+        + _div_linear(Series.from_poly([0, 0, 0, 0, u], N), (1, -2 * u))
+        + _times_poly(cv - _C1u_cached(u * v, 0, N), [0, u * v / (1 - u)])
+        + _div_linear(_times_poly(cv, [0, v])
+                      + Series.from_poly([0, 0, 0, v], N), (1, -v))
     )
-    t2 = _rat([0, 0, 0, 0, u], [[1, -2 * u]], W)
-    t3 = (u * v / (1 - u)) * (
-        X * (_C1u_cached(v, 0, W) - _C1u_cached(u * v, 0, W))
-    )
-    t4 = _rat([0, v], [[1, -v]], W) * _C1u_cached(v, 0, W)
-    t5 = _rat([0, 0, 0, v], [[1, -v]], W)
-    return _aligned_sum([t1, t2, t3, t4, t5]).truncate(N)
 
 
 def _B_general(v, u, N: int) -> Series:
     """Two-variable b series at scalar weights, u away from 1."""
-    W = N + 4
-    X = _mono(1, W)
-    k2 = _rat([0, 0, u], [[1 - u, -u]], W)
-    t1 = _rat([0, 0, 0, u], [[1, -1], [1, -2 * u]], W)
-    t2 = k2 * (
-        B11_series(W) - _rat([u], [[1, -u]], W) * _B1u_cached(u, 1, W)
+    inner = (
+        B11_series(N) + _div_linear(C11_series(N), (1, -1))
+        - _div_linear(
+            _B1u_cached(u, 1, N) * u
+            + _div_linear(_C1u_cached(u, 1, N) * (u * u), (1, -2 * u)),
+            (1, -u))
     )
-    t3 = k2 * (
-        _rat([1], [[1, -1]], W) * C11_series(W)
-        - _rat([u * u], [[1, -u], [1, -2 * u]], W) * _C1u_cached(u, 1, W)
+    return (
+        _div_linear(Series.from_poly([0, 0, 0, u], N), (1, -1), (1, -2 * u))
+        + _div_linear(_times_poly(inner, [0, 0, u]), (1 - u, -u))
+        + _times_poly(_B1u_cached(v, 0, N) - u * _B1u_cached(u * v, 0, N),
+                      [0, v / (1 - u)])
+        + _div_linear(_times_poly(_C1u_cached(v, 0, N), [0, v * v])
+                      + Series.from_poly([0, 0, v], N), (1, -v))
     )
-    t4 = (v / (1 - u)) * (
-        X * (_B1u_cached(v, 0, W) - u * _B1u_cached(u * v, 0, W))
-    )
-    t5 = _rat([0, v * v], [[1, -v]], W) * _C1u_cached(v, 0, W)
-    t6 = _rat([0, 0, v], [[1, -v]], W)
-    return _aligned_sum([t1, t2, t3, t4, t5, t6]).truncate(N)
+
+
+def _circular(b: Series, c: Series) -> Series:
+    """x/(1-x) + x*b + x*c/(1-x), the circular series from b and c ones."""
+    return (_div_linear(_times_poly(c + 1, [0, 1]), (1, -1))
+            + _times_poly(b, [0, 1]))
 
 
 def A_series(N: int) -> Series:
     """Circular avoider counts: the coefficient of x^n is the number of
     avoiding cyclic classes of size n, which equals a_(n-1) for n >= 2."""
-    xf = expand_rational([0, 1], [1, -1], N)
-    return xf + _mono(1, N) * B11_series(N) + xf * C11_series(N)
+    return _circular(B11_series(N), C11_series(N))
 
 
 def A_vu_series(v, u, N: int) -> Series:
@@ -460,11 +453,13 @@ def A_vu_series(v, u, N: int) -> Series:
                 "the two-variable closed forms divide by 1-u; the weight "
                 "u = 1 is only available on the diagonal v = u = 1"
             )
-        xf = expand_rational([0, 1], [1, -1], N)
-        return xf + _mono(1, N) * _B1u_cached(1, 0, N) + xf * _C1u_cached(1, 0, N)
-    t0 = _rat([0, 1, 1 - u], [[1, -u]], N)
-    tc = _rat([0, u * v], [[1, -u * v]], N)
-    return t0 + _mono(1, N) * _B_general(v, u, N) + tc * _C_general(v, u, N)
+        return _circular(_B1u_cached(1, 0, N), _C1u_cached(1, 0, N))
+    return (
+        _div_linear(Series.from_poly([0, 1, 1 - u], N), (1, -u))
+        + _times_poly(_B_general(v, u, N), [0, 1])
+        + _div_linear(_times_poly(_C_general(v, u, N), [0, u * v]),
+                      (1, -u * v))
+    )
 
 
 def a_from_series(series: Series) -> list[int]:

@@ -138,14 +138,6 @@ def _classify(w: Word, n: int) -> str | None:
     return None
 
 
-def marginals_by_last(cells: dict[tuple[int, int], int], n: int) -> tuple[int, ...]:
-    """Sum cells over the penultimate letter; index = final letter."""
-    out = [0] * (n + 1)
-    for (_, j), cnt in cells.items():
-        out[j] += cnt
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Every brute-force count for one size, from pruned scans of [n]."""
@@ -156,14 +148,6 @@ class OracleReport:
     v: tuple[int, ...]
     b_cells: dict[tuple[int, int], int]
     c_cells: dict[tuple[int, int], int]
-
-    @property
-    def b_by_last(self) -> tuple[int, ...]:
-        return marginals_by_last(self.b_cells, self.n)
-
-    @property
-    def c_by_last(self) -> tuple[int, ...]:
-        return marginals_by_last(self.c_cells, self.n)
 
 
 def oracle_report(n: int) -> OracleReport:

@@ -63,10 +63,6 @@ class Series:
         return cls([1] + [0] * order)
 
     @classmethod
-    def x(cls, order: int) -> "Series":
-        return cls.monomial(1, order)
-
-    @classmethod
     def monomial(cls, exp: int, order: int, coeff=1) -> "Series":
         if not 0 <= exp <= order:
             raise ValueError(f"exponent {exp} outside order {order}")
@@ -179,27 +175,6 @@ class Series:
                     acc -= q[k] * g[n - k]
             q[n] = _coeff(acc * inv_g0)  # later terms reuse q[n]
         return Series(q)
-
-    def __rtruediv__(self, other) -> "Series":
-        return Series.from_poly([other], self.order) / self
-
-    def __pow__(self, k: int) -> "Series":
-        if k < 0:
-            raise ValueError("negative powers: divide explicitly")
-        if k == 0:
-            return Series.one(self.order)
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        out = base  # the lowest power the binary expansion of k needs
-        k >>= 1
-        while k:
-            base = base * base
-            if k & 1:
-                out = out * base
-            k >>= 1
-        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Series) and self.coeffs == other.coeffs

@@ -9,7 +9,7 @@ import pytest
 
 from vincular import genfun
 from vincular.oracle import weighted_circular_sum
-from vincular.powerseries import Q, Series, as_int
+from vincular.powerseries import Q, Series, as_int, expand_rational
 from vincular.tables import build_tables
 
 T = build_tables(14)
@@ -24,6 +24,51 @@ def test_v1_matches_row_sums():
     assert v1[0] == 0
     for n in range(1, 13):
         assert v1[n] == sum(T.v[n][1:])
+
+
+@pytest.mark.parametrize("c, m", [
+    (1, 0), (2, 0), (Q(3, 7), 0), (1, 3), (Q(1, 2), 2), (Q(2, 3), 4), (1, 10)])
+def test_geometric_v_matches_recurrence(c, m):
+    # the c = 1 cases divide by factors that vanish at x = 0
+    genfun.clear_caches()
+    p = expand_rational([c], [1, -m * c], 12)
+    want = Series.zero(12)
+    power = Series.one(12)  # p^(j-1)
+    for j in range(1, 13):
+        row = [T.v[n][j] if j < len(T.v[n]) else 0 for n in range(13)]
+        want = want + Series(row) * power
+        power = power * p
+    assert genfun._V_scaled_geom(c, m, 12) == want
+
+
+def test_geometric_v_dense_operations_do_not_grow_with_order(monkeypatch):
+    calls = []
+    mul, div = Series.__mul__, Series.__truediv__
+
+    def counting(op):
+        def wrapped(a, b):
+            if isinstance(b, Series):
+                calls.append(op)
+            return op(a, b)
+        return wrapped
+
+    monkeypatch.setattr(Series, "__mul__", counting(mul))
+    monkeypatch.setattr(Series, "__truediv__", counting(div))
+    counts = []
+    for N in (20, 40):
+        genfun.clear_caches()
+        calls.clear()
+        genfun._V_scaled_geom(1, 3, N)
+        counts.append((calls.count(mul), calls.count(div)))
+    assert counts[0] == counts[1]
+
+
+def test_laurent_part_must_cancel():
+    # a kernel sum may start below x^0 only if those coefficients vanish;
+    # the check raises, so it also runs under python -O
+    assert genfun._place(-1, Q(1, 2), [0, 2, 4], 1).coeffs == (1, 2)
+    with pytest.raises(RuntimeError):
+        genfun._place(-1, 1, [1, 2, 4], 1)
 
 
 def test_v0_is_x_plus_x_v1():
