@@ -36,7 +36,7 @@ from .perms import (
     rotations,
     standardize,
 )
-from .powerseries import Q, Series, as_int, expand_rational
+from .powerseries import Q, Series, as_int
 from .tables import ConjectureReport, Tables, build_tables, check_conjectures
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "count_L",
     "count_circular_avoiders",
     "count_linear_avoiders",
-    "expand_rational",
     "iter_occurrences",
     "oracle_report",
     "rotations",

@@ -60,8 +60,8 @@ class CheckResult:
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
-        body = f"{mark} {self.name}"
-        return f"{body}: {self.detail}" if self.detail else body
+        detail = f": {self.detail}" if self.detail else ""
+        return f"{mark} {self.name}{detail} ({self.seconds:.1f}s)"
 
 
 def apply_fault(tables: Tables, cell: str, oracle_max: int | None = None) -> str:
@@ -114,9 +114,7 @@ def check_dp_reference(tables: Tables) -> CheckResult:
 
 def check_series_reference(order: int = 31) -> CheckResult:
     """Series-extracted sequence against the thirty reference values."""
-    t0 = time.perf_counter()
     a = genfun.a_from_series(genfun.A_series(order))
-    dt = time.perf_counter() - t0
     upto = min(order - 1, 30)
     for n in range(1, upto + 1):
         if a[n] != REFERENCE_A[n - 1]:
@@ -124,7 +122,7 @@ def check_series_reference(order: int = 31) -> CheckResult:
                 "series-reference-table", False,
                 f"a_{n}: series={a[n]} reference={REFERENCE_A[n - 1]}")
     return CheckResult(
-        "series-reference-table", True, f"a_1..a_{upto} exact ({dt:.1f}s)")
+        "series-reference-table", True, f"a_1..a_{upto} exact")
 
 
 def check_oracle_dp(tables: Tables, n: int) -> CheckResult:
@@ -137,7 +135,6 @@ def check_oracle_dp(tables: Tables, n: int) -> CheckResult:
         raise ValueError(
             f"the oracle check at n={n} reads cell tables, which this build "
             f"kept only for n <= {kept}")
-    t0 = time.perf_counter()
     rep = oracle.oracle_report(n)
     name = f"oracle-dp-n{n}"
     for j in range(1, n + 1):
@@ -165,7 +162,7 @@ def check_oracle_dp(tables: Tables, n: int) -> CheckResult:
         return CheckResult(
             name, False,
             f"|A_{n}|: oracle={rep.count_circular} dp a_{n - 1}={tables.a[n - 1]}")
-    return CheckResult(name, True, f"all cells and counts agree ({time.perf_counter() - t0:.1f}s)")
+    return CheckResult(name, True, "all cells and counts agree")
 
 
 def check_reduction(n: int) -> CheckResult:
@@ -190,10 +187,8 @@ def check_c1u_at_one(order: int = 32) -> CheckResult:
 
 
 def check_b1u_at_one(order: int = 32) -> CheckResult:
-    t0 = time.perf_counter()
     ok = genfun.B1u_series(1, order) == genfun.B11_series(order)
-    return CheckResult("series-b-weight-one", ok,
-                       f"order {order} ({time.perf_counter() - t0:.1f}s)")
+    return CheckResult("series-b-weight-one", ok, f"order {order}")
 
 
 def check_a_vu_diagonal(order: int = 32) -> CheckResult:
@@ -253,7 +248,6 @@ def check_power_inequality(tables: Tables) -> CheckResult:
 
 def check_bivariate_oracle(n_max: int = 8, v=2, u=3) -> CheckResult:
     """Bivariate circular series against oracle weighted sums."""
-    t0 = time.perf_counter()
     s = genfun.A_vu_series(v, u, n_max)
     for n in range(3, n_max + 1):
         want = oracle.weighted_circular_sum(n, v, u)
@@ -263,7 +257,7 @@ def check_bivariate_oracle(n_max: int = 8, v=2, u=3) -> CheckResult:
                 f"(v,u)=({v},{u}) n={n}: series={s[n]} oracle={want}")
     return CheckResult(
         "bivariate-oracle", True,
-        f"(v,u)=({v},{u}), 3 <= n <= {n_max} ({time.perf_counter() - t0:.1f}s)")
+        f"(v,u)=({v},{u}), 3 <= n <= {n_max}")
 
 
 def run_all(
@@ -292,7 +286,7 @@ def run_all(
     t0 = time.perf_counter()
     tables = build_tables(max(table_n, 30, oracle_max, 12))
     build_dt = time.perf_counter() - t0
-    results = [CheckResult("dp-build", True, f"N={tables.N} ({build_dt:.1f}s)", build_dt)]
+    results = [CheckResult("dp-build", True, f"N={tables.N}", build_dt)]
 
     def run(check, *args) -> None:
         t0 = time.perf_counter()

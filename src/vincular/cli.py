@@ -219,8 +219,7 @@ def cmd_conjectures(args) -> int:
     a = build_tables(args.N).a
     rep = check_conjectures(a)
     all_hold = rep.power_inequality_holds
-    for n in range(1, args.N):
-        holds = a[n] ** (n + 1) < a[n + 1] ** n
+    for n, holds in enumerate(rep.power_holds, 1):
         verdict = "holds" if holds else "FAILS"
         print(f"n={n}: {a[n]}^{n + 1} < {a[n + 1]}^{n}: {verdict}")
     print(f"a_n^(n+1) < a_(n+1)^n for 1 <= n < {args.N}: "

@@ -12,8 +12,13 @@ a term is a polynomial of degree at most 3 over a product of linear
 factors.  That product is kept as a running reciprocal: a factor
 a0 + a1*x costs one pass over the coefficients, and one with a0 = 0 (at
 c = 1) moves an explicit x-power offset.  With every valuation explicit,
-each series is built at exactly the order asked for.  Series that
-different formulas share are cached at the largest order built so far.
+each series is built at exactly the order asked for.
+
+Three jobs have one home each.  Products of coefficient lists go through
+:func:`vincular.powerseries._pmul`.  :func:`_geometric` raises
+:class:`KernelSpecializationError` for the one weight that collapses a
+kernel.  :func:`_memo` caches every series that different formulas
+share, keyed by builder and weights, at the largest order built so far.
 
 Weight conventions, with the coefficient of x^n counting words of size n:
 
@@ -30,10 +35,11 @@ Weight conventions, with the coefficient of x^n counting words of size n:
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import count
 from math import factorial, lcm
 
-from .powerseries import Q, Series, _coeff, as_int
+from .powerseries import Q, Series, _coeff, _pmul, as_int
 
 
 class KernelSpecializationError(ValueError):
@@ -61,6 +67,20 @@ def _cached(key: tuple, N: int, build) -> Series:
     return hit.truncate(N)
 
 
+def _memo(build):
+    """build(*weights, N) served by :func:`_cached`, keyed by the
+    builder's name and its weights as normalised by ``_coeff``."""
+
+    @wraps(build)
+    def cached(*args):
+        *weights, N = args
+        weights = [_coeff(w) for w in weights]
+        return _cached((build.__name__, *weights), N,
+                       lambda: build(*weights, N))
+
+    return cached
+
+
 # ---------------------------------------------------------------------------
 # linear factors and running reciprocals
 
@@ -77,16 +97,6 @@ def _over_linear(r: list, a0, a1):
     for n in range(1, len(r)):
         r[n] -= b * r[n - 1]
     return 1 / Q(a0), 0
-
-
-def _pmul(p, q, n: int) -> list:
-    """The first n coefficients of the product of coefficient lists p, q."""
-    out = [0] * n
-    for i, a in enumerate(p[:n]):
-        if a:
-            for k, b in enumerate(q[: n - i], i):
-                out[k] += a * b
-    return out
 
 
 def _place(lo: int, scale, cs, N: int) -> Series:
@@ -177,8 +187,14 @@ def _times(outer, val: int, part, N: int) -> Series:
 
 def _geometric(c, m: int):
     """1 - p + px, 1 - i*px and 1 - p - i*px at p = c/(1 - m*c*x), each
-    times L = 1 - m*c*x: the linear factors K0, F(i) and G(i)."""
+    times L = 1 - m*c*x: the linear factors K0, F(i) and G(i).
+
+    Raises KernelSpecializationError when K0 vanishes identically, which
+    happens exactly at the weight 1/(1-x) (c = m = 1).
+    """
     K0 = (1 - c, c * (1 - m))
+    if not any(K0):
+        raise KernelSpecializationError("weight 1/(1-x) collapses 1-p+px")
     return K0, (lambda i: (1, -(m + i) * c)), (lambda i: (1 - c, -(m + i) * c))
 
 
@@ -196,6 +212,7 @@ def _p2(c, m: int, j: int) -> list:
 # last-letter avoider series
 
 
+@_memo
 def V0_series(N: int) -> Series:
     """Counts, by size, of last-letter avoiders whose final letter is 1.
 
@@ -203,24 +220,21 @@ def V0_series(N: int) -> Series:
     x^(j+1) in the numerator sum and x^j in the denominator sum, which
     has valuation 1 and so costs one coefficient.
     """
-
-    def build() -> Series:
-        _, F, _ = _geometric(1, 0)
-        num = _kernel_sum([F(1), F(2)], lambda j: [F(j + 2)], lambda j: (
-            j + 2, Q(1, factorial(j + 2)), [j + 2, -(j * j + 3 * j + 3)]),
-            N + 1)
-        den = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
-            j + 1, Q(1, factorial(j + 2)), [j + 2, -(j + 1) ** 2]), N + 1)
-        return _place(*num, N + 1) / _place(*den, N + 1)
-
-    return _cached(("V0",), N, build)
+    _, F, _ = _geometric(1, 0)
+    num = _kernel_sum([F(1), F(2)], lambda j: [F(j + 2)], lambda j: (
+        j + 2, Q(1, factorial(j + 2)), [j + 2, -(j * j + 3 * j + 3)]), N + 1)
+    den = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
+        j + 1, Q(1, factorial(j + 2)), [j + 2, -(j + 1) ** 2]), N + 1)
+    return _place(*num, N + 1) / _place(*den, N + 1)
 
 
-def _V_at(c, m: int, N: int) -> Series:
-    """Last-letter series with the final letter j weighted by p^(j-1).
+@_memo
+def _V_scaled_geom(c, m: int, N: int) -> Series:
+    """Last-letter series at the geometric weight p = c/(1 - m*c*x), the
+    final letter j weighted by p^(j-1).
 
-    Two alternating kernel sums over j at p = c/(1 - m*c*x); the second
-    is multiplied by the final-letter-1 series.
+    Two alternating kernel sums over j; the second is multiplied by the
+    final-letter-1 series.
     """
     K0, F, G = _geometric(c, m)
     # c * ((p-1) - j p^2 x + (2j+1) px - (j^2+j+1) p^2 x^2), times L^2
@@ -236,14 +250,6 @@ def _V_at(c, m: int, N: int) -> Series:
     return _place(*first, N) + _times(V0_series, 1, second, N)
 
 
-def _V_scaled_geom(c, m: int, N: int) -> Series:
-    """Last-letter series at the geometric weight p = c/(1 - m*c*x)."""
-    c = _coeff(c)
-    if c == 1 and m == 1:
-        raise KernelSpecializationError("weight 1/(1-x) collapses 1-p+px")
-    return _cached(("V", c, m), N, lambda: _V_at(c, m, N))
-
-
 def V1_series(N: int) -> Series:
     """Counts of last-letter avoiders by size (all weights 1)."""
     return _V_scaled_geom(1, 0, N)
@@ -253,21 +259,19 @@ def V1_series(N: int) -> Series:
 # c-type series
 
 
+@_memo
 def C11_series(N: int) -> Series:
     """Totals, by size, of words with 1 left of n and 2 right of n."""
-
-    def build() -> Series:
-        par = (
-            _times_poly(_V_scaled_geom(1, 3, N), [1, -1])
-            - _times_poly(V1_series(N), [1, -4, 3])
-            + Series.from_poly([3, -6, -3], N)
-        )
-        return _div_linear(_times_poly(par, [0, 0, 0, 1]), (3, -6), (1, -3))
-
-    return _cached(("C11",), N, build)
+    par = (
+        _times_poly(_V_scaled_geom(1, 3, N), [1, -1])
+        - _times_poly(V1_series(N), [1, -4, 3])
+        + Series.from_poly([3, -6, -3], N)
+    )
+    return _div_linear(_times_poly(par, [0, 0, 0, 1]), (3, -6), (1, -3))
 
 
-def _C1u_impl(c, k: int, N: int) -> Series:
+@_memo
+def _C1u_cached(c, k: int, N: int) -> Series:
     """One-variable c series at the weight u = c/(1 - k*c*x).
 
     Four closed terms over the kernels 1-u+ux, 1-u-2ux and 1-2ux, whose
@@ -277,9 +281,6 @@ def _C1u_impl(c, k: int, N: int) -> Series:
     At c = 1 the kernels 1-u+ux and 1-u-2ux vanish at 0 and each costs one
     order, so the pieces are built that much higher.
     """
-    c = _coeff(c)
-    if c == 1 and k == 1:
-        raise KernelSpecializationError("weight 1/(1-x) collapses 1-u+ux")
     K0, F, G = _geometric(c, k)
     z = 1 if c == 1 else 0
     W = N + z
@@ -294,11 +295,6 @@ def _C1u_impl(c, k: int, N: int) -> Series:
                                     [1, -(k + 1) * c, -c], 7), W)
         num = num + t23 + _div_linear(t4, (1, -1), F(2))
     return _div_linear(num, K0)
-
-
-def _C1u_cached(c, k: int, N: int) -> Series:
-    c = _coeff(c)
-    return _cached(("C1u", c, k), N, lambda: _C1u_impl(c, k, N))
 
 
 def C1u_series(u, N: int) -> Series:
@@ -319,6 +315,7 @@ def _coupled(terms, c, m: int, N: int) -> Series:
     return total
 
 
+@_memo
 def B11_series(N: int) -> Series:
     """Totals, by size, of words with 1 right of n.
 
@@ -327,27 +324,24 @@ def B11_series(N: int) -> Series:
     bracket is then divided by a valuation-1 denominator sum, so
     everything is built one order higher.
     """
-
-    def build() -> Series:
-        W = N + 1
-        _, F, _ = _geometric(1, 0)
-        T1 = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
-            j + 2, Q(1, factorial(j + 2)), [(j + 1) ** 2]), W - 3)
-        D = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
-            j + 1, Q(1, factorial(j + 2)), [-(j + 2), (j + 1) ** 2]), W)
-        F3 = [F(1), F(2), F(3)]
-        T3 = _kernel_sum(F3, lambda j: [F(j + 3)], lambda j: (
-            j + 3, Q(1, factorial(j)), [1, -2 * (j + 2), (j + 2) ** 2]), W)
-        T2C = _coupled(_kernel_terms(F3, lambda j: [F(j + 3)], lambda j: (
-            j + 2, Q(j + 1, factorial(j + 2)), [1]), W - 3), 1, 2, W)
-        bracket = _div_linear(
-            _times(C11_series, 3, T1, W) + _place(*T3, W), (1, -1)) + T2C
-        return -(bracket / _place(*D, W))
-
-    return _cached(("B11",), N, build)
+    W = N + 1
+    _, F, _ = _geometric(1, 0)
+    T1 = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
+        j + 2, Q(1, factorial(j + 2)), [(j + 1) ** 2]), W - 3)
+    D = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
+        j + 1, Q(1, factorial(j + 2)), [-(j + 2), (j + 1) ** 2]), W)
+    F3 = [F(1), F(2), F(3)]
+    T3 = _kernel_sum(F3, lambda j: [F(j + 3)], lambda j: (
+        j + 3, Q(1, factorial(j)), [1, -2 * (j + 2), (j + 2) ** 2]), W)
+    T2C = _coupled(_kernel_terms(F3, lambda j: [F(j + 3)], lambda j: (
+        j + 2, Q(j + 1, factorial(j + 2)), [1]), W - 3), 1, 2, W)
+    bracket = _div_linear(
+        _times(C11_series, 3, T1, W) + _place(*T3, W), (1, -1)) + T2C
+    return -(bracket / _place(*D, W))
 
 
-def _B1u_impl(c, m: int, N: int) -> Series:
+@_memo
+def _B1u_cached(c, m: int, N: int) -> Series:
     """One-variable b series at the weight u = c/(1 - m*c*x).
 
     Four infinite sums: two carry the one-variable b and c series as outer
@@ -356,9 +350,6 @@ def _B1u_impl(c, m: int, N: int) -> Series:
     three vanish identically and are skipped before any c input is built
     (the skipped c argument would sit at the collapsed weight 1/(1-x)).
     """
-    c = _coeff(c)
-    if c == 1 and m == 1:
-        raise KernelSpecializationError("weight 1/(1-x) collapses 1-u+ux")
     K0, F, G = _geometric(c, m)
 
     # S1 multiplies the b series, S2 the c series, S4 stands alone.
@@ -377,11 +368,6 @@ def _B1u_impl(c, m: int, N: int) -> Series:
         lambda j: (2 * j + 2, _alt(c, j) * c ** 3, G(j)), N - 3), c, m + 1, N)
     return (_times(B11_series, 2, S1, N) + _times(C11_series, 3, S2, N)
             - S3 + _place(*S4, N))
-
-
-def _B1u_cached(c, m: int, N: int) -> Series:
-    c = _coeff(c)
-    return _cached(("B1u", c, m), N, lambda: _B1u_impl(c, m, N))
 
 
 def B1u_series(u, N: int) -> Series:

@@ -14,6 +14,9 @@ arithmetic stays on machine-backed ints and pays for rationals only where a
 coefficient really is one.  Both kinds expose numerator/denominator and
 compare and hash alike, so callers never need to know which one a
 coefficient is.
+
+:func:`_pmul` is the one truncated-product kernel: ``Series.__mul__`` and
+the kernel sums of :mod:`vincular.genfun` both multiply through it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,16 @@ def _coeff(c):
     if type(c) is not Q:
         c = Q(c)
     return int(c.numerator) if c.denominator == 1 else c
+
+
+def _pmul(p, q, n: int) -> list:
+    """The first n coefficients of the product of coefficient lists p, q."""
+    out = [0] * n
+    for i, a in enumerate(p[:n]):
+        if a:
+            for k, b in enumerate(q[: n - i], i):
+                out[k] += a * b
+    return out
 
 
 def as_int(value) -> int:
@@ -59,18 +72,6 @@ class Series:
         return cls([0] * (order + 1))
 
     @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls([1] + [0] * order)
-
-    @classmethod
-    def monomial(cls, exp: int, order: int, coeff=1) -> "Series":
-        if not 0 <= exp <= order:
-            raise ValueError(f"exponent {exp} outside order {order}")
-        c = [0] * (order + 1)
-        c[exp] = coeff
-        return cls(c)
-
-    @classmethod
     def from_poly(cls, poly: Sequence, order: int) -> "Series":
         """Polynomial coefficients, zero-padded or truncated to the order."""
         c = list(poly[: order + 1])
@@ -89,9 +90,6 @@ class Series:
                 return idx
         return None
 
-    def is_zero(self) -> bool:
-        return self.val() is None
-
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError(
@@ -99,12 +97,6 @@ class Series:
                 "the extra coefficients are unknown"
             )
         return Series(self.coeffs[: order + 1])
-
-    def shifted(self, k: int) -> "Series":
-        """Multiply by x^k exactly; the known order grows by k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return Series((0,) * k + self.coeffs)
 
     def _check_aligned(self, other: "Series", op: str) -> None:
         if self.order != other.order:
@@ -133,16 +125,7 @@ class Series:
         if not isinstance(other, Series):
             return Series(c * other for c in self.coeffs)
         self._check_aligned(other, "*")
-        n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(out)
+        return Series(_pmul(self.coeffs, other.coeffs, len(self.coeffs)))
 
     __rmul__ = __mul__
 
@@ -186,23 +169,3 @@ class Series:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order >= 8 else ""
         return f"Series([{head}{tail}], order={self.order})"
-
-
-def expand_rational(num: Sequence, den: Sequence, order: int) -> Series:
-    """Expansion of num(x)/den(x) to the given order, exactly.
-
-    Both arguments are polynomial coefficient sequences (index = exponent).
-    The denominator may vanish at 0 as long as the numerator vanishes at
-    least as fast; headroom for the cancellation is added internally.
-
-    >>> expand_rational([1], [1, -1], 5).coeffs == (1, 1, 1, 1, 1, 1)
-    True
-    >>> expand_rational([0, 0, 3], [0, 1, -2], 3).coeffs == (0, 3, 6, 12)
-    True
-    """
-    w = next((i for i, c in enumerate(den) if c), None)
-    if w is None:
-        raise ZeroDivisionError("denominator polynomial is zero")
-    f = Series.from_poly(num, order + w)
-    g = Series.from_poly(den, order + w)
-    return f / g

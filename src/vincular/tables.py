@@ -276,10 +276,11 @@ class ConjectureReport:
     """Exact checks of the two growth statements on a finite range.
 
     ``power_inequality_holds`` records whether a_n^(n+1) < a_{n+1}^n for
-    every checked n, i.e. whether a_n^(1/n) increases.  Unbounded growth of
-    a_{n+1}/a_n (which would rule out any c with a_n < c^n) can only be
-    observed, not decided, on a finite range; ``ratios_increasing`` and the
-    last ratio are reported as evidence.
+    every checked n, i.e. whether a_n^(1/n) increases; ``power_holds``
+    keeps the verdict for each n = 1..n_checked-1 at index n-1.  Unbounded
+    growth of a_{n+1}/a_n (which would rule out any c with a_n < c^n) can
+    only be observed, not decided, on a finite range; ``ratios_increasing``
+    and the last ratio are reported as evidence.
     """
 
     n_checked: int
@@ -288,15 +289,13 @@ class ConjectureReport:
     ratios_increasing: bool
     last_ratio_num: int
     last_ratio_den: int
+    power_holds: tuple[bool, ...]
 
 
 def check_conjectures(a: list[int]) -> ConjectureReport:
     N = len(a) - 1
-    first_fail = None
-    for n in range(1, N):
-        if a[n] ** (n + 1) >= a[n + 1] ** n:
-            first_fail = n
-            break
+    holds = tuple(a[n] ** (n + 1) < a[n + 1] ** n for n in range(1, N))
+    first_fail = next((n for n, ok in enumerate(holds, 1) if not ok), None)
     ratios_up = all(
         a[n + 1] * a[n - 1] > a[n] * a[n] for n in range(2, N)
     )
@@ -307,4 +306,5 @@ def check_conjectures(a: list[int]) -> ConjectureReport:
         ratios_increasing=ratios_up,
         last_ratio_num=a[N],
         last_ratio_den=a[N - 1],
+        power_holds=holds,
     )

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -170,6 +171,10 @@ def test_verify_passes_at_small_scale(capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].startswith("all ") and lines[-1].endswith("checks passed")
+    # every check line ends with one time, taken by run_all's timer
+    for line in lines[:-1]:
+        assert re.search(r" \(\d+\.\ds\)$", line), line
+        assert len(re.findall(r"\d\.\ds\)", line)) == 1, line
 
 
 def test_verify_fault_injection_names_the_cell(capsys):

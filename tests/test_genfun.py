@@ -9,7 +9,7 @@ import pytest
 
 from vincular import genfun
 from vincular.oracle import weighted_circular_sum
-from vincular.powerseries import Q, Series, as_int, expand_rational
+from vincular.powerseries import Q, Series, as_int
 from vincular.tables import build_tables
 
 T = build_tables(14)
@@ -31,14 +31,25 @@ def test_v1_matches_row_sums():
 def test_geometric_v_matches_recurrence(c, m):
     # the c = 1 cases divide by factors that vanish at x = 0
     genfun.clear_caches()
-    p = expand_rational([c], [1, -m * c], 12)
+    p = Series.from_poly([c], 12) / Series.from_poly([1, -m * c], 12)
     want = Series.zero(12)
-    power = Series.one(12)  # p^(j-1)
+    power = Series.from_poly([1], 12)  # p^(j-1)
     for j in range(1, 13):
         row = [T.v[n][j] if j < len(T.v[n]) else 0 for n in range(13)]
         want = want + Series(row) * power
         power = power * p
     assert genfun._V_scaled_geom(c, m, 12) == want
+
+
+@pytest.mark.parametrize("c", [1, Q(1)])
+@pytest.mark.parametrize("build", [
+    genfun._V_scaled_geom, genfun._C1u_cached, genfun._B1u_cached],
+    ids=lambda f: f.__name__)
+def test_collapsed_weight_raises(build, c):
+    # at p = 1/(1-x) the kernel 1-p+px vanishes identically
+    genfun.clear_caches()
+    with pytest.raises(genfun.KernelSpecializationError):
+        build(c, 1, 6)
 
 
 def test_geometric_v_dense_operations_do_not_grow_with_order(monkeypatch):
