@@ -14,6 +14,16 @@ a0 + a1*x costs one pass over the coefficients, and one with a0 = 0 (at
 c = 1) moves an explicit x-power offset.  With every valuation explicit,
 each series is built at exactly the order asked for.
 
+Scales stay on integers.  The reciprocal of each factor's leading
+coefficient is carried as an integer pair (num, den), multiplied up
+factor by factor and term by term without reduction.  The terms of a
+sum, and the pieces of one formula that all reach the same order, are
+added as one vector over the lcm of their denominators
+(:func:`_fold`).  The scale is applied once, where the result is
+placed as a series (:func:`_place`): one divmod per integer
+coefficient, which leaves an int wherever the division is exact and a
+Q in lowest terms otherwise.
+
 Three jobs have one home each.  Products of coefficient lists go through
 :func:`vincular.powerseries._pmul`.  :func:`_geometric` raises
 :class:`KernelSpecializationError` for the one weight that collapses a
@@ -39,7 +49,7 @@ from functools import wraps
 from itertools import count
 from math import factorial, lcm
 
-from .powerseries import Q, Series, _coeff, _pmul, as_int
+from .powerseries import Q, Series, _coeff, _pmul, _recip, as_int
 
 
 class KernelSpecializationError(ValueError):
@@ -88,37 +98,51 @@ def _memo(build):
 def _over_linear(r: list, a0, a1):
     """Divide sum_k r[k] x^k by a0 + a1*x in place, in O(len r).
 
-    The quotient is scale * x^-shift times the list left behind; a factor
-    a1*x only sets (scale, shift) = (1/a1, 1) and leaves the list alone.
+    The quotient is num/den * x^-shift times the list left behind, and
+    the integers (num, den, shift) are returned; a factor a1*x only sets
+    num/den = 1/a1 and shift = 1 and leaves the list alone.
     """
     if not a0:
-        return 1 / Q(a1), 1
-    b = _coeff(Q(a1) / a0)
+        return a1.denominator, a1.numerator, 1
+    b = _coeff(a1 * _recip(a0))
     for n in range(1, len(r)):
         r[n] -= b * r[n - 1]
-    return 1 / Q(a0), 0
+    return a0.denominator, a0.numerator, 0
 
 
 def _place(lo: int, scale, cs, N: int) -> Series:
     """x^lo * scale * sum_k cs[k] x^k, with cs reaching x^N, as a Series.
 
-    The Laurent part below x^0 must cancel exactly.
+    The rational scale multiplies each integer coefficient by its
+    numerator and divides by its denominator in one divmod, so a quotient
+    that is integral stays an int.  The Laurent part below x^0 must
+    cancel exactly.
     """
-    cs = list(cs)
     if lo < 0:
         if any(cs[:-lo]):
             raise RuntimeError("a kernel sum left a term below x^0")
         cs = cs[-lo:]
-    return Series(([0] * lo + cs)[: N + 1]) * scale
+    else:
+        cs = [0] * lo + list(cs)
+    num, den = scale.numerator, scale.denominator
+    out = []
+    for c in cs[: N + 1]:
+        if type(c) is int:
+            c *= num
+            q, rem = divmod(c, den)
+            out.append(Q(c, den) if rem else q)
+        else:
+            out.append(Q(c.numerator * num, c.denominator * den))
+    return Series(out)
 
 
 def _div_linear(s: Series, *factors) -> Series:
     """s divided by linear factors (a0, a1); each a1*x costs one order."""
-    cs, scale, shift = list(s.coeffs), 1, 0
+    cs, num, den, shift = list(s.coeffs), 1, 1, 0
     for a0, a1 in factors:
-        f, w = _over_linear(cs, a0, a1)
-        scale, shift = scale * f, shift + w
-    return _place(-shift, scale, cs, s.order - shift)
+        n, d, w = _over_linear(cs, a0, a1)
+        num, den, shift = num * n, den * d, shift + w
+    return _place(-shift, Q(num, den), cs, s.order - shift)
 
 
 def _times_poly(s: Series, poly) -> Series:
@@ -127,19 +151,22 @@ def _times_poly(s: Series, poly) -> Series:
 
 
 def _kernel_terms(init, step, term, top: int):
-    """Yield (j, lo, scale, cs) for the terms of sum_j x^e_j k_j P_j / D_j.
+    """Yield (j, lo, (num, den), cs) for the terms of
+    sum_j x^e_j k_j P_j / D_j.
 
     D_j is the product of the linear factors init and step(1..j), and
-    term(j) = (e_j, k_j, P_j).  1/D_j is kept as scale * x^-w * r(x), so
-    term j is x^lo * scale * sum_k cs[k] x^k, lo = e_j - w, through x^top.
-    Zero polynomials are skipped; lo must grow with j, bounding the loop.
+    term(j) = (e_j, k_j, P_j).  1/D_j is kept as n/d * x^-w * r(x), with
+    the integers n and d multiplied up factor by factor, so term j is
+    x^lo * num/den * sum_k cs[k] x^k through x^top, where lo = e_j - w and
+    num/den = k_j * n/d.  Zero polynomials are skipped; lo must grow with
+    j, bounding the loop.
     """
     r = [1] + [0] * (top + len(init))
-    scale, w, factors, prev = 1, 0, init, None
+    num, den, w, factors, prev = 1, 1, 0, init, None
     for j in count():
         for a0, a1 in factors:
-            f, shift = _over_linear(r, a0, a1)
-            scale, w = scale * f, w + shift
+            n, d, shift = _over_linear(r, a0, a1)
+            num, den, w = num * n, den * d, w + shift
         e, k, poly = term(j)
         lo = e - w
         if prev is not None and lo <= prev:
@@ -149,40 +176,56 @@ def _kernel_terms(init, step, term, top: int):
         del r[top - lo + 1:]
         poly = [_coeff(a) for a in poly]
         if any(poly):
-            yield j, lo, scale * k, _pmul(poly, r, len(r))
+            yield (j, lo, (num * k.numerator, den * k.denominator),
+                   _pmul(poly, r, len(r)))
         prev, factors = lo, step(j + 1)
 
 
-def _kernel_sum(init, step, term, top: int):
-    """The sum of :func:`_kernel_terms` as (lo, scale, cs), the terms
-    added as one vector over one common denominator to stay on ints."""
+def _fold(parts, top: int):
+    """The sum of parts (lo, (num, den), cs), each reaching x^top, as one
+    part (lo, (1, den), cs): the vectors are added over the lcm of their
+    denominators, so integer vectors stay on ints."""
     base, den, acc = top + 1, 1, []
-    for _, lo, k, cs in _kernel_terms(init, step, term, top):
-        if not acc:
-            base, acc = lo, [0] * len(cs)
-        k = Q(k)
-        if den % k.denominator:
-            grown = lcm(den, k.denominator)
+    for lo, (n, d), cs in parts:
+        if not cs:
+            continue
+        if lo < base:
+            acc[:0] = [0] * (base - lo)
+            base = lo
+        if den % d:
+            grown = lcm(den, d)
             acc = [a * (grown // den) for a in acc]
             den = grown
-        f = k.numerator * (den // k.denominator)
+        f = n * (den // d)
         for i, a in enumerate(cs, lo - base):
             acc[i] += f * a
-    return base, Q(1, den), acc
+    return base, (1, den), acc
 
 
-def _times(outer, val: int, part, N: int) -> Series:
-    """outer(order) times a kernel sum (lo, scale, cs), through x^N, in
-    one dense multiply; outer vanishes below x^val, so cs reaches x^(N-val).
-    """
+def _kernel_sum(init, step, term, top: int):
+    """The sum of :func:`_kernel_terms` as one part (lo, (1, den), cs)."""
+    return _fold(((lo, k, cs) for _, lo, k, cs in
+                  _kernel_terms(init, step, term, top)), top)
+
+
+def _placed(N: int, *parts) -> Series:
+    """The sum of parts (lo, (num, den), cs), each reaching x^N, as a
+    Series: one fold, then one exact division by the denominator."""
+    lo, (num, den), cs = _fold(parts, N) if len(parts) > 1 else parts[0]
+    return _place(lo, Q(num, den), cs, N)
+
+
+def _times(outer, val: int, part):
+    """outer(order) times a part (lo, scale, cs) in one dense multiply, as
+    a part reaching val orders further; outer vanishes below x^val."""
     lo, scale, cs = part
     if not cs:
-        return Series.zero(N)
+        return part
     f = outer(len(cs) - 1 + val)
     if any(f.coeffs[:val]):
         raise RuntimeError(f"outer series does not vanish below x^{val}")
     prod = Series(f.coeffs[val:]) * Series(cs)
-    return _place(lo + val, scale, prod.coeffs, N)
+    return lo + val, scale, prod.coeffs
 
 
 def _geometric(c, m: int):
@@ -225,7 +268,7 @@ def V0_series(N: int) -> Series:
         j + 2, Q(1, factorial(j + 2)), [j + 2, -(j * j + 3 * j + 3)]), N + 1)
     den = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
         j + 1, Q(1, factorial(j + 2)), [j + 2, -(j + 1) ** 2]), N + 1)
-    return _place(*num, N + 1) / _place(*den, N + 1)
+    return _placed(N + 1, num) / _placed(N + 1, den)
 
 
 @_memo
@@ -247,7 +290,7 @@ def _V_scaled_geom(c, m: int, N: int) -> Series:
     second = _kernel_sum(
         [K0, G(1)], lambda j: (F(j), G(j + 1)),
         lambda j: (2 * j, _alt(c, j), _p2(c, m, j)), N - 1)
-    return _place(*first, N) + _times(V0_series, 1, second, N)
+    return _placed(N, first, _times(V0_series, 1, second))
 
 
 def V1_series(N: int) -> Series:
@@ -306,13 +349,11 @@ def C1u_series(u, N: int) -> Series:
 # b-type series
 
 
-def _coupled(terms, c, m: int, N: int) -> Series:
-    """Sum of kernel terms j, each times the c series at c/(1-(m+j)cx)."""
-    total = Series.zero(N)
-    for j, lo, k, cs in terms:
-        total = total + _times(
-            lambda n: _C1u_cached(c, m + j, n), 3, (lo, k, cs), N)
-    return total
+def _coupled(terms, c, m: int, N: int):
+    """Sum of kernel terms j reaching x^(N-3), each times the c series at
+    c/(1-(m+j)cx), as one part reaching x^N."""
+    return _fold((_times(lambda n: _C1u_cached(c, m + j, n), 3, (lo, k, cs))
+                  for j, lo, k, cs in terms), N)
 
 
 @_memo
@@ -335,9 +376,8 @@ def B11_series(N: int) -> Series:
         j + 3, Q(1, factorial(j)), [1, -2 * (j + 2), (j + 2) ** 2]), W)
     T2C = _coupled(_kernel_terms(F3, lambda j: [F(j + 3)], lambda j: (
         j + 2, Q(j + 1, factorial(j + 2)), [1]), W - 3), 1, 2, W)
-    bracket = _div_linear(
-        _times(C11_series, 3, T1, W) + _place(*T3, W), (1, -1)) + T2C
-    return -(bracket / _place(*D, W))
+    bracket = _div_linear(_placed(W, _times(C11_series, 3, T1), T3), (1, -1))
+    return -((bracket + _placed(W, T2C)) / _placed(W, D))
 
 
 @_memo
@@ -361,13 +401,13 @@ def _B1u_cached(c, m: int, N: int) -> Series:
     S4 = _kernel_sum([K0, (1, -1), F(1), F(2)], lambda j: (F(j + 2), G(j)),
                      lambda j: (2 * j + 2, _alt(c, j), _pmul(
                          _pmul(F(j + 1), F(j + 1), 3), G(j), 4)), N)
-    # S3 couples term j with the c series at weight u/(1-(j+1)ux), which
-    # stays in the geometric family as c/(1-(m+j+1)cx).
+    # S3, which is subtracted, couples term j with the c series at weight
+    # u/(1-(j+1)ux), which stays in the geometric family as c/(1-(m+j+1)cx).
     S3 = _coupled(_kernel_terms(
         [K0, F(1), F(2), G(1)], lambda j: (F(j + 2), G(j + 1)),
-        lambda j: (2 * j + 2, _alt(c, j) * c ** 3, G(j)), N - 3), c, m + 1, N)
-    return (_times(B11_series, 2, S1, N) + _times(C11_series, 3, S2, N)
-            - S3 + _place(*S4, N))
+        lambda j: (2 * j + 2, -_alt(c, j) * c ** 3, G(j)), N - 3), c, m + 1, N)
+    return _placed(N, _times(B11_series, 2, S1), _times(C11_series, 3, S2),
+                   S3, S4)
 
 
 def B1u_series(u, N: int) -> Series:

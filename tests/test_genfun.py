@@ -82,6 +82,32 @@ def test_laurent_part_must_cancel():
         genfun._place(-1, 1, [1, 2, 4], 1)
 
 
+@pytest.mark.parametrize("scale", [1, -1, 3, Q(1, 3), Q(-2, 3), Q(5, 6)])
+def test_place_keeps_exact_quotients_integral(scale):
+    cs = [6, -9, 4, Q(3, 4), 0, 12]
+    s = genfun._place(1, scale, cs, 5)
+    assert s.coeffs == tuple(Q(c) * scale for c in [0] + cs[:5])
+    for c in s.coeffs:
+        # an exact quotient is an int, any other a Q in lowest terms
+        assert (type(c) is int) == (Q(c).denominator == 1)
+
+
+@pytest.mark.parametrize("factors", [
+    [(0, 3)], [(0, -3)], [(0, Q(-2, 5))], [(1, -4)], [(-1, 2)], [(3, -6)],
+    [(-2, 5)], [(Q(4, 7), Q(-3, 7))], [(Q(-1, 2), 3)],
+    [(0, -3), (-2, 5), (0, Q(2, 7))]], ids=str)
+def test_div_linear_matches_series_division(factors):
+    # the integer-pair scale must carry the sign, the size and the x-power
+    # shift of each factor
+    s = Series([0, 0, 2, -3, Q(1, 2), 7, 0, -5, 1])
+    want = s
+    for a0, a1 in factors:
+        want = want / Series.from_poly([a0, a1], want.order)
+    got = genfun._div_linear(s, *factors)
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
 def test_v0_is_x_plus_x_v1():
     v0 = genfun.V0_series(12)
     v1 = genfun.V1_series(11)
@@ -115,7 +141,9 @@ def test_weight_one_specializations():
 
 def test_weighted_marginals():
     # at u = 3/7 every quotient in the b series' four sums is rational
-    for u, order in ((2, 10), (3, 10), (Q(3, 7), 6)):
+    # u = 3/7 at order 12 and 3/2 at order 10 grow the unreduced scales
+    for u, order in ((2, 10), (3, 10), (Q(3, 7), 6), (Q(3, 7), 12),
+                     (Q(3, 2), 10)):
         bu = genfun.B1u_series(u, order)
         cu = genfun.C1u_series(u, order)
         for n in range(2, order + 1):
