@@ -271,20 +271,20 @@ def run_all(
 
     Each result carries the seconds its check took.  Raises ValueError,
     before any check runs, when oracle_max is past CELLS_MAX (the cell
-    tables stop there) or when oracle_max or reduction_max is below 2,
-    which would leave out every brute-force check of that kind.
+    tables stop there) or when oracle_max, reduction_max or order is
+    below 2, which would leave the checks it sizes nothing to compare.
     """
     if oracle_max > CELLS_MAX:
         raise ValueError(
             f"oracle cap {oracle_max} is past {CELLS_MAX}, the largest size "
             "whose cell tables are kept")
-    for label, value in (("oracle cap", oracle_max), ("reduction maximum", reduction_max)):
+    for label, value in (("oracle cap", oracle_max), ("series order", order),
+                         ("reduction maximum", reduction_max)):
         if value < 2:
             raise ValueError(
-                f"{label} {value} is below 2, the smallest size it checks; "
-                "it would run no check")
+                f"{label} {value} is below 2; its checks would compare nothing")
     t0 = time.perf_counter()
-    tables = build_tables(max(table_n, 30, oracle_max, 12))
+    tables = build_tables(max(table_n, 30, oracle_max))
     build_dt = time.perf_counter() - t0
     results = [CheckResult("dp-build", True, f"N={tables.N}", build_dt)]
 
@@ -298,7 +298,7 @@ def run_all(
         results.append(CheckResult(
             "fault-injection", True, f"corrupted {cell}; expect a FAIL below"))
     run(check_dp_reference, tables)
-    run(check_series_reference, max(order, 2))
+    run(check_series_reference, order)
     for n in range(2, oracle_max + 1):
         run(check_oracle_dp, tables, n)
     for n in range(2, reduction_max + 1):

@@ -304,15 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
         "the structural identities; exit 0 only if every check passes.")
     verify.add_argument(
         "--oracle-cap", type=int, default=10,
-        help="largest size the brute-force comparisons cover, at most "
+        help="largest size of the oracle-dp comparisons, at most "
         f"{CELLS_MAX} (default 10)")
     verify.add_argument(
         "--reduction-max", type=int, default=8,
         help="largest size for the delete-smallest reduction check (default 8)")
-    verify.add_argument("--N", type=int, default=30,
-                        help="recurrence table size (default 30)")
+    verify.add_argument(
+        "--N", type=int, default=30,
+        help="recurrence table size; smaller values are raised to 30 and to "
+        "the oracle cap (default 30)")
     verify.add_argument("--order", type=int, default=32,
-                        help="series truncation order (default 32)")
+                        help="series truncation order, at least 2 (default 32)")
     verify.add_argument(
         "--inject-fault", metavar="CELL", default=None,
         help="self-test hook: corrupt one recurrence cell (v:n:j, b:n:i:j "

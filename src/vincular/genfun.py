@@ -25,10 +25,12 @@ coefficient, which leaves an int wherever the division is exact and a
 Q in lowest terms otherwise.
 
 Three jobs have one home each.  Products of coefficient lists go through
-:func:`vincular.powerseries._pmul`.  :func:`_geometric` raises
-:class:`KernelSpecializationError` for the one weight that collapses a
-kernel.  :func:`_memo` caches every series that different formulas
-share, keyed by builder and weights, at the largest order built so far.
+:func:`vincular.powerseries._pmul`.  :func:`_geometric` normalises a
+weight and raises :class:`KernelSpecializationError` for the one weight
+that collapses a kernel.  :func:`_memo` caches, by name, the only series
+read again: V0, V1, C11 and B11, on which the kernel method builds every
+weighted series.  Each formula asks for them at its highest order first,
+so one call builds each once (bar ``A_vu_series`` at v = 1 or uv = 1).
 
 Weight conventions, with the coefficient of x^n counting words of size n:
 
@@ -56,14 +58,14 @@ class KernelSpecializationError(ValueError):
     """A weight makes a kernel vanish identically, with no removable limit."""
 
 
-_SERIES_CACHE: dict[tuple, Series] = {}
+_SERIES_CACHE: dict[str, Series] = {}
 
 
 def clear_caches() -> None:
     _SERIES_CACHE.clear()
 
 
-def _cached(key: tuple, N: int, build) -> Series:
+def _cached(key: str, N: int, build) -> Series:
     """Serve key from the cache, rebuilding when more order is needed.
 
     The entry is truncated to N before it is stored, so a build that
@@ -78,15 +80,11 @@ def _cached(key: tuple, N: int, build) -> Series:
 
 
 def _memo(build):
-    """build(*weights, N) served by :func:`_cached`, keyed by the
-    builder's name and its weights as normalised by ``_coeff``."""
+    """build(N) served by :func:`_cached`, keyed by the builder's name."""
 
     @wraps(build)
-    def cached(*args):
-        *weights, N = args
-        weights = [_coeff(w) for w in weights]
-        return _cached((build.__name__, *weights), N,
-                       lambda: build(*weights, N))
+    def cached(N: int) -> Series:
+        return _cached(build.__name__, N, lambda: build(N))
 
     return cached
 
@@ -229,16 +227,18 @@ def _times(outer, val: int, part):
 
 
 def _geometric(c, m: int):
-    """1 - p + px, 1 - i*px and 1 - p - i*px at p = c/(1 - m*c*x), each
-    times L = 1 - m*c*x: the linear factors K0, F(i) and G(i).
+    """c as ``_coeff`` gives it, and 1 - p + px, 1 - i*px, 1 - p - i*px
+    at p = c/(1 - m*c*x), each times L = 1 - m*c*x: K0, F(i) and G(i).
 
     Raises KernelSpecializationError when K0 vanishes identically, which
     happens exactly at the weight 1/(1-x) (c = m = 1).
     """
+    c = _coeff(c)
     K0 = (1 - c, c * (1 - m))
     if not any(K0):
         raise KernelSpecializationError("weight 1/(1-x) collapses 1-p+px")
-    return K0, (lambda i: (1, -(m + i) * c)), (lambda i: (1 - c, -(m + i) * c))
+    return (c, K0, (lambda i: (1, -(m + i) * c)),
+            (lambda i: (1 - c, -(m + i) * c)))
 
 
 def _alt(c, j: int):
@@ -263,7 +263,7 @@ def V0_series(N: int) -> Series:
     x^(j+1) in the numerator sum and x^j in the denominator sum, which
     has valuation 1 and so costs one coefficient.
     """
-    _, F, _ = _geometric(1, 0)
+    _, _, F, _ = _geometric(1, 0)
     num = _kernel_sum([F(1), F(2)], lambda j: [F(j + 2)], lambda j: (
         j + 2, Q(1, factorial(j + 2)), [j + 2, -(j * j + 3 * j + 3)]), N + 1)
     den = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
@@ -271,7 +271,6 @@ def V0_series(N: int) -> Series:
     return _placed(N + 1, num) / _placed(N + 1, den)
 
 
-@_memo
 def _V_scaled_geom(c, m: int, N: int) -> Series:
     """Last-letter series at the geometric weight p = c/(1 - m*c*x), the
     final letter j weighted by p^(j-1).
@@ -279,7 +278,7 @@ def _V_scaled_geom(c, m: int, N: int) -> Series:
     Two alternating kernel sums over j; the second is multiplied by the
     final-letter-1 series.
     """
-    K0, F, G = _geometric(c, m)
+    c, K0, F, G = _geometric(c, m)
     # c * ((p-1) - j p^2 x + (2j+1) px - (j^2+j+1) p^2 x^2), times L^2
     first = _kernel_sum(
         [K0, F(1), G(1)], lambda j: (F(j + 1), G(j + 1)),
@@ -293,6 +292,7 @@ def _V_scaled_geom(c, m: int, N: int) -> Series:
     return _placed(N, first, _times(V0_series, 1, second))
 
 
+@_memo
 def V1_series(N: int) -> Series:
     """Counts of last-letter avoiders by size (all weights 1)."""
     return _V_scaled_geom(1, 0, N)
@@ -313,8 +313,7 @@ def C11_series(N: int) -> Series:
     return _div_linear(_times_poly(par, [0, 0, 0, 1]), (3, -6), (1, -3))
 
 
-@_memo
-def _C1u_cached(c, k: int, N: int) -> Series:
+def _C1u_geom(c, k: int, N: int) -> Series:
     """One-variable c series at the weight u = c/(1 - k*c*x).
 
     Four closed terms over the kernels 1-u+ux, 1-u-2ux and 1-2ux, whose
@@ -324,11 +323,11 @@ def _C1u_cached(c, k: int, N: int) -> Series:
     At c = 1 the kernels 1-u+ux and 1-u-2ux vanish at 0 and each costs one
     order, so the pieces are built that much higher.
     """
-    K0, F, G = _geometric(c, k)
+    c, K0, F, G = _geometric(c, k)
     z = 1 if c == 1 else 0
     W = N + z
-    num = _div_linear(
-        _times_poly(C11_series(W), [0, 1, -(k + 1) * c]), (1, -1))
+    # the V terms reach one order past C11's, so they are built first
+    terms = []
     if not (c == 1 and k == 0):
         g0 = [c * a for a in G(0)]
         inner = V1_series(W + z) - _div_linear(
@@ -336,13 +335,15 @@ def _C1u_cached(c, k: int, N: int) -> Series:
         t23 = _div_linear(_times_poly(inner, [0, 0, 0, 0] + g0), G(2))
         t4 = Series.from_poly(_pmul([0, 0, 0] + list(G(0)),
                                     [1, -(k + 1) * c, -c], 7), W)
-        num = num + t23 + _div_linear(t4, (1, -1), F(2))
-    return _div_linear(num, K0)
+        terms = [t23, _div_linear(t4, (1, -1), F(2))]
+    num = _div_linear(
+        _times_poly(C11_series(W), [0, 1, -(k + 1) * c]), (1, -1))
+    return _div_linear(sum(terms, num), K0)
 
 
 def C1u_series(u, N: int) -> Series:
     """One-variable c series: coefficient of x^n is sum_j c(n,j) u^(j-2)."""
-    return _C1u_cached(u, 0, N)
+    return _C1u_geom(u, 0, N)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def C1u_series(u, N: int) -> Series:
 def _coupled(terms, c, m: int, N: int):
     """Sum of kernel terms j reaching x^(N-3), each times the c series at
     c/(1-(m+j)cx), as one part reaching x^N."""
-    return _fold((_times(lambda n: _C1u_cached(c, m + j, n), 3, (lo, k, cs))
+    return _fold((_times(lambda n: _C1u_geom(c, m + j, n), 3, (lo, k, cs))
                   for j, lo, k, cs in terms), N)
 
 
@@ -366,7 +367,7 @@ def B11_series(N: int) -> Series:
     everything is built one order higher.
     """
     W = N + 1
-    _, F, _ = _geometric(1, 0)
+    _, _, F, _ = _geometric(1, 0)
     T1 = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
         j + 2, Q(1, factorial(j + 2)), [(j + 1) ** 2]), W - 3)
     D = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
@@ -380,8 +381,7 @@ def B11_series(N: int) -> Series:
     return -((bracket + _placed(W, T2C)) / _placed(W, D))
 
 
-@_memo
-def _B1u_cached(c, m: int, N: int) -> Series:
+def _B1u_geom(c, m: int, N: int) -> Series:
     """One-variable b series at the weight u = c/(1 - m*c*x).
 
     Four infinite sums: two carry the one-variable b and c series as outer
@@ -390,11 +390,14 @@ def _B1u_cached(c, m: int, N: int) -> Series:
     three vanish identically and are skipped before any c input is built
     (the skipped c argument would sit at the collapsed weight 1/(1-x)).
     """
-    K0, F, G = _geometric(c, m)
+    c, K0, F, G = _geometric(c, m)
 
-    # S1 multiplies the b series, S2 the c series, S4 stands alone.
-    S1 = _kernel_sum([K0, G(1)], lambda j: (F(j), G(j + 1)),
-                     lambda j: (2 * j + 1, _alt(c, j), _p2(c, m, j)), N - 2)
+    # S1 multiplies the b series, S2 the c series, S4 stands alone.  The
+    # b product comes first: B11 asks for the shared series at the highest
+    # order, so S3's couplings are served by truncation.
+    S1 = _times(B11_series, 2, _kernel_sum(
+        [K0, G(1)], lambda j: (F(j), G(j + 1)),
+        lambda j: (2 * j + 1, _alt(c, j), _p2(c, m, j)), N - 2))
     S2 = _kernel_sum([K0, (1, -1), G(1)], lambda j: (F(j), G(j + 1)),
                      lambda j: (2 * j + 1, _alt(c, j), _pmul(G(j), G(j), 3)),
                      N - 3)
@@ -406,48 +409,46 @@ def _B1u_cached(c, m: int, N: int) -> Series:
     S3 = _coupled(_kernel_terms(
         [K0, F(1), F(2), G(1)], lambda j: (F(j + 2), G(j + 1)),
         lambda j: (2 * j + 2, -_alt(c, j) * c ** 3, G(j)), N - 3), c, m + 1, N)
-    return _placed(N, _times(B11_series, 2, S1), _times(C11_series, 3, S2),
-                   S3, S4)
+    return _placed(N, S1, _times(C11_series, 3, S2), S3, S4)
 
 
 def B1u_series(u, N: int) -> Series:
     """One-variable b series: coefficient of x^n is sum_j b(n,j) u^(j-1)."""
-    return _B1u_cached(u, 0, N)
+    return _B1u_geom(u, 0, N)
 
 
 # ---------------------------------------------------------------------------
 # two-variable series and the circular count
 
 
-def _C_general(v, u, N: int) -> Series:
-    """Two-variable c series at scalar weights, u away from 1."""
+def _C_general(v, u, cv: Series, N: int) -> Series:
+    """Two-variable c series at scalar weights, u away from 1; cv = C1u(v)."""
     inner = V1_series(N) - _div_linear(
         _V_scaled_geom(u, 2, N) * u, (1, -2 * u))
-    cv = _C1u_cached(v, 0, N)
     return (
         _div_linear(_times_poly(inner, [0, 0, 0, 0, u]), (1 - u, -2 * u))
         + _div_linear(Series.from_poly([0, 0, 0, 0, u], N), (1, -2 * u))
-        + _times_poly(cv - _C1u_cached(u * v, 0, N), [0, u * v / (1 - u)])
+        + _times_poly(cv - _C1u_geom(u * v, 0, N), [0, u * v / (1 - u)])
         + _div_linear(_times_poly(cv, [0, v])
                       + Series.from_poly([0, 0, 0, v], N), (1, -v))
     )
 
 
-def _B_general(v, u, N: int) -> Series:
-    """Two-variable b series at scalar weights, u away from 1."""
+def _B_general(v, u, cv: Series, N: int) -> Series:
+    """Two-variable b series at scalar weights, u away from 1; cv = C1u(v)."""
     inner = (
         B11_series(N) + _div_linear(C11_series(N), (1, -1))
         - _div_linear(
-            _B1u_cached(u, 1, N) * u
-            + _div_linear(_C1u_cached(u, 1, N) * (u * u), (1, -2 * u)),
+            _B1u_geom(u, 1, N) * u
+            + _div_linear(_C1u_geom(u, 1, N) * (u * u), (1, -2 * u)),
             (1, -u))
     )
     return (
         _div_linear(Series.from_poly([0, 0, 0, u], N), (1, -1), (1, -2 * u))
         + _div_linear(_times_poly(inner, [0, 0, u]), (1 - u, -u))
-        + _times_poly(_B1u_cached(v, 0, N) - u * _B1u_cached(u * v, 0, N),
+        + _times_poly(_B1u_geom(v, 0, N) - u * _B1u_geom(u * v, 0, N),
                       [0, v / (1 - u)])
-        + _div_linear(_times_poly(_C1u_cached(v, 0, N), [0, v * v])
+        + _div_linear(_times_poly(cv, [0, v * v])
                       + Series.from_poly([0, 0, v], N), (1, -v))
     )
 
@@ -479,11 +480,14 @@ def A_vu_series(v, u, N: int) -> Series:
                 "the two-variable closed forms divide by 1-u; the weight "
                 "u = 1 is only available on the diagonal v = u = 1"
             )
-        return _circular(_B1u_cached(1, 0, N), _C1u_cached(1, 0, N))
+        return _circular(B1u_series(1, N), C1u_series(1, N))
+    # B11 asks for the shared series at this formula's highest order
+    B11_series(N)
+    cv = C1u_series(v, N)
     return (
         _div_linear(Series.from_poly([0, 1, 1 - u], N), (1, -u))
-        + _times_poly(_B_general(v, u, N), [0, 1])
-        + _div_linear(_times_poly(_C_general(v, u, N), [0, u * v]),
+        + _times_poly(_B_general(v, u, cv, N), [0, 1])
+        + _div_linear(_times_poly(_C_general(v, u, cv, N), [0, u * v]),
                       (1, -u * v))
     )
 

@@ -118,16 +118,11 @@ class Series:
             return Series(a + b for a, b in zip(self.coeffs, other.coeffs))
         return Series((self.coeffs[0] + other,) + self.coeffs[1:])
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Series":
         return Series(-c for c in self.coeffs)
 
     def __sub__(self, other) -> "Series":
-        return self + (-other if isinstance(other, Series) else -Q(other))
-
-    def __rsub__(self, other) -> "Series":
-        return -self + other
+        return self + (-other)
 
     def __mul__(self, other) -> "Series":
         if not isinstance(other, Series):
@@ -137,9 +132,7 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Series":
-        if not isinstance(other, Series):
-            return Series(c / Q(other) for c in self.coeffs)
+    def __truediv__(self, other: "Series") -> "Series":
         w = other.val()
         if w is None:
             raise ZeroDivisionError("division by the zero series")

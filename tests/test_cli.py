@@ -216,9 +216,13 @@ def test_verify_rejects_oracle_cap_past_cells(capsys, argv):
     (("--oracle-cap", "0"), "oracle cap 0"),
     (("--reduction-max", "1"), "reduction maximum 1"),
     (("--oracle-cap", "1", "--reduction-max", "1"), "oracle cap 1"),
+    (("--order", "1"), "series order 1"),
+    (("--order", "0"), "series order 0"),
+    (("--order", "-3"), "series order -3"),
 ])
 def test_verify_rejects_caps_that_drop_the_oracle(capsys, argv, name):
-    # a cap below 2 would silently run no oracle-dp or reduction check
+    # a cap below 2 would silently run no oracle-dp or reduction check, and
+    # an order below 2 would leave the series checks nothing to compare
     with pytest.raises(SystemExit, match=name) as exc:
         run(capsys, "verify", "--N", "12", "--order", "8", *argv)
     message = str(exc.value.code)

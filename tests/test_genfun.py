@@ -5,6 +5,8 @@ coefficients, so agreement means coefficientwise equality, never
 approximation.
 """
 
+import hashlib
+
 import pytest
 
 from vincular import genfun
@@ -43,7 +45,7 @@ def test_geometric_v_matches_recurrence(c, m):
 
 @pytest.mark.parametrize("c", [1, Q(1)])
 @pytest.mark.parametrize("build", [
-    genfun._V_scaled_geom, genfun._C1u_cached, genfun._B1u_cached],
+    genfun._V_scaled_geom, genfun._C1u_geom, genfun._B1u_geom],
     ids=lambda f: f.__name__)
 def test_collapsed_weight_raises(build, c):
     # at p = 1/(1-x) the kernel 1-p+px vanishes identically
@@ -200,3 +202,72 @@ def test_a_small_values():
     a = genfun.a_from_series(genfun.A_series(10))
     assert a[1:10] == [1, 2, 5, 15, 50, 180, 690, 2792, 11857]
     assert as_int(genfun.A_series(4)[4]) == 5
+
+
+# Every pinned series, built in this order, hashed coefficient by
+# coefficient as type:value, so the int-or-Q contract is pinned as well.
+_PINNED = [("A_series(40)", lambda: genfun.A_series(40))]
+_PINNED += [(f"{f.__name__}(32)", lambda f=f: f(32)) for f in (
+    genfun.V0_series, genfun.V1_series, genfun.B11_series, genfun.C11_series)]
+_PINNED += [(f"{f.__name__}({u}, 12)", lambda f=f, u=u: f(u, 12))
+            for f in (genfun.B1u_series, genfun.C1u_series)
+            for u in (1, 2, 3, 5, Q(1, 2), Q(3, 7))]
+_PINNED += [
+    ("A_vu_series(2, 3, 10)", lambda: genfun.A_vu_series(2, 3, 10)),
+    ("A_vu_series(1/2, 2/3, 8)",
+     lambda: genfun.A_vu_series(Q(1, 2), Q(2, 3), 8))]
+_PINNED_SHA256 = (
+    "6a11caadfe051bbd771c0029e4bc177d03546807a2abd66e8c9580c6b005ae24")
+
+
+def _pinned_digest(builds) -> str:
+    built = {name: build() for name, build in builds}
+    h = hashlib.sha256()
+    for name, _ in _PINNED:
+        h.update(f"{name}\n".encode())
+        for c in built[name].coeffs:
+            h.update(f"{type(c).__name__}:{c};".encode())
+    return h.hexdigest()
+
+
+def test_series_coefficients_match_pinned_digest():
+    # once from a cold cache, once warm and in reverse order, so neither
+    # the build order nor a cache hit may change a coefficient or its type
+    genfun.clear_caches()
+    assert _pinned_digest(_PINNED) == _PINNED_SHA256
+    assert _pinned_digest(_PINNED[::-1]) == _PINNED_SHA256
+
+
+def test_cache_holds_only_the_shared_series():
+    genfun.clear_caches()
+    genfun.A_series(31)
+    genfun.B1u_series(Q(3, 7), 10)
+    genfun.C1u_series(Q(3, 7), 10)
+    genfun.A_vu_series(Q(1, 2), Q(2, 3), 8)
+    assert set(genfun._SERIES_CACHE) == {
+        "V0_series", "V1_series", "C11_series", "B11_series"}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: genfun.A_series(4),
+    lambda: genfun.A_series(31),
+    lambda: genfun.B1u_series(1, 32),
+    lambda: genfun.B1u_series(Q(3, 7), 20),
+    lambda: genfun.C1u_series(Q(3, 7), 20),
+    lambda: genfun.A_vu_series(2, 3, 10),
+    lambda: genfun.A_vu_series(Q(1, 2), Q(2, 3), 8),
+], ids=["A4", "A31", "B1u-1", "B1u-3/7", "C1u-3/7", "Avu-2-3", "Avu-1/2-2/3"])
+def test_one_cold_call_builds_each_shared_series_once(monkeypatch, call):
+    # each formula asks for a shared series at its highest order first,
+    # so a later, smaller request is served by truncation
+    builds = []
+    cached = genfun._cached
+
+    def counting(key, N, build):
+        return cached(key, N, lambda: builds.append(key) or build())
+
+    monkeypatch.setattr(genfun, "_cached", counting)
+    genfun.clear_caches()
+    call()
+    assert builds
+    assert len(builds) == len(set(builds)), builds

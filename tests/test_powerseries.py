@@ -40,8 +40,6 @@ def test_addition_and_scalars():
     g = Series([0, 1, 1])
     assert ints(f + g) == (1, 3, 4)
     assert ints(f - g) == (1, 1, 2)
-    assert ints(1 + f) == (2, 2, 3)
-    assert ints(2 - f) == (1, -2, -3)
     assert ints(-f) == (-1, -2, -3)
 
 
@@ -81,7 +79,6 @@ def test_division_errors():
 
 
 def test_scalar_division():
-    assert (Series([1, 2]) / 2).coeffs == (Q(1, 2), Q(1))
     assert ints(Series.from_poly([2], 4) / Series.from_poly([1, -1], 4)) == (
         2, 2, 2, 2, 2)
 
