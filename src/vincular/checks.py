@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import permutations, zip_longest
 
 from . import genfun, oracle
-from .powerseries import Q
+from .powerseries import Q, Series
 from .tables import CELLS_MAX, Tables, build_tables, check_conjectures
 
 # The thirty reference values a_1..a_30 this library is expected to
@@ -64,6 +65,35 @@ class CheckResult:
         return f"{mark} {self.name}{detail} ({self.seconds:.1f}s)"
 
 
+def _cell(kind: str, *nums: int) -> str:
+    """A recurrence cell's name, such as "b(5,3,2)"."""
+    return f"{kind}({','.join(map(str, nums))})"
+
+
+def _agree(name: str, rows, left: str, right: str, detail: str) -> CheckResult:
+    """PASS with detail, or FAIL at the first row (label, x, y) with x != y,
+    described as "label: left=x right=y"."""
+    for label, x, y in rows:
+        if x != y:
+            return CheckResult(name, False, f"{label}: {left}={x} {right}={y}")
+    return CheckResult(name, True, detail)
+
+
+def _same_series(name: str, left: str, s: Series, right: str, t: Series) -> CheckResult:
+    """Two series coefficient by coefficient, rows labelled x^k.  A
+    coefficient past one series' order pairs with None, so series of
+    different orders never agree."""
+    rows = enumerate(zip_longest(s.coeffs, t.coeffs))
+    return _agree(name, ((f"x^{k}", x, y) for k, (x, y) in rows),
+                  left, right, f"order {s.order}")
+
+
+def _reference(name: str, left: str, a, upto: int) -> CheckResult:
+    """a_1..a_upto against the reference values."""
+    rows = ((f"a_{n}", a[n], REFERENCE_A[n - 1]) for n in range(1, upto + 1))
+    return _agree(name, rows, left, "reference", f"a_1..a_{upto} exact")
+
+
 def apply_fault(tables: Tables, cell: str, oracle_max: int | None = None) -> str:
     """Corrupt one recurrence cell in place (self-test hook).
 
@@ -98,31 +128,18 @@ def apply_fault(tables: Tables, cell: str, oracle_max: int | None = None) -> str
     else:
         i, j = letters
         (tables.b_cells if kind == "b" else tables.c_cells)[n][i][j] += 1
-    return f"{kind}({','.join(map(str, nums))})"
+    return _cell(kind, *nums)
 
 
 def check_dp_reference(tables: Tables) -> CheckResult:
     """Recurrence sequence against the thirty reference values."""
-    upto = min(tables.N, 30)
-    for n in range(1, upto + 1):
-        if tables.a[n] != REFERENCE_A[n - 1]:
-            return CheckResult(
-                "dp-reference-table", False,
-                f"a_{n}: dp={tables.a[n]} reference={REFERENCE_A[n - 1]}")
-    return CheckResult("dp-reference-table", True, f"a_1..a_{upto} exact")
+    return _reference("dp-reference-table", "dp", tables.a, min(tables.N, 30))
 
 
 def check_series_reference(order: int = 31) -> CheckResult:
     """Series-extracted sequence against the thirty reference values."""
     a = genfun.a_from_series(genfun.A_series(order))
-    upto = min(order - 1, 30)
-    for n in range(1, upto + 1):
-        if a[n] != REFERENCE_A[n - 1]:
-            return CheckResult(
-                "series-reference-table", False,
-                f"a_{n}: series={a[n]} reference={REFERENCE_A[n - 1]}")
-    return CheckResult(
-        "series-reference-table", True, f"a_1..a_{upto} exact")
+    return _reference("series-reference-table", "series", a, min(order - 1, 30))
 
 
 def check_oracle_dp(tables: Tables, n: int) -> CheckResult:
@@ -136,33 +153,19 @@ def check_oracle_dp(tables: Tables, n: int) -> CheckResult:
             f"the oracle check at n={n} reads cell tables, which this build "
             f"kept only for n <= {kept}")
     rep = oracle.oracle_report(n)
-    name = f"oracle-dp-n{n}"
-    for j in range(1, n + 1):
-        if tables.v[n][j] != rep.v[j]:
-            return CheckResult(
-                name, False, f"v({n},{j}): dp={tables.v[n][j]} oracle={rep.v[j]}")
-    for i in range(1, n + 1):
+
+    def rows():
         for j in range(1, n + 1):
-            if i == j:
-                continue
-            want_b = rep.b_cells.get((i, j), 0)
-            if tables.b_cells[n][i][j] != want_b:
-                return CheckResult(
-                    name, False,
-                    f"b({n},{i},{j}): dp={tables.b_cells[n][i][j]} oracle={want_b}")
-            want_c = rep.c_cells.get((i, j), 0)
-            if tables.c_cells[n][i][j] != want_c:
-                return CheckResult(
-                    name, False,
-                    f"c({n},{i},{j}): dp={tables.c_cells[n][i][j]} oracle={want_c}")
-    if tables.a[n] != rep.count_l:
-        return CheckResult(
-            name, False, f"a_{n}: dp={tables.a[n]} oracle count_L={rep.count_l}")
-    if n >= 2 and rep.count_circular != tables.a[n - 1]:
-        return CheckResult(
-            name, False,
-            f"|A_{n}|: oracle={rep.count_circular} dp a_{n - 1}={tables.a[n - 1]}")
-    return CheckResult(name, True, "all cells and counts agree")
+            yield _cell("v", n, j), tables.v[n][j], rep.v[j]
+        for i, j in permutations(range(1, n + 1), 2):
+            yield _cell("b", n, i, j), tables.b_cells[n][i][j], rep.b_cells[i, j]
+            yield _cell("c", n, i, j), tables.c_cells[n][i][j], rep.c_cells[i, j]
+        yield f"a_{n}", tables.a[n], rep.count_l
+        if n >= 2:  # circular classes of size n are counted by a_(n-1)
+            yield f"|A_{n}|", tables.a[n - 1], rep.count_circular
+
+    return _agree(f"oracle-dp-n{n}", rows(), "dp", "oracle",
+                  "all cells and counts agree")
 
 
 def check_reduction(n: int) -> CheckResult:
@@ -174,49 +177,48 @@ def check_reduction(n: int) -> CheckResult:
 
 def check_v0_shift(order: int = 32) -> CheckResult:
     """V at weight 0 equals x + x * (V at weight 1), coefficientwise."""
-    v0 = genfun.V0_series(order)
-    v1 = genfun.V1_series(order - 1)
-    ok = v0[0] == 0 and v0[1] == 1 and all(
-        v0[n] == v1[n - 1] for n in range(2, order + 1))
-    return CheckResult("series-v0-shift", ok, f"order {order}")
+    shifted = Series((0, 1, *genfun.V1_series(order - 1).coeffs[1:]))
+    return _same_series("series-v0-shift", "V0", genfun.V0_series(order),
+                        "x+x*V1", shifted)
 
 
 def check_c1u_at_one(order: int = 32) -> CheckResult:
-    ok = genfun.C1u_series(1, order) == genfun.C11_series(order)
-    return CheckResult("series-c-weight-one", ok, f"order {order}")
+    """C1u at u = 1 against C11.
+
+    At u = 1 the C1u series is built from C11 itself, so this guards only
+    the weight-1 path of ``genfun._C1u_geom``: the three terms it skips and
+    its division by x.
+    """
+    return _same_series("series-c-weight-one", "C1u(1)", genfun.C1u_series(1, order),
+                        "C11", genfun.C11_series(order))
 
 
 def check_b1u_at_one(order: int = 32) -> CheckResult:
-    ok = genfun.B1u_series(1, order) == genfun.B11_series(order)
-    return CheckResult("series-b-weight-one", ok, f"order {order}")
+    return _same_series("series-b-weight-one", "B1u(1)", genfun.B1u_series(1, order),
+                        "B11", genfun.B11_series(order))
 
 
 def check_a_vu_diagonal(order: int = 32) -> CheckResult:
-    ok = genfun.A_vu_series(1, 1, order) == genfun.A_series(order)
-    return CheckResult("series-bivariate-diagonal", ok, f"order {order}")
+    return _same_series("series-bivariate-diagonal", "A_vu(1,1)",
+                        genfun.A_vu_series(1, 1, order), "A", genfun.A_series(order))
 
 
 def check_weighted_marginals(tables: Tables, us=(2, 3, 5), n_max: int = 12) -> CheckResult:
     """One-variable series against u-weighted recurrence marginals."""
     n_max = min(n_max, tables.N)
-    for u in us:
-        bu = genfun.B1u_series(u, n_max)
-        cu = genfun.C1u_series(u, n_max)
-        for n in range(2, n_max + 1):
-            want_b = sum(
-                tables.b_last[n][j] * Q(u) ** (j - 1) for j in range(1, n + 1))
-            if bu[n] != want_b:
-                return CheckResult(
-                    "weighted-marginals", False,
-                    f"b series u={u} n={n}: {bu[n]} vs {want_b}")
-            want_c = sum(
-                tables.c_last[n][j] * Q(u) ** (j - 2) for j in range(2, n + 1))
-            if cu[n] != want_c:
-                return CheckResult(
-                    "weighted-marginals", False,
-                    f"c series u={u} n={n}: {cu[n]} vs {want_c}")
-    return CheckResult("weighted-marginals", True,
-                       f"u in {tuple(us)}, n <= {n_max}")
+
+    def rows():
+        for u in us:
+            bu = genfun.B1u_series(u, n_max)
+            cu = genfun.C1u_series(u, n_max)
+            for n in range(2, n_max + 1):
+                yield f"b u={u} n={n}", bu[n], sum(
+                    tables.b_last[n][j] * Q(u) ** (j - 1) for j in range(1, n + 1))
+                yield f"c u={u} n={n}", cu[n], sum(
+                    tables.c_last[n][j] * Q(u) ** (j - 2) for j in range(2, n + 1))
+
+    return _agree("weighted-marginals", rows(), "series", "dp",
+                  f"u in {tuple(us)}, n <= {n_max}")
 
 
 def check_integrality(order: int = 32) -> CheckResult:
@@ -249,15 +251,11 @@ def check_power_inequality(tables: Tables) -> CheckResult:
 def check_bivariate_oracle(n_max: int = 8, v=2, u=3) -> CheckResult:
     """Bivariate circular series against oracle weighted sums."""
     s = genfun.A_vu_series(v, u, n_max)
-    for n in range(3, n_max + 1):
-        want = oracle.weighted_circular_sum(n, v, u)
-        if s[n] != want:
-            return CheckResult(
-                "bivariate-oracle", False,
-                f"(v,u)=({v},{u}) n={n}: series={s[n]} oracle={want}")
-    return CheckResult(
-        "bivariate-oracle", True,
-        f"(v,u)=({v},{u}), 3 <= n <= {n_max}")
+    return _agree(
+        "bivariate-oracle",
+        ((f"(v,u)=({v},{u}) n={n}", s[n], oracle.weighted_circular_sum(n, v, u))
+         for n in range(3, n_max + 1)),
+        "series", "oracle", f"(v,u)=({v},{u}), 3 <= n <= {n_max}")
 
 
 def run_all(

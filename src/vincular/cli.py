@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import checks, genfun, oracle
 from .perms import VincularPattern
@@ -193,11 +194,7 @@ def cmd_verify(args) -> int:
     total = len(results)
     if args.format == "json":
         doc = {
-            "checks": [
-                {"name": res.name, "passed": res.passed, "detail": res.detail,
-                 "seconds": res.seconds}
-                for res in results
-            ],
+            "checks": [asdict(res) for res in results],
             "total": total,
             "failed": len(failed),
             "seconds": sum(res.seconds for res in results),

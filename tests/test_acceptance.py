@@ -3,11 +3,10 @@
 One test per criterion, each ending in a printed PASS line so that
 ``pytest -s tests/test_acceptance.py`` reads as a checklist.  Everything
 here is exact integer or rational comparison; there are no tolerances.
-The brute-force comparisons run to n = 9 by default; set the environment
-variable VINCULAR_ORACLE_N10=1 to extend them to n = 10 (adds minutes).
+The brute-force comparisons run to n = 9; ``vincular verify`` at its
+defaults also covers n = 10.
 """
 
-import os
 import time
 
 import pytest
@@ -17,7 +16,7 @@ from vincular.checks import REFERENCE_A
 from vincular.oracle import oracle_report
 from vincular.tables import build_tables, check_conjectures
 
-ORACLE_TOP = 10 if os.environ.get("VINCULAR_ORACLE_N10") else 9
+ORACLE_TOP = 9
 
 
 @pytest.fixture(scope="module")

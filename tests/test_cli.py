@@ -177,13 +177,18 @@ def test_verify_passes_at_small_scale(capsys):
         assert len(re.findall(r"\d\.\ds\)", line)) == 1, line
 
 
-def test_verify_fault_injection_names_the_cell(capsys):
+@pytest.mark.parametrize(
+    "cell, name",
+    [("b:5:3:2", "b(5,3,2)"), ("c:5:2:4", "c(5,2,4)"), ("v:5:3", "v(5,3)")],
+    ids=["b:5:3:2", "c:5:2:4", "v:5:3"])
+def test_verify_fault_injection_names_the_cell(capsys, cell, name):
     code, out, _ = run(capsys, "verify", "--oracle-cap", "5", "--N", "12",
-                       "--order", "8", "--inject-fault", "b:5:3:2")
+                       "--order", "8", "--inject-fault", cell)
     assert code == 1
+    assert f"PASS fault-injection: corrupted {name};" in out
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(fails) == 1
-    assert "b(5,3,2)" in fails[0]
+    assert fails[0].startswith(f"FAIL oracle-dp-n5: {name}: dp=")
 
 
 # Malformed cells, then cells the oracle check never reads: j = 0, i = j,
