@@ -14,15 +14,20 @@ a0 + a1*x costs one pass over the coefficients, and one with a0 = 0 (at
 c = 1) moves an explicit x-power offset.  With every valuation explicit,
 each series is built at exactly the order asked for.
 
-Scales stay on integers.  The reciprocal of each factor's leading
-coefficient is carried as an integer pair (num, den), multiplied up
-factor by factor and term by term without reduction.  The terms of a
-sum, and the pieces of one formula that all reach the same order, are
-added as one vector over the lcm of their denominators
-(:func:`_fold`).  The scale is applied once, where the result is
-placed as a series (:func:`_place`): one divmod per integer
-coefficient, which leaves an int wherever the division is exact and a
-Q in lowest terms otherwise.
+Scales stay on integers.  At the weight c = p/q the kernel route works in
+y = x/D with D = q*|q - p| (D = 1 at c = 1 and c = 2), where every factor
+a0 + a1*y has an integral ratio a1/a0, so each pass subtracts an integer
+multiple of the previous coefficient (integer-preserving elimination, as
+in Bareiss 1968).  What is left over, the reciprocals of the constant
+terms, the powers of c and the q that clears each term polynomial, is
+carried as an integer pair (num, den), multiplied up factor by factor and
+term by term without reduction.  A part (lo, (num, den), cs) stands for
+num/den * sum_k cs[k] y^(lo+k).  The terms of a sum, and the pieces of
+one formula that all reach the same order, are added as one vector over
+the lcm of their denominators (:func:`_fold`).  The scale is applied
+once, where the result is placed as a series (:func:`_place`): the
+coefficient of x^n is divided by den*D^n in one divmod, which leaves an
+int wherever the division is exact and a Q in lowest terms otherwise.
 
 Three jobs have one home each.  Products of coefficient lists go through
 :func:`vincular.powerseries._pmul`.  :func:`_geometric` normalises a
@@ -30,7 +35,7 @@ weight and raises :class:`KernelSpecializationError` for the one weight
 that collapses a kernel.  :func:`_memo` caches, by name, the only series
 read again: V0, V1, C11 and B11, on which the kernel method builds every
 weighted series.  Each formula asks for them at its highest order first,
-so one call builds each once (bar ``A_vu_series`` at v = 1 or uv = 1).
+so one call builds each once.
 
 Weight conventions, with the coefficient of x^n counting words of size n:
 
@@ -51,7 +56,7 @@ from functools import wraps
 from itertools import count
 from math import factorial, lcm
 
-from .powerseries import Q, Series, _coeff, _pmul, _recip, as_int
+from .powerseries import Q, Series, _coeff, _pmul, as_int
 
 
 class KernelSpecializationError(ValueError):
@@ -90,57 +95,76 @@ def _memo(build):
 
 
 # ---------------------------------------------------------------------------
-# linear factors and running reciprocals
+# linear factors, running reciprocals and parts in y = x/D
 
 
 def _over_linear(r: list, a0, a1):
-    """Divide sum_k r[k] x^k by a0 + a1*x in place, in O(len r).
+    """Divide sum_k r[k] y^k by a0 + a1*y in place, in O(len r).
 
-    The quotient is num/den * x^-shift times the list left behind, and
-    the integers (num, den, shift) are returned; a factor a1*x only sets
-    num/den = 1/a1 and shift = 1 and leaves the list alone.
+    The ratio a1/a0 must be an integer b, so each pass subtracts b times
+    the previous entry and an integer list stays on integers; any other
+    ratio raises RuntimeError.  The quotient is num/den * y^-shift times
+    the list left behind, and the integers (num, den, shift) are returned;
+    a factor a1*y only sets num/den = 1/a1 and shift = 1 and leaves the
+    list alone.
     """
     if not a0:
         return a1.denominator, a1.numerator, 1
-    b = _coeff(a1 * _recip(a0))
+    b, rem = divmod(a1.numerator * a0.denominator,
+                    a1.denominator * a0.numerator)
+    if rem:
+        raise RuntimeError(f"the factor {a0} + {a1}*y has no integral ratio")
     for n in range(1, len(r)):
         r[n] -= b * r[n - 1]
     return a0.denominator, a0.numerator, 0
 
 
-def _place(lo: int, scale, cs, N: int) -> Series:
-    """x^lo * scale * sum_k cs[k] x^k, with cs reaching x^N, as a Series.
+def _divided(part, *factors):
+    """A part divided by linear factors (a0, a1) in y, one pass each."""
+    lo, (num, den), cs = part
+    cs = list(cs)
+    for a0, a1 in factors:
+        n, d, shift = _over_linear(cs, a0, a1)
+        num, den, lo = num * n, den * d, lo - shift
+    return lo, (num, den), cs
 
-    The rational scale multiplies each integer coefficient by its
-    numerator and divides by its denominator in one divmod, so a quotient
-    that is integral stays an int.  The Laurent part below x^0 must
-    cancel exactly.
+
+def _place(lo: int, scale, cs, N: int, D: int = 1) -> Series:
+    """scale * sum_k cs[k] y^(lo+k) with y = x/D, reaching x^N, as a Series.
+
+    The coefficient of x^n is multiplied by the numerator of the rational
+    scale and divided by its denominator times D^n in one divmod, so a
+    quotient that is integral stays an int.  The Laurent part below x^0
+    must cancel exactly.
     """
     if lo < 0:
         if any(cs[:-lo]):
             raise RuntimeError("a kernel sum left a term below x^0")
-        cs = cs[-lo:]
-    else:
-        cs = [0] * lo + list(cs)
-    num, den = scale.numerator, scale.denominator
-    out = []
-    for c in cs[: N + 1]:
-        if type(c) is int:
-            c *= num
-            q, rem = divmod(c, den)
-            out.append(Q(c, den) if rem else q)
-        else:
-            out.append(Q(c.numerator * num, c.denominator * den))
+        cs, lo = cs[-lo:], 0
+    num, den = scale.numerator, scale.denominator * D ** lo
+    out = [0] * lo
+    for c in cs[: N + 1 - lo]:
+        c *= num
+        q, rem = divmod(c, den)
+        out.append(Q(c, den) if rem else q)
+        den *= D
     return Series(out)
 
 
+def _in_y(s: Series, D: int):
+    """s as a part in y = x/D: coefficient n times D^n."""
+    return 0, (1, 1), [a * D ** n for n, a in enumerate(s.coeffs)]
+
+
 def _div_linear(s: Series, *factors) -> Series:
-    """s divided by linear factors (a0, a1); each a1*x costs one order."""
-    cs, num, den, shift = list(s.coeffs), 1, 1, 0
-    for a0, a1 in factors:
-        n, d, w = _over_linear(cs, a0, a1)
-        num, den, shift = num * n, den * d, shift + w
-    return _place(-shift, Q(num, den), cs, s.order - shift)
+    """s divided by linear factors (a0, a1) in x; each a1*x costs one order.
+
+    It works in y = x/D, D the lcm of the denominators of the ratios a1/a0.
+    """
+    D = lcm(*(Q(a1, a0).denominator for a0, a1 in factors if a0))
+    lo, (num, den), cs = _divided(
+        _in_y(s, D), *((a0, a1 * D) for a0, a1 in factors))
+    return _place(lo, Q(num, den), cs, s.order + lo, D)
 
 
 def _times_poly(s: Series, poly) -> Series:
@@ -148,16 +172,17 @@ def _times_poly(s: Series, poly) -> Series:
     return Series(_pmul(poly, s.coeffs, s.order + 1))
 
 
-def _kernel_terms(init, step, term, top: int):
+def _kernel_terms(init, step, term, top: int, D: int = 1):
     """Yield (j, lo, (num, den), cs) for the terms of
-    sum_j x^e_j k_j P_j / D_j.
+    sum_j x^e_j k_j P_j / D_j in y = x/D.
 
-    D_j is the product of the linear factors init and step(1..j), and
-    term(j) = (e_j, k_j, P_j).  1/D_j is kept as n/d * x^-w * r(x), with
-    the integers n and d multiplied up factor by factor, so term j is
-    x^lo * num/den * sum_k cs[k] x^k through x^top, where lo = e_j - w and
-    num/den = k_j * n/d.  Zero polynomials are skipped; lo must grow with
-    j, bounding the loop.
+    D_j is the product of the linear factors in y init and step(1..j),
+    and term(j) = (e_j, k_j, P_j) with k_j an integer pair and P_j integer
+    coefficients in y.  1/D_j is kept as n/d * y^-w * r(y), with the
+    integers n and d multiplied up factor by factor, so term j is the part
+    (lo, (num, den), cs) through y^top, where lo = e_j - w and
+    num/den = D^e_j * k_j * n/d.  Zero polynomials are skipped; lo must
+    grow with j, bounding the loop.
     """
     r = [1] + [0] * (top + len(init))
     num, den, w, factors, prev = 1, 1, 0, init, None
@@ -165,28 +190,30 @@ def _kernel_terms(init, step, term, top: int):
         for a0, a1 in factors:
             n, d, shift = _over_linear(r, a0, a1)
             num, den, w = num * n, den * d, w + shift
-        e, k, poly = term(j)
+        e, (kn, kd), poly = term(j)
         lo = e - w
         if prev is not None and lo <= prev:
             raise RuntimeError("kernel sum terms do not advance")
         if lo > top:
             return
         del r[top - lo + 1:]
-        poly = [_coeff(a) for a in poly]
         if any(poly):
-            yield (j, lo, (num * k.numerator, den * k.denominator),
+            yield (j, lo, (num * kn * D ** e, den * kd),
                    _pmul(poly, r, len(r)))
         prev, factors = lo, step(j + 1)
 
 
 def _fold(parts, top: int):
     """The sum of parts (lo, (num, den), cs), each reaching x^top, as one
-    part (lo, (1, den), cs): the vectors are added over the lcm of their
-    denominators, so integer vectors stay on ints."""
+    part (lo, (1, den), cs) through x^top: the vectors are added over the
+    lcm of their denominators, so integer vectors stay on ints.  All parts
+    are in the same y = x/D, so no power of D is needed to align them."""
     base, den, acc = top + 1, 1, []
     for lo, (n, d), cs in parts:
-        if not cs:
+        if not cs or lo > top:
             continue
+        if lo + len(cs) <= top:
+            raise RuntimeError(f"a part falls short of x^{top}")
         if lo < base:
             acc[:0] = [0] * (base - lo)
             base = lo
@@ -195,60 +222,95 @@ def _fold(parts, top: int):
             acc = [a * (grown // den) for a in acc]
             den = grown
         f = n * (den // d)
-        for i, a in enumerate(cs, lo - base):
+        for i, a in enumerate(cs[: top + 1 - lo], lo - base):
             acc[i] += f * a
     return base, (1, den), acc
 
 
-def _kernel_sum(init, step, term, top: int):
+def _kernel_sum(init, step, term, top: int, D: int = 1):
     """The sum of :func:`_kernel_terms` as one part (lo, (1, den), cs)."""
     return _fold(((lo, k, cs) for _, lo, k, cs in
-                  _kernel_terms(init, step, term, top)), top)
+                  _kernel_terms(init, step, term, top, D)), top)
 
 
-def _placed(N: int, *parts) -> Series:
-    """The sum of parts (lo, (num, den), cs), each reaching x^N, as a
-    Series: one fold, then one exact division by the denominator."""
+def _placed(N: int, *parts, D: int = 1) -> Series:
+    """The sum of parts (lo, (num, den), cs) in y = x/D, each reaching
+    x^N, as a Series: one fold, then one exact division per coefficient."""
     lo, (num, den), cs = _fold(parts, N) if len(parts) > 1 else parts[0]
-    return _place(lo, Q(num, den), cs, N)
+    return _place(lo, Q(num, den), cs, N, D)
 
 
-def _times(outer, val: int, part):
-    """outer(order) times a part (lo, scale, cs) in one dense multiply, as
-    a part reaching val orders further; outer vanishes below x^val."""
-    lo, scale, cs = part
+def _times(outer, val: int, part, D: int = 1):
+    """outer(order), a part or a Series vanishing below x^val, times a part
+    in y = x/D in one dense multiply, as a part reaching val orders
+    further."""
+    lo, (n, d), cs = part
     if not cs:
         return part
     f = outer(len(cs) - 1 + val)
-    if any(f.coeffs[:val]):
+    flo, (fn, fd), fcs = _in_y(f, D) if isinstance(f, Series) else f
+    k = val - flo
+    if k < 0:
+        fcs, k = [0] * -k + fcs, 0
+    if any(fcs[:k]):
         raise RuntimeError(f"outer series does not vanish below x^{val}")
-    prod = Series(f.coeffs[val:]) * Series(cs)
-    return lo + val, scale, prod.coeffs
+    return lo + val, (n * fn, d * fd), _pmul(fcs[k:], cs, len(cs))
+
+
+def _scale(c) -> int:
+    """D = q*|q - p| at c = p/q, and D = q at c = 1: the scale of y = x/D."""
+    p, q = c.numerator, c.denominator
+    return q * (abs(q - p) or 1)
 
 
 def _geometric(c, m: int):
-    """c as ``_coeff`` gives it, and 1 - p + px, 1 - i*px, 1 - p - i*px
-    at p = c/(1 - m*c*x), each times L = 1 - m*c*x: K0, F(i) and G(i).
+    """c as ``_coeff`` gives it, the scale D, P = c*D, and 1 - p + px,
+    1 - i*px, 1 - p - i*px at p = c/(1 - m*c*x), each times
+    L = 1 - m*c*x, as linear factors in y = x/D: K0, F(i) and G(i).
 
-    Raises KernelSpecializationError when K0 vanishes identically, which
-    happens exactly at the weight 1/(1-x) (c = m = 1).
+    Their constant terms are 1 and 1 - c, their y-terms integer multiples
+    of P.  Raises KernelSpecializationError when K0 vanishes identically,
+    which happens exactly at the weight 1/(1-x) (c = m = 1).
     """
     c = _coeff(c)
-    K0 = (1 - c, c * (1 - m))
+    D = _scale(c)
+    P = c.numerator * D // c.denominator
+    lam = 1 - c
+    K0 = (lam, (1 - m) * P)
     if not any(K0):
         raise KernelSpecializationError("weight 1/(1-x) collapses 1-p+px")
-    return (c, K0, (lambda i: (1, -(m + i) * c)),
-            (lambda i: (1 - c, -(m + i) * c)))
+    return (c, D, P, K0, (lambda i: (1, -(m + i) * P)),
+            (lambda i: (lam, -(m + i) * P)))
 
 
-def _alt(c, j: int):
-    """(-1)^j c^(2j), the scalar part of the kernel sums' (-px)^(2j)."""
-    return (-1) ** j * c ** (2 * j)
+def _at(build, c, m: int, N: int) -> Series:
+    """The part build(c, m, N) in y = x/D at the weight c, as a Series."""
+    return _placed(N, build(c, m, N), D=_scale(_coeff(c)))
 
 
-def _p2(c, m: int, j: int) -> list:
-    """(1 - j*px)^2 - p + (j-1) p^2 x, times L^2."""
-    return [1 - c, c * c * (m + j - 1) - 2 * c * (m + j), (c * (m + j)) ** 2]
+def _alt(c, j: int, a: int = 0, d: int = 1):
+    """(-1)^j c^(2j+a) / q^d as an integer pair: the scalar part of the
+    kernel sums' (-px)^(2j), for a term polynomial cleared by q^d."""
+    e = 2 * j + a
+    return (-1) ** j * c.numerator ** e, c.denominator ** (e + d)
+
+
+def _p1(c, P: int, M: int) -> list:
+    """(p-1) - j p^2 x + (2j+1) px - (j^2+j+1) p^2 x^2, times L^2 and q,
+    in y; M = m + j."""
+    p, q = c.numerator, c.denominator
+    return [p - q, P * (q * (2 * M + 1) - p * M), -q * P * P * (M * M + M + 1)]
+
+
+def _g(c, P: int, M: int) -> list:
+    """1 - p - M*px, times L and q, in y: the polynomial of G(M - m)."""
+    return [c.denominator - c.numerator, -c.denominator * M * P]
+
+
+def _p2(c, P: int, M: int) -> list:
+    """(1 - j*px)^2 - p + (j-1) p^2 x, times L^2 and q, in y; M = m + j."""
+    p, q = c.numerator, c.denominator
+    return [q - p, P * (p * (M - 1) - 2 * q * M), q * (P * M) ** 2]
 
 
 # ---------------------------------------------------------------------------
@@ -263,39 +325,35 @@ def V0_series(N: int) -> Series:
     x^(j+1) in the numerator sum and x^j in the denominator sum, which
     has valuation 1 and so costs one coefficient.
     """
-    _, _, F, _ = _geometric(1, 0)
+    _, _, _, _, F, _ = _geometric(1, 0)
     num = _kernel_sum([F(1), F(2)], lambda j: [F(j + 2)], lambda j: (
-        j + 2, Q(1, factorial(j + 2)), [j + 2, -(j * j + 3 * j + 3)]), N + 1)
+        j + 2, (1, factorial(j + 2)), [j + 2, -(j * j + 3 * j + 3)]), N + 1)
     den = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
-        j + 1, Q(1, factorial(j + 2)), [j + 2, -(j + 1) ** 2]), N + 1)
+        j + 1, (1, factorial(j + 2)), [j + 2, -(j + 1) ** 2]), N + 1)
     return _placed(N + 1, num) / _placed(N + 1, den)
 
 
-def _V_scaled_geom(c, m: int, N: int) -> Series:
+def _V_scaled_geom(c, m: int, N: int):
     """Last-letter series at the geometric weight p = c/(1 - m*c*x), the
-    final letter j weighted by p^(j-1).
+    final letter j weighted by p^(j-1), as a part in y = x/D.
 
     Two alternating kernel sums over j; the second is multiplied by the
     final-letter-1 series.
     """
-    c, K0, F, G = _geometric(c, m)
-    # c * ((p-1) - j p^2 x + (2j+1) px - (j^2+j+1) p^2 x^2), times L^2
+    c, D, P, K0, F, G = _geometric(c, m)
     first = _kernel_sum(
         [K0, F(1), G(1)], lambda j: (F(j + 1), G(j + 1)),
-        lambda j: (2 * j + 1, _alt(c, j) * c, [
-            c - 1, c * (2 * m + 2 * j + 1) - c * c * (m + j),
-            -c * c * (m * m + (2 * j + 1) * m + j * j + j + 1)]),
-        N)
+        lambda j: (2 * j + 1, _alt(c, j, 1), _p1(c, P, m + j)), N, D)
     second = _kernel_sum(
         [K0, G(1)], lambda j: (F(j), G(j + 1)),
-        lambda j: (2 * j, _alt(c, j), _p2(c, m, j)), N - 1)
-    return _placed(N, first, _times(V0_series, 1, second))
+        lambda j: (2 * j, _alt(c, j), _p2(c, P, m + j)), N - 1, D)
+    return _fold([first, _times(V0_series, 1, second, D)], N)
 
 
 @_memo
 def V1_series(N: int) -> Series:
     """Counts of last-letter avoiders by size (all weights 1)."""
-    return _V_scaled_geom(1, 0, N)
+    return _placed(N, _V_scaled_geom(1, 0, N))
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +364,16 @@ def V1_series(N: int) -> Series:
 def C11_series(N: int) -> Series:
     """Totals, by size, of words with 1 left of n and 2 right of n."""
     par = (
-        _times_poly(_V_scaled_geom(1, 3, N), [1, -1])
+        _times_poly(_placed(N, _V_scaled_geom(1, 3, N)), [1, -1])
         - _times_poly(V1_series(N), [1, -4, 3])
         + Series.from_poly([3, -6, -3], N)
     )
     return _div_linear(_times_poly(par, [0, 0, 0, 1]), (3, -6), (1, -3))
 
 
-def _C1u_geom(c, k: int, N: int) -> Series:
-    """One-variable c series at the weight u = c/(1 - k*c*x).
+def _C1u_geom(c, k: int, N: int):
+    """One-variable c series at the weight u = c/(1 - k*c*x), as a part in
+    y = x/D.
 
     Four closed terms over the kernels 1-u+ux, 1-u-2ux and 1-2ux, whose
     common factor 1-u+ux is divided out last.  When the weight is
@@ -323,27 +382,34 @@ def _C1u_geom(c, k: int, N: int) -> Series:
     At c = 1 the kernels 1-u+ux and 1-u-2ux vanish at 0 and each costs one
     order, so the pieces are built that much higher.
     """
-    c, K0, F, G = _geometric(c, k)
+    c, D, P, K0, F, G = _geometric(c, k)
+    p, q = c.numerator, c.denominator
     z = 1 if c == 1 else 0
     W = N + z
-    # the V terms reach one order past C11's, so they are built first
-    terms = []
+    one, g0 = (1, -D), _g(c, P, k)  # 1 - x and q*G(0), in y
+    # C11 x (1 - (k+1)cx) / (1 - x); C11 reaches furthest, so it comes first
+    cs = _in_y(C11_series(W), D)[2]
+    parts = [_divided((1, (D, 1), _pmul([1, -(k + 1) * P], cs, W)), one)]
     if not (c == 1 and k == 0):
-        g0 = [c * a for a in G(0)]
-        inner = V1_series(W + z) - _div_linear(
-            _V_scaled_geom(c, k + 2, W + z) * c, F(2))
-        t23 = _div_linear(_times_poly(inner, [0, 0, 0, 0] + g0), G(2))
-        t4 = Series.from_poly(_pmul([0, 0, 0] + list(G(0)),
-                                    [1, -(k + 1) * c, -c], 7), W)
-        terms = [t23, _div_linear(t4, (1, -1), F(2))]
-    num = _div_linear(
-        _times_poly(C11_series(W), [0, 1, -(k + 1) * c]), (1, -1))
-    return _div_linear(sum(terms, num), K0)
+        # c x^4 G(0) (V1 - c V(c, k+2) / F(2)) / G(2): x^4 spares four orders
+        top = W + z - 4
+        if top >= 0:
+            lo, (n, d), cs = _divided(_V_scaled_geom(c, k + 2, top), F(2))
+            lo, (n, d), cs = _fold(
+                [_in_y(V1_series(top), D), (lo, (-p * n, q * d), cs)], top)
+            parts.append(_divided(
+                (lo + 4, (p * D ** 4 * n, q * q * d), _pmul(g0, cs, len(cs))),
+                G(2)))
+        # x^3 G(0) (1 - (k+1)cx - cx^2) / ((1 - x) F(2))
+        cs = _pmul(g0, [1, -(k + 1) * P, -P * D], 4) + [0] * W
+        parts.append(_divided((3, (D ** 3, q), cs[: max(W - 2, 0)]),
+                              one, F(2)))
+    return _divided(_fold(parts, W), K0)
 
 
 def C1u_series(u, N: int) -> Series:
     """One-variable c series: coefficient of x^n is sum_j c(n,j) u^(j-2)."""
-    return _C1u_geom(u, 0, N)
+    return _at(_C1u_geom, u, 0, N)
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +433,24 @@ def B11_series(N: int) -> Series:
     everything is built one order higher.
     """
     W = N + 1
-    _, _, F, _ = _geometric(1, 0)
+    _, _, _, _, F, _ = _geometric(1, 0)
     T1 = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
-        j + 2, Q(1, factorial(j + 2)), [(j + 1) ** 2]), W - 3)
-    D = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
-        j + 1, Q(1, factorial(j + 2)), [-(j + 2), (j + 1) ** 2]), W)
+        j + 2, (1, factorial(j + 2)), [(j + 1) ** 2]), W - 3)
+    den = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
+        j + 1, (1, factorial(j + 2)), [-(j + 2), (j + 1) ** 2]), W)
     F3 = [F(1), F(2), F(3)]
     T3 = _kernel_sum(F3, lambda j: [F(j + 3)], lambda j: (
-        j + 3, Q(1, factorial(j)), [1, -2 * (j + 2), (j + 2) ** 2]), W)
+        j + 3, (1, factorial(j)), [1, -2 * (j + 2), (j + 2) ** 2]), W)
     T2C = _coupled(_kernel_terms(F3, lambda j: [F(j + 3)], lambda j: (
-        j + 2, Q(j + 1, factorial(j + 2)), [1]), W - 3), 1, 2, W)
-    bracket = _div_linear(_placed(W, _times(C11_series, 3, T1), T3), (1, -1))
-    return -((bracket + _placed(W, T2C)) / _placed(W, D))
+        j + 2, (j + 1, factorial(j + 2)), [1]), W - 3), 1, 2, W)
+    bracket = _divided(
+        _fold([_times(C11_series, 3, T1), T3], W), (1, -1))
+    return -(_placed(W, bracket, T2C) / _placed(W, den))
 
 
-def _B1u_geom(c, m: int, N: int) -> Series:
-    """One-variable b series at the weight u = c/(1 - m*c*x).
+def _B1u_geom(c, m: int, N: int):
+    """One-variable b series at the weight u = c/(1 - m*c*x), as a part in
+    y = x/D.
 
     Four infinite sums: two carry the one-variable b and c series as outer
     factors, one couples each term with a c series at a deeper geometric
@@ -390,31 +458,36 @@ def _B1u_geom(c, m: int, N: int) -> Series:
     three vanish identically and are skipped before any c input is built
     (the skipped c argument would sit at the collapsed weight 1/(1-x)).
     """
-    c, K0, F, G = _geometric(c, m)
+    c, D, P, K0, F, G = _geometric(c, m)
+    one = (1, -D)  # 1 - x in y
 
     # S1 multiplies the b series, S2 the c series, S4 stands alone.  The
     # b product comes first: B11 asks for the shared series at the highest
     # order, so S3's couplings are served by truncation.
     S1 = _times(B11_series, 2, _kernel_sum(
         [K0, G(1)], lambda j: (F(j), G(j + 1)),
-        lambda j: (2 * j + 1, _alt(c, j), _p2(c, m, j)), N - 2))
-    S2 = _kernel_sum([K0, (1, -1), G(1)], lambda j: (F(j), G(j + 1)),
-                     lambda j: (2 * j + 1, _alt(c, j), _pmul(G(j), G(j), 3)),
-                     N - 3)
-    S4 = _kernel_sum([K0, (1, -1), F(1), F(2)], lambda j: (F(j + 2), G(j)),
+        lambda j: (2 * j + 1, _alt(c, j), _p2(c, P, m + j)), N - 2, D), D)
+    S2 = _kernel_sum([K0, one, G(1)], lambda j: (F(j), G(j + 1)),
+                     lambda j: (2 * j + 1, _alt(c, j, 0, 2),
+                                _pmul(_g(c, P, m + j), _g(c, P, m + j), 3)),
+                     N - 3, D)
+    S4 = _kernel_sum([K0, one, F(1), F(2)], lambda j: (F(j + 2), G(j)),
                      lambda j: (2 * j + 2, _alt(c, j), _pmul(
-                         _pmul(F(j + 1), F(j + 1), 3), G(j), 4)), N)
+                         _pmul(F(j + 1), F(j + 1), 3), _g(c, P, m + j), 4)),
+                     N, D)
     # S3, which is subtracted, couples term j with the c series at weight
-    # u/(1-(j+1)ux), which stays in the geometric family as c/(1-(m+j+1)cx).
+    # u/(1-(j+1)ux), which stays in the geometric family as c/(1-(m+j+1)cx)
+    # and so in the same y; its scalar -(-1)^j c^(2j+3) is _alt at j + 1.
     S3 = _coupled(_kernel_terms(
         [K0, F(1), F(2), G(1)], lambda j: (F(j + 2), G(j + 1)),
-        lambda j: (2 * j + 2, -_alt(c, j) * c ** 3, G(j)), N - 3), c, m + 1, N)
-    return _placed(N, S1, _times(C11_series, 3, S2), S3, S4)
+        lambda j: (2 * j + 2, _alt(c, j + 1, 1), _g(c, P, m + j)), N - 3, D),
+        c, m + 1, N)
+    return _fold([S1, _times(C11_series, 3, S2, D), S3, S4], N)
 
 
 def B1u_series(u, N: int) -> Series:
     """One-variable b series: coefficient of x^n is sum_j b(n,j) u^(j-1)."""
-    return _B1u_geom(u, 0, N)
+    return _at(_B1u_geom, u, 0, N)
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +497,11 @@ def B1u_series(u, N: int) -> Series:
 def _C_general(v, u, cv: Series, N: int) -> Series:
     """Two-variable c series at scalar weights, u away from 1; cv = C1u(v)."""
     inner = V1_series(N) - _div_linear(
-        _V_scaled_geom(u, 2, N) * u, (1, -2 * u))
+        _at(_V_scaled_geom, u, 2, N) * u, (1, -2 * u))
     return (
         _div_linear(_times_poly(inner, [0, 0, 0, 0, u]), (1 - u, -2 * u))
         + _div_linear(Series.from_poly([0, 0, 0, 0, u], N), (1, -2 * u))
-        + _times_poly(cv - _C1u_geom(u * v, 0, N), [0, u * v / (1 - u)])
+        + _times_poly(cv - _at(_C1u_geom, u * v, 0, N), [0, u * v / (1 - u)])
         + _div_linear(_times_poly(cv, [0, v])
                       + Series.from_poly([0, 0, 0, v], N), (1, -v))
     )
@@ -439,15 +512,15 @@ def _B_general(v, u, cv: Series, N: int) -> Series:
     inner = (
         B11_series(N) + _div_linear(C11_series(N), (1, -1))
         - _div_linear(
-            _B1u_geom(u, 1, N) * u
-            + _div_linear(_C1u_geom(u, 1, N) * (u * u), (1, -2 * u)),
+            _at(_B1u_geom, u, 1, N) * u
+            + _div_linear(_at(_C1u_geom, u, 1, N) * (u * u), (1, -2 * u)),
             (1, -u))
     )
     return (
         _div_linear(Series.from_poly([0, 0, 0, u], N), (1, -1), (1, -2 * u))
         + _div_linear(_times_poly(inner, [0, 0, u]), (1 - u, -u))
-        + _times_poly(_B1u_geom(v, 0, N) - u * _B1u_geom(u * v, 0, N),
-                      [0, v / (1 - u)])
+        + _times_poly(_at(_B1u_geom, v, 0, N)
+                      - u * _at(_B1u_geom, u * v, 0, N), [0, v / (1 - u)])
         + _div_linear(_times_poly(cv, [0, v * v])
                       + Series.from_poly([0, 0, v], N), (1, -v))
     )
@@ -481,8 +554,13 @@ def A_vu_series(v, u, N: int) -> Series:
                 "u = 1 is only available on the diagonal v = u = 1"
             )
         return _circular(B1u_series(1, N), C1u_series(1, N))
-    # B11 asks for the shared series at this formula's highest order
-    B11_series(N)
+    # ask for the shared series at this formula's highest order first; a
+    # weight-1 b or c series among the terms reaches one order past N
+    if 1 in (v, u * v):
+        C11_series(N + 1)
+        B11_series(N + 1)
+    else:
+        B11_series(N)
     cv = C1u_series(v, N)
     return (
         _div_linear(Series.from_poly([0, 1, 1 - u], N), (1, -u))

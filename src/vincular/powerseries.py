@@ -17,8 +17,6 @@ coefficient is.
 
 :func:`_pmul` is the one truncated-product kernel: ``Series.__mul__`` and
 the kernel sums of :mod:`vincular.genfun` both multiply through it.
-Likewise :func:`_recip` is the one reciprocal, kept an int for +-1, for
-``Series.__truediv__`` and genfun's linear factors.
 """
 
 from __future__ import annotations
@@ -34,12 +32,6 @@ def _coeff(c):
     if type(c) is not Q:
         c = Q(c)
     return int(c.numerator) if c.denominator == 1 else c
-
-
-def _recip(c):
-    """1/c, kept an int when c is +-1, its own inverse, so that dividing
-    integers by it stays on integers."""
-    return c if c in (1, -1) else 1 / Q(c)
 
 
 def _pmul(p, q, n: int) -> list:
@@ -148,7 +140,8 @@ class Series:
             )
         f = self.coeffs[w:]
         g = other.coeffs[w:]
-        inv_g0 = _recip(g[0])
+        # +-1 is its own inverse, so dividing integers by it stays on ints
+        inv_g0 = g[0] if g[0] in (1, -1) else 1 / Q(g[0])
         q = [0] * (result_order + 1)
         for n in range(result_order + 1):
             acc = f[n]

@@ -6,6 +6,10 @@ approximation.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +44,7 @@ def test_geometric_v_matches_recurrence(c, m):
         row = [T.v[n][j] if j < len(T.v[n]) else 0 for n in range(13)]
         want = want + Series(row) * power
         power = power * p
-    assert genfun._V_scaled_geom(c, m, 12) == want
+    assert genfun._at(genfun._V_scaled_geom, c, m, 12) == want
 
 
 @pytest.mark.parametrize("c", [1, Q(1)])
@@ -110,6 +114,65 @@ def test_div_linear_matches_series_division(factors):
     assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
+@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize("c", [
+    3, 7, Q(3, 7), Q(1, 2), Q(6, 7), Q(22, 7), Q(-2, 5)], ids=str)
+def test_kernel_route_stays_on_integers(monkeypatch, c, m):
+    # in y = x/D every kernel term and every folded part is an integer
+    # vector, and neither _over_linear nor walking the kernel terms builds
+    # a Fraction at all
+    parts, built, depth = [], [], [0]
+    new, over, terms, fold = (Q.__new__, genfun._over_linear,
+                              genfun._kernel_terms, genfun._fold)
+
+    def counting(cls, *args, **kwargs):
+        if depth[0]:
+            built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def inside(step, *args):
+        depth[0] += 1
+        try:
+            return step(*args)
+        finally:
+            depth[0] -= 1
+
+    def kernel_terms(*args):
+        it = terms(*args)
+        while True:
+            try:
+                t = inside(next, it)
+            except StopIteration:
+                return
+            parts.append(t[1:])
+            yield t
+
+    def folding(*args):
+        part = fold(*args)
+        parts.append(part)
+        return part
+
+    monkeypatch.setattr(Q, "__new__", counting)
+    monkeypatch.setattr(genfun, "_over_linear",
+                        lambda *args: inside(over, *args))
+    monkeypatch.setattr(genfun, "_kernel_terms", kernel_terms)
+    monkeypatch.setattr(genfun, "_fold", folding)
+    for build in (genfun._V_scaled_geom, genfun._C1u_geom, genfun._B1u_geom):
+        build(c, m, 10)
+    assert not built
+    assert len(parts) > 20
+    for _, _, cs in parts:
+        assert all(type(a) is int for a in cs)
+
+
+@pytest.mark.parametrize("a0, a1", [(3, 1), (Q(2, 3), 1), (2, Q(1, 2))])
+def test_non_integral_ratio_raises(a0, a1):
+    # a ratio a1/a0 that D did not clear would put a Fraction in the list;
+    # the check raises, so it also runs under python -O
+    with pytest.raises(RuntimeError):
+        genfun._over_linear([1, 2, 3], a0, a1)
+
+
 def test_v0_is_x_plus_x_v1():
     v0 = genfun.V0_series(12)
     v1 = genfun.V1_series(11)
@@ -153,6 +216,42 @@ def test_weighted_marginals():
                 T.b_last[n][j] * u ** (j - 1) for j in range(1, n + 1))
             assert cu[n] == sum(
                 T.c_last[n][j] * u ** (j - 2) for j in range(2, n + 1))
+
+
+@pytest.mark.parametrize("u", [Q(6, 7), Q(22, 7), Q(-2, 5), 7], ids=str)
+def test_weighted_marginals_at_every_kind_of_scale(u):
+    # D = q|q - p| with q - p = 1 (6/7), q - p < 0 (22/7), c < 0 (-2/5) and
+    # an integer weight away from 1 and 2 (7)
+    bu = genfun.B1u_series(u, 12)
+    cu = genfun.C1u_series(u, 12)
+    for n in range(2, 13):
+        assert bu[n] == sum(
+            T.b_last[n][j] * u ** (j - 1) for j in range(1, n + 1))
+        assert cu[n] == sum(
+            T.c_last[n][j] * u ** (j - 2) for j in range(2, n + 1))
+
+
+_UNDER_O = """
+from fractions import Fraction as Q
+from vincular import genfun
+for s in (genfun.B1u_series(Q(3, 7), 12), genfun.C1u_series(Q(22, 7), 12),
+          genfun.A_vu_series(Q(1, 2), Q(2, 3), 8)):
+    print(";".join(f"{type(c).__name__}:{c}" for c in s.coeffs))
+"""
+
+
+def test_series_agree_under_python_O():
+    # python -O strips asserts; every exactness guard must be a raise
+    src = str(Path(genfun.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    genfun.clear_caches()
+    want = [";".join(f"{type(c).__name__}:{c}" for c in s.coeffs) for s in (
+        genfun.B1u_series(Q(3, 7), 12), genfun.C1u_series(Q(22, 7), 12),
+        genfun.A_vu_series(Q(1, 2), Q(2, 3), 8))]
+    assert done.stdout.splitlines() == want
 
 
 def test_bivariate_against_oracle():
@@ -256,7 +355,11 @@ def test_cache_holds_only_the_shared_series():
     lambda: genfun.C1u_series(Q(3, 7), 20),
     lambda: genfun.A_vu_series(2, 3, 10),
     lambda: genfun.A_vu_series(Q(1, 2), Q(2, 3), 8),
-], ids=["A4", "A31", "B1u-1", "B1u-3/7", "C1u-3/7", "Avu-2-3", "Avu-1/2-2/3"])
+    lambda: genfun.A_vu_series(1, 2, 31),
+    lambda: genfun.A_vu_series(2, Q(1, 2), 31),
+    lambda: genfun.A_vu_series(2, Q(1, 2), 2),
+], ids=["A4", "A31", "B1u-1", "B1u-3/7", "C1u-3/7", "Avu-2-3", "Avu-1/2-2/3",
+        "Avu-1-2", "Avu-2-1/2", "Avu-2-1/2-N2"])
 def test_one_cold_call_builds_each_shared_series_once(monkeypatch, call):
     # each formula asks for a shared series at its highest order first,
     # so a later, smaller request is served by truncation
