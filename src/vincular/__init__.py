@@ -26,7 +26,6 @@ from .oracle import (
     count_circular_avoiders,
     count_linear_avoiders,
     oracle_report,
-    weighted_circular_sum,
 )
 from .perms import (
     VincularPattern,
@@ -71,5 +70,4 @@ __all__ = [
     "oracle_report",
     "rotations",
     "standardize",
-    "weighted_circular_sum",
 ]

@@ -8,6 +8,7 @@ then the recurrence tables, then the series engine, in that order.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 from itertools import permutations, zip_longest
@@ -142,17 +143,19 @@ def check_series_reference(order: int = 31) -> CheckResult:
     return _reference("series-reference-table", "series", a, min(order - 1, 30))
 
 
-def check_oracle_dp(tables: Tables, n: int) -> CheckResult:
+def check_oracle_dp(tables: Tables, n: int, *, reports=None) -> CheckResult:
     """Every v/b/c cell plus both counts at one size against brute force.
 
-    Raises ValueError past the sizes whose cell tables were kept.
+    reports maps a size to its OracleReport (default: a fresh
+    oracle.oracle_report).  Raises ValueError past the sizes whose cell
+    tables were kept.
     """
     kept = len(tables.b_cells) - 1
     if n > kept:
         raise ValueError(
             f"the oracle check at n={n} reads cell tables, which this build "
             f"kept only for n <= {kept}")
-    rep = oracle.oracle_report(n)
+    rep = (reports or oracle.oracle_report)(n)
 
     def rows():
         for j in range(1, n + 1):
@@ -168,11 +171,23 @@ def check_oracle_dp(tables: Tables, n: int) -> CheckResult:
                   "all cells and counts agree")
 
 
-def check_reduction(n: int) -> CheckResult:
-    bad = oracle.reduction_counterexample(n)
-    if bad is None:
-        return CheckResult(f"reduction-n{n}", True)
-    return CheckResult(f"reduction-n{n}", False, f"counterexample {bad}")
+def check_reduction(n: int, *, reports=None) -> CheckResult:
+    """Deleting 1 maps the circular avoiders of [n] onto the linear
+    avoiders of the reduced pair on [n-1]: each lands among them, and the
+    two sets have equal size.  As delete_smallest is a bijection from the
+    canonical words of [n] to the words of [n-1], that decides every class.
+    """
+    reports = reports or oracle.oracle_report
+    circular = reports(n).circular
+
+    def rows():
+        for w in circular:
+            yield str(w), True, oracle.avoids_linear(
+                oracle.delete_smallest(w), oracle.REDUCED_PATTERNS)
+        yield "count", len(circular), reports(n - 1).count_l
+
+    return _agree(f"reduction-n{n}", rows(), "circular", "linear",
+                  f"|A_{n}| = {len(circular)}")
 
 
 def check_v0_shift(order: int = 32) -> CheckResult:
@@ -248,36 +263,39 @@ def check_power_inequality(tables: Tables) -> CheckResult:
         f"fails first at n={rep.first_power_failure}")
 
 
-def check_bivariate_oracle(n_max: int = 8, v=2, u=3) -> CheckResult:
+def check_bivariate_oracle(n_max: int = 8, v=2, u=3, *, reports=None) -> CheckResult:
     """Bivariate circular series against oracle weighted sums."""
+    reports = reports or oracle.oracle_report
     s = genfun.A_vu_series(v, u, n_max)
     return _agree(
         "bivariate-oracle",
-        ((f"(v,u)=({v},{u}) n={n}", s[n], oracle.weighted_circular_sum(n, v, u))
-         for n in range(3, n_max + 1)),
-        "series", "oracle", f"(v,u)=({v},{u}), 3 <= n <= {n_max}")
+        ((f"(v,u)=({v},{u}) n={n}", s[n],
+          oracle.weighted_circular_sum(reports(n), v, u))
+         for n in range(2, n_max + 1)),
+        "series", "oracle", f"(v,u)=({v},{u}), 2 <= n <= {n_max}")
 
 
 def run_all(
     oracle_max: int = 10,
-    reduction_max: int = 8,
     table_n: int = 30,
     order: int = 32,
     fault: str | None = None,
 ) -> list[CheckResult]:
     """The full suite at the given scales, most trustworthy checks first.
 
-    Each result carries the seconds its check took.  Raises ValueError,
-    before any check runs, when oracle_max is past CELLS_MAX (the cell
-    tables stop there) or when oracle_max, reduction_max or order is
-    below 2, which would leave the checks it sizes nothing to compare.
+    oracle_max sizes the oracle-dp, reduction and bivariate checks, which
+    share one oracle_report per size, made in this call.  Each result
+    carries the seconds its check took, a shared report counting towards
+    the first check that reads it.  Raises ValueError, before any check
+    runs, when oracle_max is past CELLS_MAX (the cell tables stop there)
+    or when oracle_max or order is below 2, which would leave the checks
+    it sizes nothing to compare.
     """
     if oracle_max > CELLS_MAX:
         raise ValueError(
             f"oracle cap {oracle_max} is past {CELLS_MAX}, the largest size "
             "whose cell tables are kept")
-    for label, value in (("oracle cap", oracle_max), ("series order", order),
-                         ("reduction maximum", reduction_max)):
+    for label, value in (("oracle cap", oracle_max), ("series order", order)):
         if value < 2:
             raise ValueError(
                 f"{label} {value} is below 2; its checks would compare nothing")
@@ -286,9 +304,11 @@ def run_all(
     build_dt = time.perf_counter() - t0
     results = [CheckResult("dp-build", True, f"N={tables.N}", build_dt)]
 
-    def run(check, *args) -> None:
+    reports = functools.cache(oracle.oracle_report)
+
+    def run(check, *args, **kwargs) -> None:
         t0 = time.perf_counter()
-        res = check(*args)
+        res = check(*args, **kwargs)
         results.append(replace(res, seconds=time.perf_counter() - t0))
 
     if fault is not None:
@@ -298,9 +318,9 @@ def run_all(
     run(check_dp_reference, tables)
     run(check_series_reference, order)
     for n in range(2, oracle_max + 1):
-        run(check_oracle_dp, tables, n)
-    for n in range(2, reduction_max + 1):
-        run(check_reduction, n)
+        run(check_oracle_dp, tables, n, reports=reports)
+    for n in range(2, oracle_max + 1):
+        run(check_reduction, n, reports=reports)
     run(check_v0_shift, order)
     run(check_c1u_at_one, order)
     run(check_b1u_at_one, order)
@@ -308,5 +328,5 @@ def run_all(
     run(check_weighted_marginals, tables)
     run(check_integrality, order)
     run(check_power_inequality, tables)
-    run(check_bivariate_oracle)
+    run(check_bivariate_oracle, oracle_max, reports=reports)
     return results

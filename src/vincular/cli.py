@@ -183,7 +183,6 @@ def cmd_verify(args) -> int:
     try:
         results = checks.run_all(
             oracle_max=args.oracle_cap,
-            reduction_max=args.reduction_max,
             table_n=args.N,
             order=args.order,
             fault=args.inject_fault,
@@ -301,11 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
         "the structural identities; exit 0 only if every check passes.")
     verify.add_argument(
         "--oracle-cap", type=int, default=10,
-        help="largest size of the oracle-dp comparisons, at most "
-        f"{CELLS_MAX} (default 10)")
-    verify.add_argument(
-        "--reduction-max", type=int, default=8,
-        help="largest size for the delete-smallest reduction check (default 8)")
+        help="largest size of the oracle-dp, reduction and bivariate "
+        "checks, which share one brute-force scan per size; at least 2 and "
+        f"at most {CELLS_MAX} (default 10)")
     verify.add_argument(
         "--N", type=int, default=30,
         help="recurrence table size; smaller values are raised to 30 and to "

@@ -29,7 +29,6 @@ from .perms import (
     Word,
     avoids_circular,
     avoids_linear,
-    circular_classes,
     closes,
     standardize,
 )
@@ -140,22 +139,27 @@ def _classify(w: Word, n: int) -> str | None:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Every brute-force count for one size, from pruned scans of [n]."""
+    """Every brute-force count for one size, from pruned scans of [n];
+    circular lists the canonical circular avoiders in lexicographic order."""
 
     n: int
     count_l: int
-    count_circular: int
+    circular: tuple[Word, ...]
     v: tuple[int, ...]
     b_cells: dict[tuple[int, int], int]
     c_cells: dict[tuple[int, int], int]
 
+    @property
+    def count_circular(self) -> int:
+        return len(self.circular)
+
 
 def oracle_report(n: int) -> OracleReport:
-    """Compute count_L, the circular count, and all v/b/c cells at size n.
+    """Compute count_L, the circular avoiders, and all v/b/c cells at size n.
 
     One pruned pass over the avoiders of the reduced pair gives count_L
     and the b/c cells, one over the avoiders of the last-letter pair gives
-    v, and the circular count is :func:`count_circular_avoiders`.
+    v, and one over the canonical words gives the circular avoiders.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -177,7 +181,7 @@ def oracle_report(n: int) -> OracleReport:
     return OracleReport(
         n=n,
         count_l=count_l,
-        count_circular=count_circular_avoiders(n),
+        circular=tuple(_circular_avoiders(n, (CIRCULAR_PATTERN,))),
         v=tuple(v),
         b_cells=b_cells,
         c_cells=c_cells,
@@ -189,31 +193,13 @@ def delete_smallest(word: Word) -> Word:
     return standardize(tuple(x for x in word if x != 1))
 
 
-def reduction_counterexample(n: int) -> Word | None:
-    """First canonical word where circular avoidance of the studied pattern
-    disagrees with linear avoidance of the reduced pair after deleting 1.
-
-    Returns None when the equivalence holds for every cyclic class of [n].
-    """
-    for rep in circular_classes(n):
-        circ = avoids_circular(rep, (CIRCULAR_PATTERN,))
-        lin = avoids_linear(delete_smallest(rep), REDUCED_PATTERNS)
-        if circ != lin:
-            return rep
-    return None
-
-
-def weighted_circular_sum(n: int, v0, u0):
-    """Sum of v0^(s-2) * u0^(t-2) over avoiding cyclic classes of [n].
+def weighted_circular_sum(report: OracleReport, v0, u0):
+    """Sum of v0^(s-2) * u0^(t-2) over the report's circular avoiders.
 
     s and t are the two letters directly before 1 when reading the
     canonical word cyclically (its last two letters).  Sizes 1 and 2 have
     no such pair of letters distinct from 1; their classes weigh 1.
     """
-    total = 0
-    for rep in _circular_avoiders(n, (CIRCULAR_PATTERN,)):
-        if n >= 3:
-            total += v0 ** (rep[-2] - 2) * u0 ** (rep[-1] - 2)
-        else:
-            total += 1
-    return total
+    if report.n < 3:
+        return report.count_circular
+    return sum(v0 ** (w[-2] - 2) * u0 ** (w[-1] - 2) for w in report.circular)

@@ -23,7 +23,6 @@ against.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations as _permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -71,17 +70,6 @@ def rotations(word: Sequence[int]) -> list[Word]:
         cur = (cur[-1],) + cur[:-1]
         out.append(cur)
     return out
-
-
-def circular_classes(n: int) -> Iterator[Word]:
-    """Canonical representatives of all (n-1)! cyclic classes of [n].
-
-    Each representative starts with 1.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    for rest in _permutations(range(2, n + 1)):
-        yield (1,) + rest
 
 
 class VincularPattern:

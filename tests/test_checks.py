@@ -1,8 +1,10 @@
 """Each cross-route comparison fails on a one-off input and names the spot."""
 
+from dataclasses import replace
+
 import pytest
 
-from vincular import checks, genfun
+from vincular import checks, genfun, oracle
 from vincular.powerseries import Series
 from vincular.tables import build_tables
 
@@ -30,6 +32,18 @@ def bump_series(name, k):
     return corrupt
 
 
+def keep(tables, monkeypatch):
+    """No corruption: the case corrupts what its check reads instead."""
+
+
+def change_circular(n, change):
+    """A reports function whose report at size n holds change(circular)."""
+    def reports(m):
+        rep = oracle.oracle_report(m)
+        return replace(rep, circular=change(rep.circular)) if m == n else rep
+    return reports
+
+
 CASES = [
     ("dp-reference-table", bump_table("a", 7), checks.check_dp_reference, "a_7"),
     ("series-reference-table", bump_series("A_series", 8),
@@ -38,6 +52,14 @@ CASES = [
      lambda t: checks.check_oracle_dp(t, 7), "a_7"),
     ("oracle-dp-n8", bump_table("a", 7),
      lambda t: checks.check_oracle_dp(t, 8), "|A_8|"),
+    ("reduction-n6", keep,
+     lambda t: checks.check_reduction(
+         6, reports=change_circular(6, lambda ws: ws[1:])), "count"),
+    # 1234567 contains 23-4-1 in its rotation 2345671, and 123456 contains 12-3
+    ("reduction-n7", keep,
+     lambda t: checks.check_reduction(
+         7, reports=change_circular(7, lambda ws: ws + ((1, 2, 3, 4, 5, 6, 7),))),
+     "(1, 2, 3, 4, 5, 6, 7)"),
     # V1 enters the right-hand side x + x*V1 one order up
     ("series-v0-shift", bump_series("V1_series", 5),
      lambda t: checks.check_v0_shift(12), "x^6"),
@@ -64,6 +86,21 @@ def test_comparison_fails_at_the_bumped_value(monkeypatch, name, corrupt, check,
     assert res.name == name
     assert not res.passed
     assert res.detail.startswith(f"{label}: "), res.detail
+
+
+def test_run_all_scans_each_size_once(monkeypatch):
+    # the oracle-dp, reduction and bivariate checks share one report per size
+    seen = []
+    scan = oracle._circular_avoiders
+
+    def counted(n, patterns):
+        seen.append(n)
+        return scan(n, patterns)
+
+    monkeypatch.setattr(oracle, "_circular_avoiders", counted)
+    results = checks.run_all(oracle_max=6, table_n=12, order=8)
+    assert all(res.passed for res in results)
+    assert sorted(seen) == list(range(1, 7))
 
 
 def test_series_of_different_orders_disagree():

@@ -219,8 +219,8 @@ def test_verify_rejects_oracle_cap_past_cells(capsys, argv):
 @pytest.mark.parametrize("argv, name", [
     (("--oracle-cap", "1"), "oracle cap 1"),
     (("--oracle-cap", "0"), "oracle cap 0"),
-    (("--reduction-max", "1"), "reduction maximum 1"),
-    (("--oracle-cap", "1", "--reduction-max", "1"), "oracle cap 1"),
+    (("--oracle-cap", "-2"), "oracle cap -2"),
+    (("--oracle-cap", "1", "--order", "1"), "oracle cap 1"),
     (("--order", "1"), "series order 1"),
     (("--order", "0"), "series order 0"),
     (("--order", "-3"), "series order -3"),
@@ -236,8 +236,7 @@ def test_verify_rejects_caps_that_drop_the_oracle(capsys, argv, name):
 
 
 def test_verify_json(capsys):
-    argv = ("verify", "--oracle-cap", "4", "--reduction-max", "3",
-            "--N", "12", "--order", "8")
+    argv = ("verify", "--oracle-cap", "4", "--N", "12", "--order", "8")
     code, text, _ = run(capsys, *argv)
     json_code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == json_code == 0
@@ -245,7 +244,7 @@ def test_verify_json(capsys):
     names = [check["name"] for check in doc["checks"]]
     assert names[:5] == ["dp-build", "dp-reference-table", "series-reference-table",
                          "oracle-dp-n2", "oracle-dp-n3"]
-    assert "reduction-n3" in names and "reduction-n4" not in names
+    assert "reduction-n4" in names and "reduction-n5" not in names
     assert doc["total"] == len(names) == len(text.splitlines()) - 1
     assert doc["failed"] == 0
     for check in doc["checks"]:

@@ -11,10 +11,10 @@ from vincular.oracle import (
     count_L,
     count_circular_avoiders,
     count_linear_avoiders,
+    delete_smallest,
     held_out,
     iter_avoiders,
     oracle_report,
-    reduction_counterexample,
     weighted_circular_sum,
 )
 from vincular.perms import VincularPattern, avoids_linear, contains, rotations
@@ -93,8 +93,15 @@ def test_v_column():
 
 
 def test_reduction_small():
+    # deleting 1 maps the circular avoiders of [n] onto the linear avoiders
+    # of the reduced pair on [n-1]; every class agrees, avoider or not
     for n in range(2, 7):
-        assert reduction_counterexample(n) is None
+        avoiders = set(oracle_report(n).circular)
+        for rest in permutations(range(2, n + 1)):
+            rep = (1,) + rest
+            lin = avoids_linear(delete_smallest(rep), REDUCED_PATTERNS)
+            assert (rep in avoiders) == lin
+        assert len(avoiders) == oracle_report(n - 1).count_l
 
 
 def test_report_consistency():
@@ -110,14 +117,16 @@ def test_report_consistency():
 
 def test_weighted_sum_at_unit_weights():
     for n in range(3, 7):
-        assert weighted_circular_sum(n, 1, 1) == count_circular_avoiders(n)
+        assert weighted_circular_sum(oracle_report(n), 1, 1) == count_circular_avoiders(n)
 
 
 def test_weighted_sum_rational_weights():
     # n=3: both classes avoid; canonical words 123 (ends 2,3 -> weight u)
     # and 132 (ends 3,2 -> weight v), so the total is v + u.
-    assert weighted_circular_sum(3, Q(1, 2), Q(1, 3)) == Q(5, 6)
-    assert weighted_circular_sum(3, 1, 1) == 2
+    rep = oracle_report(3)
+    assert rep.circular == ((1, 2, 3), (1, 3, 2))
+    assert weighted_circular_sum(rep, Q(1, 2), Q(1, 3)) == Q(5, 6)
+    assert weighted_circular_sum(rep, 1, 1) == 2
 
 
 def test_patterns_are_the_documented_ones():
@@ -132,7 +141,8 @@ def _full_scan_avoids(word, patterns):
 
 def _full_scan_report(n):
     """oracle_report(n) rebuilt over all n! words with the backtracking
-    search, without pruning or compiled tests."""
+    search, without pruning or compiled tests; the circular avoiders are
+    the canonical words in lexicographic order."""
     count_l = 0
     v = [0] * (n + 1)
     cells = {"b": {}, "c": {}}
@@ -153,9 +163,9 @@ def _full_scan_report(n):
                 cells[kind][key] = cells[kind].get(key, 0) + 1
         if _full_scan_avoids(w, LAST_LETTER_PATTERNS):
             v[w[-1]] += 1
-    circular = sum(
-        1 for rest in permutations(range(2, n + 1))
-        if all(_full_scan_avoids(r, (CIRCULAR_PATTERN,)) for r in rotations((1,) + rest)))
+    circular = [
+        (1,) + rest for rest in permutations(range(2, n + 1))
+        if all(_full_scan_avoids(r, (CIRCULAR_PATTERN,)) for r in rotations((1,) + rest))]
     return count_l, tuple(v), cells["b"], cells["c"], circular
 
 
@@ -163,7 +173,8 @@ def _full_scan_report(n):
 def test_pruned_report_matches_full_scan(n):
     rep = oracle_report(n)
     count_l, v, b_cells, c_cells, circular = _full_scan_report(n)
-    assert (rep.count_l, rep.v, rep.count_circular) == (count_l, v, circular)
+    assert (rep.count_l, rep.v, list(rep.circular)) == (count_l, v, circular)
+    assert rep.count_circular == len(circular)
     assert {k: c for k, c in rep.b_cells.items() if c} == b_cells
     assert {k: c for k, c in rep.c_cells.items() if c} == c_cells
 
