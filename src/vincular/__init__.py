@@ -22,7 +22,6 @@ from .genfun import (
 from .oracle import (
     CIRCULAR_PATTERN,
     REDUCED_PATTERNS,
-    count_L,
     count_circular_avoiders,
     count_linear_avoiders,
     oracle_report,
@@ -63,7 +62,6 @@ __all__ = [
     "avoids_linear",
     "build_tables",
     "check_conjectures",
-    "count_L",
     "count_circular_avoiders",
     "count_linear_avoiders",
     "iter_occurrences",

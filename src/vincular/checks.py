@@ -254,10 +254,10 @@ def check_integrality(order: int = 32) -> CheckResult:
 
 def check_power_inequality(tables: Tables) -> CheckResult:
     rep = check_conjectures(tables.a)
-    if rep.power_inequality_holds:
+    if rep.first_power_failure is None:
         return CheckResult(
             "conjecture-power-inequality", True,
-            f"a_n^(n+1) < a_(n+1)^n for all n < {rep.n_checked} (checked, not proven)")
+            f"a_n^(n+1) < a_(n+1)^n for all n < {tables.N} (checked, not proven)")
     return CheckResult(
         "conjecture-power-inequality", False,
         f"fails first at n={rep.first_power_failure}")
@@ -277,19 +277,19 @@ def check_bivariate_oracle(n_max: int = 8, v=2, u=3, *, reports=None) -> CheckRe
 
 def run_all(
     oracle_max: int = 10,
-    table_n: int = 30,
     order: int = 32,
     fault: str | None = None,
 ) -> list[CheckResult]:
     """The full suite at the given scales, most trustworthy checks first.
 
-    oracle_max sizes the oracle-dp, reduction and bivariate checks, which
-    share one oracle_report per size, made in this call.  Each result
-    carries the seconds its check took, a shared report counting towards
-    the first check that reads it.  Raises ValueError, before any check
-    runs, when oracle_max is past CELLS_MAX (the cell tables stop there)
-    or when oracle_max or order is below 2, which would leave the checks
-    it sizes nothing to compare.
+    The recurrence tables are built once, at len(REFERENCE_A) = 30, the
+    largest size any check reads.  oracle_max sizes the oracle-dp,
+    reduction and bivariate checks, which share one oracle_report per
+    size, made in this call.  Each result carries the seconds its check
+    took, a shared report counting towards the first check that reads it.
+    Raises ValueError, before any check runs, when oracle_max is past
+    CELLS_MAX (the cell tables stop there) or when oracle_max or order is
+    below 2, which would leave the checks it sizes nothing to compare.
     """
     if oracle_max > CELLS_MAX:
         raise ValueError(
@@ -300,7 +300,7 @@ def run_all(
             raise ValueError(
                 f"{label} {value} is below 2; its checks would compare nothing")
     t0 = time.perf_counter()
-    tables = build_tables(max(table_n, 30, oracle_max))
+    tables = build_tables(len(REFERENCE_A))
     build_dt = time.perf_counter() - t0
     results = [CheckResult("dp-build", True, f"N={tables.N}", build_dt)]
 

@@ -55,43 +55,35 @@ def _rational(text: str) -> Q:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
-def _values_payload(sequence: str, pairs) -> str:
-    doc = {
-        "sequence": sequence,
-        "values": [{"n": n, "value": str(value)} for n, value in pairs],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def _csv_payload(pairs) -> str:
-    lines = ["n,value"]
-    lines.extend(f"{n},{value}" for n, value in pairs)
-    return "\n".join(lines) + "\n"
+def _write_values(fmt: str, sequence: str, pairs, plain) -> None:
+    """Print the (n, value) pairs as json, as csv under an n,value header,
+    or in the command's own layout plain(pairs)."""
+    if fmt == "json":
+        values = [{"n": n, "value": str(value)} for n, value in pairs]
+        print(json.dumps({"sequence": sequence, "values": values}, indent=2))
+    elif fmt == "csv":
+        print("\n".join(["n,value", *(f"{n},{value}" for n, value in pairs)]))
+    else:
+        print(plain(pairs))
 
 
 def _plain_table(pairs) -> str:
     rows = [(str(n), str(value)) for n, value in pairs]
     wn = max(len(r[0]) for r in rows)
     wv = max(len(r[1]) for r in rows)
-    return "\n".join(f"{r[0]:>{wn}}  {r[1]:>{wv}}" for r in rows) + "\n"
+    return "\n".join(f"{r[0]:>{wn}}  {r[1]:>{wv}}" for r in rows)
 
 
 def _count_one(engine: str, n: int, pattern: VincularPattern,
                linear: bool, args) -> int:
     if engine == "oracle":
-        if n > args.oracle_cap and not args.force_oracle:
+        if n > args.oracle_cap:
             raise SystemExit(
                 f"error: oracle scans up to {n}! words; n > cap "
-                f"({args.oracle_cap}); pass --force-oracle to insist")
+                f"({args.oracle_cap}); raise --oracle-cap to insist")
         if linear:
             if pattern == oracle.CIRCULAR_PATTERN:
-                return oracle.count_L(n)
+                return oracle.count_linear_avoiders(n, oracle.REDUCED_PATTERNS)
             return oracle.count_linear_avoiders(n, (pattern,))
         return oracle.count_circular_avoiders(n, (pattern,))
     if pattern != oracle.CIRCULAR_PATTERN:
@@ -102,11 +94,8 @@ def _count_one(engine: str, n: int, pattern: VincularPattern,
         if linear:
             return build_tables(n).a[n]
         return 1 if n == 1 else build_tables(n - 1).a[n - 1]
-    if engine == "gf":
-        if linear:
-            return as_int(genfun.A_series(n + 1)[n + 1])
-        return as_int(genfun.A_series(n)[n])
-    raise SystemExit(f"error: unknown engine {engine!r}")
+    size = n + 1 if linear else n  # gf, the one engine left
+    return as_int(genfun.A_series(size)[size])
 
 
 def cmd_count(args) -> int:
@@ -135,12 +124,7 @@ def cmd_table(args) -> int:
         raise SystemExit("error: --N must be positive")
     a = build_tables(args.N).a
     pairs = [(n, a[n]) for n in range(1, args.N + 1)]
-    if args.format == "json":
-        _emit(_values_payload("a", pairs))
-    elif args.format == "csv":
-        _emit(_csv_payload(pairs))
-    else:
-        _emit(_plain_table(pairs))
+    _write_values(args.format, "a", pairs, _plain_table)
     return 0
 
 
@@ -170,12 +154,8 @@ def cmd_series(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     pairs = [(n, str(series[n])) for n in range(series.order + 1)]
-    if args.format == "json":
-        _emit(_values_payload(args.gf, pairs))
-    elif args.format == "csv":
-        _emit(_csv_payload(pairs))
-    else:
-        print(",".join(value for _, value in pairs))
+    _write_values(args.format, args.gf, pairs,
+                  lambda pairs: ",".join(value for _, value in pairs))
     return 0
 
 
@@ -183,7 +163,6 @@ def cmd_verify(args) -> int:
     try:
         results = checks.run_all(
             oracle_max=args.oracle_cap,
-            table_n=args.N,
             order=args.order,
             fault=args.inject_fault,
         )
@@ -198,7 +177,7 @@ def cmd_verify(args) -> int:
             "failed": len(failed),
             "seconds": sum(res.seconds for res in results),
         }
-        _emit(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2))
         return 1 if failed else 0
     for res in results:
         print(res.line())
@@ -214,7 +193,7 @@ def cmd_conjectures(args) -> int:
         raise SystemExit("error: --N must be at least 2")
     a = build_tables(args.N).a
     rep = check_conjectures(a)
-    all_hold = rep.power_inequality_holds
+    all_hold = rep.first_power_failure is None
     for n, holds in enumerate(rep.power_holds, 1):
         verdict = "holds" if holds else "FAILS"
         print(f"n={n}: {a[n]}^{n + 1} < {a[n + 1]}^{n}: {verdict}")
@@ -222,7 +201,7 @@ def cmd_conjectures(args) -> int:
           f"{'all hold' if all_hold else 'FAILS'} (checked, not proven)")
     ratios = "strictly increasing" if rep.ratios_increasing else "NOT monotone"
     print(f"successive ratios a_(n+1)/a_n over the same range: {ratios}; "
-          f"last ratio {Q(rep.last_ratio_num, rep.last_ratio_den)} "
+          f"last ratio {Q(a[-1], a[-2])} "
           "(evidence only: unbounded growth cannot be decided on a finite range)")
     return 0 if all_hold else 1
 
@@ -257,10 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         "count one size up for the default pattern)")
     count.add_argument(
         "--oracle-cap", type=int, default=10,
-        help="largest n the oracle accepts without --force-oracle (default 10)")
-    count.add_argument(
-        "--force-oracle", action="store_true",
-        help="let the oracle run past the cap (up to n! words; slow)")
+        help="largest n the oracle accepts; raise it to scan more (up to n! "
+        "words; slow) (default 10)")
     count.set_defaults(func=cmd_count)
 
     table = sub.add_parser(
@@ -303,10 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest size of the oracle-dp, reduction and bivariate "
         "checks, which share one brute-force scan per size; at least 2 and "
         f"at most {CELLS_MAX} (default 10)")
-    verify.add_argument(
-        "--N", type=int, default=30,
-        help="recurrence table size; smaller values are raised to 30 and to "
-        "the oracle cap (default 30)")
     verify.add_argument("--order", type=int, default=32,
                         help="series truncation order, at least 2 (default 32)")
     verify.add_argument(

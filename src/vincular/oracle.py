@@ -96,11 +96,6 @@ def count_linear_avoiders(n: int, patterns: Iterable[VincularPattern]) -> int:
     return sum(1 for _ in iter_avoiders(n, patterns))
 
 
-def count_L(n: int) -> int:
-    """Number of words of [n] avoiding both reduced patterns."""
-    return count_linear_avoiders(n, REDUCED_PATTERNS)
-
-
 def _circular_avoiders(n: int, patterns: tuple[VincularPattern, ...]) -> Iterator[Word]:
     """Canonical words (first letter 1) of the cyclic classes of [n] whose
     rotations all avoid patterns.
@@ -155,9 +150,9 @@ class OracleReport:
 
 
 def oracle_report(n: int) -> OracleReport:
-    """Compute count_L, the circular avoiders, and all v/b/c cells at size n.
+    """Compute count_l, the circular avoiders, and all v/b/c cells at size n.
 
-    One pruned pass over the avoiders of the reduced pair gives count_L
+    One pruned pass over the avoiders of the reduced pair gives count_l
     and the b/c cells, one over the avoiders of the last-letter pair gives
     v, and one over the canonical words gives the circular avoiders.
     """

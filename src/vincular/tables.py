@@ -275,21 +275,17 @@ def build_tables(N: int) -> Tables:
 class ConjectureReport:
     """Exact checks of the two growth statements on a finite range.
 
-    ``power_inequality_holds`` records whether a_n^(n+1) < a_{n+1}^n for
-    every checked n, i.e. whether a_n^(1/n) increases; ``power_holds``
-    keeps the verdict for each n = 1..n_checked-1 at index n-1.  Unbounded
-    growth of a_{n+1}/a_n (which would rule out any c with a_n < c^n) can
-    only be observed, not decided, on a finite range; ``ratios_increasing``
-    and the last ratio are reported as evidence.
+    ``power_holds`` keeps, at index n-1, whether a_n^(n+1) < a_{n+1}^n
+    for each n = 1..N-1 of a = a_0..a_N, i.e. whether a_n^(1/n) increases
+    there; ``first_power_failure`` is the first n where it does not, or
+    None.  Unbounded growth of a_{n+1}/a_n (which would rule out any c
+    with a_n < c^n) can only be observed, not decided, on a finite range;
+    ``ratios_increasing`` is reported as evidence.
     """
 
-    n_checked: int
-    power_inequality_holds: bool
+    power_holds: tuple[bool, ...]
     first_power_failure: int | None
     ratios_increasing: bool
-    last_ratio_num: int
-    last_ratio_den: int
-    power_holds: tuple[bool, ...]
 
 
 def check_conjectures(a: list[int]) -> ConjectureReport:
@@ -299,12 +295,4 @@ def check_conjectures(a: list[int]) -> ConjectureReport:
     ratios_up = all(
         a[n + 1] * a[n - 1] > a[n] * a[n] for n in range(2, N)
     )
-    return ConjectureReport(
-        n_checked=N,
-        power_inequality_holds=first_fail is None,
-        first_power_failure=first_fail,
-        ratios_increasing=ratios_up,
-        last_ratio_num=a[N],
-        last_ratio_den=a[N - 1],
-        power_holds=holds,
-    )
+    return ConjectureReport(holds, first_fail, ratios_up)

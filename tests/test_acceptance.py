@@ -50,7 +50,7 @@ def test_c2_oracle_recurrence_equivalence(timed_tables, reports):
     tables, _ = timed_tables
     t0 = time.perf_counter()
     for n in range(2, ORACLE_TOP + 1):
-        res = checks.check_oracle_dp(tables, n)
+        res = checks.check_oracle_dp(tables, n, reports=reports.__getitem__)
         assert res.passed, res.detail
         assert reports[n].count_l == tables.a[n]
         assert reports[n].count_circular == tables.a[n - 1]
@@ -98,8 +98,8 @@ def test_c6_integrality_to_order_32():
 def test_c7_power_inequality(timed_tables):
     tables, _ = timed_tables
     rep = check_conjectures(tables.a)
-    assert rep.n_checked == 30
-    assert rep.power_inequality_holds
+    assert len(rep.power_holds) == 29
+    assert all(rep.power_holds)
     assert rep.first_power_failure is None
     print("PASS criterion-7: a_n^(n+1) < a_(n+1)^n exactly for all "
           "n < 30 (checked, not proven)")

@@ -98,7 +98,7 @@ def test_run_all_scans_each_size_once(monkeypatch):
         return scan(n, patterns)
 
     monkeypatch.setattr(oracle, "_circular_avoiders", counted)
-    results = checks.run_all(oracle_max=6, table_n=12, order=8)
+    results = checks.run_all(oracle_max=6, order=8)
     assert all(res.passed for res in results)
     assert sorted(seen) == list(range(1, 7))
 

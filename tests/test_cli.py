@@ -60,10 +60,10 @@ def test_count_custom_pattern_oracle_only(capsys):
 def test_oracle_cap(capsys):
     with pytest.raises(SystemExit, match="cap"):
         run(capsys, "count", "--n", "12", "--engine", "oracle")
-    with pytest.raises(SystemExit, match="cap"):
+    with pytest.raises(SystemExit, match="raise --oracle-cap"):
         run(capsys, "count", "--n", "6", "--oracle-cap", "5", "--engine", "oracle")
-    code, out, _ = run(capsys, "count", "--n", "6", "--oracle-cap", "5",
-                       "--engine", "oracle", "--force-oracle")
+    code, out, _ = run(capsys, "count", "--n", "6", "--oracle-cap", "6",
+                       "--engine", "oracle")
     assert (code, out) == (0, "50\n")
 
 
@@ -91,7 +91,9 @@ def test_table_csv_roundtrip_is_byte_identical(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["n", "value"]
     pairs = [(int(n), int(v)) for n, v in rows[1:]]
-    assert cli._csv_payload(pairs) == out
+    again = io.StringIO()
+    csv.writer(again, lineterminator="\n").writerows([rows[0], *pairs])
+    assert again.getvalue() == out
 
 
 def test_table_json_roundtrip_is_byte_identical(capsys):
@@ -165,7 +167,7 @@ def test_pattern_parser_rejects(text):
 
 
 def test_verify_passes_at_small_scale(capsys):
-    code, out, _ = run(capsys, "verify", "--oracle-cap", "5", "--N", "12",
+    code, out, _ = run(capsys, "verify", "--oracle-cap", "5",
                        "--order", "8")
     assert code == 0
     lines = out.splitlines()
@@ -182,7 +184,7 @@ def test_verify_passes_at_small_scale(capsys):
     [("b:5:3:2", "b(5,3,2)"), ("c:5:2:4", "c(5,2,4)"), ("v:5:3", "v(5,3)")],
     ids=["b:5:3:2", "c:5:2:4", "v:5:3"])
 def test_verify_fault_injection_names_the_cell(capsys, cell, name):
-    code, out, _ = run(capsys, "verify", "--oracle-cap", "5", "--N", "12",
+    code, out, _ = run(capsys, "verify", "--oracle-cap", "5",
                        "--order", "8", "--inject-fault", cell)
     assert code == 1
     assert f"PASS fault-injection: corrupted {name};" in out
@@ -197,8 +199,8 @@ def test_verify_fault_injection_names_the_cell(capsys, cell, name):
     "cell", ["q:1:2:3", "v:5:0", "b:5:3:3", "c:5:1:1", "b:-1:1:2", "b:40:1:2"])
 def test_verify_rejects_bad_fault_cell(capsys, cell):
     with pytest.raises(SystemExit, match="fault") as exc:
-        run(capsys, "verify", "--oracle-cap", "5", "--N", "12",
-            "--order", "8", "--inject-fault", cell)
+        run(capsys, "verify", "--oracle-cap", "5", "--order", "8",
+            "--inject-fault", cell)
     message = str(exc.value.code)
     assert message.startswith("error: ") and "\n" not in message
 
@@ -210,7 +212,7 @@ def test_verify_rejects_bad_fault_cell(capsys, cell):
 def test_verify_rejects_oracle_cap_past_cells(capsys, argv):
     # fails before any check runs: no oracle enumeration of 13! words
     with pytest.raises(SystemExit, match="oracle cap 13") as exc:
-        run(capsys, "verify", "--N", "12", "--order", "8", *argv)
+        run(capsys, "verify", "--order", "8", *argv)
     message = str(exc.value.code)
     assert message.startswith("error: ") and "\n" not in message
     assert capsys.readouterr().out == ""
@@ -229,14 +231,22 @@ def test_verify_rejects_caps_that_drop_the_oracle(capsys, argv, name):
     # a cap below 2 would silently run no oracle-dp or reduction check, and
     # an order below 2 would leave the series checks nothing to compare
     with pytest.raises(SystemExit, match=name) as exc:
-        run(capsys, "verify", "--N", "12", "--order", "8", *argv)
+        run(capsys, "verify", "--order", "8", *argv)
     message = str(exc.value.code)
     assert message.startswith("error: ") and "\n" not in message
     assert capsys.readouterr().out == ""
 
 
+def test_verify_has_no_table_size(capsys):
+    # the tables are always built at 30; conjectures --N sets a longer range
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "--N", "12")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --N 12" in capsys.readouterr().err
+
+
 def test_verify_json(capsys):
-    argv = ("verify", "--oracle-cap", "4", "--N", "12", "--order", "8")
+    argv = ("verify", "--oracle-cap", "4", "--order", "8")
     code, text, _ = run(capsys, *argv)
     json_code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == json_code == 0
@@ -254,7 +264,7 @@ def test_verify_json(capsys):
 
 
 def test_verify_json_reports_a_failure(capsys):
-    code, out, _ = run(capsys, "verify", "--oracle-cap", "5", "--N", "12",
+    code, out, _ = run(capsys, "verify", "--oracle-cap", "5",
                        "--order", "8", "--inject-fault", "c:5:2:4",
                        "--format", "json")
     assert code == 1
@@ -271,6 +281,8 @@ def test_conjectures(capsys):
     assert lines[0] == "n=1: 1^2 < 2^1: holds"
     assert sum(": holds" in line for line in lines) == 7
     assert "checked, not proven" in out
+    # a_8/a_7 = 2792/690, in lowest terms
+    assert "last ratio 1396/345 " in lines[-1]
     assert "." not in out.replace("a_(n+1)/a_n", "")  # exact output only
 
 

@@ -8,7 +8,6 @@ from vincular.oracle import (
     CIRCULAR_PATTERN,
     LAST_LETTER_PATTERNS,
     REDUCED_PATTERNS,
-    count_L,
     count_circular_avoiders,
     count_linear_avoiders,
     delete_smallest,
@@ -26,7 +25,7 @@ SMALL_A = (1, 2, 5, 15, 50, 180, 690, 2792)
 
 def test_count_l_small():
     for n, want in enumerate(SMALL_A, start=1):
-        assert count_L(n) == want
+        assert count_linear_avoiders(n, REDUCED_PATTERNS) == want
 
 
 def test_circular_counts_shift():
@@ -111,7 +110,7 @@ def test_report_consistency():
         for cells in (rep.b_cells, rep.c_cells):
             assert sum(cells.values()) == sum(
                 cnt for (_, j), cnt in cells.items() if 1 <= j <= n)
-        assert rep.count_l == count_L(n)
+        assert rep.count_l == count_linear_avoiders(n, REDUCED_PATTERNS)
         assert rep.count_circular == count_circular_avoiders(n)
 
 
