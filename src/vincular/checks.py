@@ -52,6 +52,9 @@ REFERENCE_A = (
     362092868720288824992,
 )
 
+# The order of every series the series checks compare.
+SERIES_ORDER = 32
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -73,10 +76,14 @@ def _cell(kind: str, *nums: int) -> str:
 
 def _agree(name: str, rows, left: str, right: str, detail: str) -> CheckResult:
     """PASS with detail, or FAIL at the first row (label, x, y) with x != y,
-    described as "label: left=x right=y"."""
+    described as "label: left=x right=y".  No rows at all is a FAIL too,
+    since a comparison of nothing shows nothing."""
+    label = None
     for label, x, y in rows:
         if x != y:
             return CheckResult(name, False, f"{label}: {left}={x} {right}={y}")
+    if label is None:
+        return CheckResult(name, False, "no rows to compare")
     return CheckResult(name, True, detail)
 
 
@@ -137,10 +144,10 @@ def check_dp_reference(tables: Tables) -> CheckResult:
     return _reference("dp-reference-table", "dp", tables.a, min(tables.N, 30))
 
 
-def check_series_reference(order: int = 31) -> CheckResult:
+def check_series_reference() -> CheckResult:
     """Series-extracted sequence against the thirty reference values."""
-    a = genfun.a_from_series(genfun.A_series(order))
-    return _reference("series-reference-table", "series", a, min(order - 1, 30))
+    a = genfun.a_from_series(genfun.A_series(SERIES_ORDER))
+    return _reference("series-reference-table", "series", a, len(REFERENCE_A))
 
 
 def check_oracle_dp(tables: Tables, n: int, *, reports=None) -> CheckResult:
@@ -190,37 +197,40 @@ def check_reduction(n: int, *, reports=None) -> CheckResult:
                   f"|A_{n}| = {len(circular)}")
 
 
-def check_v0_shift(order: int = 32) -> CheckResult:
+def check_v0_shift() -> CheckResult:
     """V at weight 0 equals x + x * (V at weight 1), coefficientwise."""
-    shifted = Series((0, 1, *genfun.V1_series(order - 1).coeffs[1:]))
-    return _same_series("series-v0-shift", "V0", genfun.V0_series(order),
+    shifted = Series((0, 1, *genfun.V1_series(SERIES_ORDER - 1).coeffs[1:]))
+    return _same_series("series-v0-shift", "V0", genfun.V0_series(SERIES_ORDER),
                         "x+x*V1", shifted)
 
 
-def check_c1u_at_one(order: int = 32) -> CheckResult:
+def check_c1u_at_one() -> CheckResult:
     """C1u at u = 1 against C11.
 
     At u = 1 the C1u series is built from C11 itself, so this guards only
     the weight-1 path of ``genfun._C1u_geom``: the three terms it skips and
     its division by x.
     """
-    return _same_series("series-c-weight-one", "C1u(1)", genfun.C1u_series(1, order),
-                        "C11", genfun.C11_series(order))
+    return _same_series("series-c-weight-one", "C1u(1)",
+                        genfun.C1u_series(1, SERIES_ORDER),
+                        "C11", genfun.C11_series(SERIES_ORDER))
 
 
-def check_b1u_at_one(order: int = 32) -> CheckResult:
-    return _same_series("series-b-weight-one", "B1u(1)", genfun.B1u_series(1, order),
-                        "B11", genfun.B11_series(order))
+def check_b1u_at_one() -> CheckResult:
+    return _same_series("series-b-weight-one", "B1u(1)",
+                        genfun.B1u_series(1, SERIES_ORDER),
+                        "B11", genfun.B11_series(SERIES_ORDER))
 
 
-def check_a_vu_diagonal(order: int = 32) -> CheckResult:
+def check_a_vu_diagonal() -> CheckResult:
     return _same_series("series-bivariate-diagonal", "A_vu(1,1)",
-                        genfun.A_vu_series(1, 1, order), "A", genfun.A_series(order))
+                        genfun.A_vu_series(1, 1, SERIES_ORDER),
+                        "A", genfun.A_series(SERIES_ORDER))
 
 
-def check_weighted_marginals(tables: Tables, us=(2, 3, 5), n_max: int = 12) -> CheckResult:
-    """One-variable series against u-weighted recurrence marginals."""
-    n_max = min(n_max, tables.N)
+def check_weighted_marginals(tables: Tables) -> CheckResult:
+    """One-variable series against u-weighted dp marginals, n <= 12."""
+    us, n_max = (2, 3, 5), min(12, tables.N)
 
     def rows():
         for u in us:
@@ -233,23 +243,23 @@ def check_weighted_marginals(tables: Tables, us=(2, 3, 5), n_max: int = 12) -> C
                     tables.c_last[n][j] * Q(u) ** (j - 2) for j in range(2, n + 1))
 
     return _agree("weighted-marginals", rows(), "series", "dp",
-                  f"u in {tuple(us)}, n <= {n_max}")
+                  f"u in {us}, n <= {n_max}")
 
 
-def check_integrality(order: int = 32) -> CheckResult:
+def check_integrality() -> CheckResult:
     """A, B11, C11, V1 coefficients are non-negative integers."""
     series = {
-        "A": genfun.A_series(order),
-        "B11": genfun.B11_series(order),
-        "C11": genfun.C11_series(order),
-        "V1": genfun.V1_series(order),
+        "A": genfun.A_series(SERIES_ORDER),
+        "B11": genfun.B11_series(SERIES_ORDER),
+        "C11": genfun.C11_series(SERIES_ORDER),
+        "V1": genfun.V1_series(SERIES_ORDER),
     }
     for label, s in series.items():
         for n, coef in enumerate(s.coeffs):
             if coef.denominator != 1 or coef < 0:
                 return CheckResult(
                     "series-integrality", False, f"{label}[{n}] = {coef}")
-    return CheckResult("series-integrality", True, f"order {order}")
+    return CheckResult("series-integrality", True, f"order {SERIES_ORDER}")
 
 
 def check_power_inequality(tables: Tables) -> CheckResult:
@@ -263,8 +273,9 @@ def check_power_inequality(tables: Tables) -> CheckResult:
         f"fails first at n={rep.first_power_failure}")
 
 
-def check_bivariate_oracle(n_max: int = 8, v=2, u=3, *, reports=None) -> CheckResult:
-    """Bivariate circular series against oracle weighted sums."""
+def check_bivariate_oracle(n_max: int = 8, *, reports=None) -> CheckResult:
+    """Bivariate circular series at (v,u) = (2,3) against oracle weighted sums."""
+    v, u = 2, 3
     reports = reports or oracle.oracle_report
     s = genfun.A_vu_series(v, u, n_max)
     return _agree(
@@ -275,12 +286,8 @@ def check_bivariate_oracle(n_max: int = 8, v=2, u=3, *, reports=None) -> CheckRe
         "series", "oracle", f"(v,u)=({v},{u}), 2 <= n <= {n_max}")
 
 
-def run_all(
-    oracle_max: int = 10,
-    order: int = 32,
-    fault: str | None = None,
-) -> list[CheckResult]:
-    """The full suite at the given scales, most trustworthy checks first.
+def run_all(oracle_max: int = 10, fault: str | None = None) -> list[CheckResult]:
+    """The full suite, most trustworthy checks first.
 
     The recurrence tables are built once, at len(REFERENCE_A) = 30, the
     largest size any check reads.  oracle_max sizes the oracle-dp,
@@ -288,17 +295,17 @@ def run_all(
     size, made in this call.  Each result carries the seconds its check
     took, a shared report counting towards the first check that reads it.
     Raises ValueError, before any check runs, when oracle_max is past
-    CELLS_MAX (the cell tables stop there) or when oracle_max or order is
-    below 2, which would leave the checks it sizes nothing to compare.
+    CELLS_MAX (the cell tables stop there) or below 2, which would leave
+    the checks it sizes nothing to compare.  The series checks run at
+    SERIES_ORDER.
     """
     if oracle_max > CELLS_MAX:
         raise ValueError(
             f"oracle cap {oracle_max} is past {CELLS_MAX}, the largest size "
             "whose cell tables are kept")
-    for label, value in (("oracle cap", oracle_max), ("series order", order)):
-        if value < 2:
-            raise ValueError(
-                f"{label} {value} is below 2; its checks would compare nothing")
+    if oracle_max < 2:
+        raise ValueError(
+            f"oracle cap {oracle_max} is below 2; its checks would compare nothing")
     t0 = time.perf_counter()
     tables = build_tables(len(REFERENCE_A))
     build_dt = time.perf_counter() - t0
@@ -316,17 +323,17 @@ def run_all(
         results.append(CheckResult(
             "fault-injection", True, f"corrupted {cell}; expect a FAIL below"))
     run(check_dp_reference, tables)
-    run(check_series_reference, order)
+    run(check_series_reference)
     for n in range(2, oracle_max + 1):
         run(check_oracle_dp, tables, n, reports=reports)
     for n in range(2, oracle_max + 1):
         run(check_reduction, n, reports=reports)
-    run(check_v0_shift, order)
-    run(check_c1u_at_one, order)
-    run(check_b1u_at_one, order)
-    run(check_a_vu_diagonal, order)
+    run(check_v0_shift)
+    run(check_c1u_at_one)
+    run(check_b1u_at_one)
+    run(check_a_vu_diagonal)
     run(check_weighted_marginals, tables)
-    run(check_integrality, order)
+    run(check_integrality)
     run(check_power_inequality, tables)
     run(check_bivariate_oracle, oracle_max, reports=reports)
     return results

@@ -105,17 +105,7 @@ def cmd_count(args) -> int:
         pattern = parse_pattern(args.pattern)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from exc
-    engines = ["oracle", "dp", "gf"] if args.engine == "all" else [args.engine]
-    values = {eng: _count_one(eng, args.n, pattern, args.linear, args)
-              for eng in engines}
-    if args.engine == "all":
-        width = max(len(eng) for eng in values)
-        for eng, val in values.items():
-            print(f"{eng:<{width}}  {val}")
-        agree = len(set(values.values())) == 1
-        print("MATCH" if agree else "MISMATCH")
-        return 0 if agree else 1
-    print(values[args.engine])
+    print(_count_one(args.engine, args.n, pattern, args.linear, args))
     return 0
 
 
@@ -161,11 +151,7 @@ def cmd_series(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        results = checks.run_all(
-            oracle_max=args.oracle_cap,
-            order=args.order,
-            fault=args.inject_fault,
-        )
+        results = checks.run_all(args.oracle_cap, args.inject_fault)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from exc
     failed = [res for res in results if not res.passed]
@@ -220,16 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser(
         "count", help="count avoiders of one size",
         description="Count circular avoiders of size n (or linear-class "
-        "avoiders with --linear) using the chosen engine(s).")
+        "avoiders with --linear) using the chosen engine.")
     count.add_argument("--n", type=int, required=True, help="word size")
     count.add_argument(
         "--pattern", default=DEFAULT_PATTERN_TEXT,
         help='pattern text, e.g. "23-4-1" (default; the only pattern the '
         "dp and gf engines support)")
     count.add_argument(
-        "--engine", choices=("oracle", "dp", "gf", "all"), default="dp",
-        help="oracle = brute force, dp = recurrence, gf = series, "
-        "all = run every engine and compare (default: dp)")
+        "--engine", choices=("oracle", "dp", "gf"), default="dp",
+        help="oracle = brute force, dp = recurrence, gf = series "
+        "(default: dp); verify compares them")
     count.add_argument(
         "--linear", action="store_true",
         help="count the size-n linear class instead (equals the circular "
@@ -274,14 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="run the cross-route verification suite",
         description="Check oracle vs recurrence vs series agreement plus "
-        "the structural identities; exit 0 only if every check passes.")
+        "the structural identities, with every series at order "
+        f"{checks.SERIES_ORDER}; exit 0 only if every check passes.")
     verify.add_argument(
         "--oracle-cap", type=int, default=10,
         help="largest size of the oracle-dp, reduction and bivariate "
         "checks, which share one brute-force scan per size; at least 2 and "
         f"at most {CELLS_MAX} (default 10)")
-    verify.add_argument("--order", type=int, default=32,
-                        help="series truncation order, at least 2 (default 32)")
     verify.add_argument(
         "--inject-fault", metavar="CELL", default=None,
         help="self-test hook: corrupt one recurrence cell (v:n:j, b:n:i:j "

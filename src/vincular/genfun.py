@@ -317,6 +317,14 @@ def _p2(c, P: int, M: int) -> list:
 # last-letter avoider series
 
 
+def _den_sum(N: int) -> Series:
+    """sum_j x^(j+1) ((j+2) - (j+1)^2 x) / ((j+2)! prod_(i<=j+1) (1 - ix))
+    through x^N: the valuation-1 denominator that V0 and B11 divide by."""
+    _, _, _, _, F, _ = _geometric(1, 0)
+    return _placed(N, _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
+        j + 1, (1, factorial(j + 2)), [j + 2, -(j + 1) ** 2]), N))
+
+
 @_memo
 def V0_series(N: int) -> Series:
     """Counts, by size, of last-letter avoiders whose final letter is 1.
@@ -328,9 +336,7 @@ def V0_series(N: int) -> Series:
     _, _, _, _, F, _ = _geometric(1, 0)
     num = _kernel_sum([F(1), F(2)], lambda j: [F(j + 2)], lambda j: (
         j + 2, (1, factorial(j + 2)), [j + 2, -(j * j + 3 * j + 3)]), N + 1)
-    den = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
-        j + 1, (1, factorial(j + 2)), [j + 2, -(j + 1) ** 2]), N + 1)
-    return _placed(N + 1, num) / _placed(N + 1, den)
+    return _placed(N + 1, num) / _den_sum(N + 1)
 
 
 def _V_scaled_geom(c, m: int, N: int):
@@ -436,8 +442,6 @@ def B11_series(N: int) -> Series:
     _, _, _, _, F, _ = _geometric(1, 0)
     T1 = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
         j + 2, (1, factorial(j + 2)), [(j + 1) ** 2]), W - 3)
-    den = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
-        j + 1, (1, factorial(j + 2)), [-(j + 2), (j + 1) ** 2]), W)
     F3 = [F(1), F(2), F(3)]
     T3 = _kernel_sum(F3, lambda j: [F(j + 3)], lambda j: (
         j + 3, (1, factorial(j)), [1, -2 * (j + 2), (j + 2) ** 2]), W)
@@ -445,7 +449,7 @@ def B11_series(N: int) -> Series:
         j + 2, (j + 1, factorial(j + 2)), [1]), W - 3), 1, 2, W)
     bracket = _divided(
         _fold([_times(C11_series, 3, T1), T3], W), (1, -1))
-    return -(_placed(W, bracket, T2C) / _placed(W, den))
+    return _placed(W, bracket, T2C) / _den_sum(W)
 
 
 def _B1u_geom(c, m: int, N: int):

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -27,17 +29,21 @@ def test_count_defaults_to_dp(capsys):
 
 
 def test_count_engines_agree(capsys):
-    code, out, _ = run(capsys, "count", "--n", "6", "--engine", "all")
-    assert code == 0
-    assert out.splitlines()[-1] == "MATCH"
-    values = {line.split()[0]: line.split()[1] for line in out.splitlines()[:-1]}
-    assert values == {"oracle": "50", "dp": "50", "gf": "50"}
+    for engine in ("oracle", "dp", "gf"):
+        assert run(capsys, "count", "--n", "6", "--engine", engine)[:2] == (0, "50\n")
+        assert run(capsys, "count", "--n", "1", "--engine", engine)[:2] == (0, "1\n")
+    # verify compares the engines; count runs one
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "count", "--n", "6", "--engine", "all")
+    assert exc.value.code == 2
+    assert "invalid choice: 'all'" in capsys.readouterr().err
 
 
 def test_count_single_element(capsys):
-    code, out, _ = run(capsys, "count", "--n", "1", "--engine", "all")
-    assert code == 0
-    assert out.splitlines()[-1] == "MATCH"
+    # the linear class of size 1 holds the one word 1
+    for engine in ("oracle", "dp", "gf"):
+        code, out, _ = run(capsys, "count", "--n", "1", "--linear", "--engine", engine)
+        assert (code, out) == (0, "1\n"), engine
 
 
 def test_count_linear_flag(capsys):
@@ -167,8 +173,7 @@ def test_pattern_parser_rejects(text):
 
 
 def test_verify_passes_at_small_scale(capsys):
-    code, out, _ = run(capsys, "verify", "--oracle-cap", "5",
-                       "--order", "8")
+    code, out, _ = run(capsys, "verify", "--oracle-cap", "5")
     assert code == 0
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
@@ -185,7 +190,7 @@ def test_verify_passes_at_small_scale(capsys):
     ids=["b:5:3:2", "c:5:2:4", "v:5:3"])
 def test_verify_fault_injection_names_the_cell(capsys, cell, name):
     code, out, _ = run(capsys, "verify", "--oracle-cap", "5",
-                       "--order", "8", "--inject-fault", cell)
+                       "--inject-fault", cell)
     assert code == 1
     assert f"PASS fault-injection: corrupted {name};" in out
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -199,8 +204,7 @@ def test_verify_fault_injection_names_the_cell(capsys, cell, name):
     "cell", ["q:1:2:3", "v:5:0", "b:5:3:3", "c:5:1:1", "b:-1:1:2", "b:40:1:2"])
 def test_verify_rejects_bad_fault_cell(capsys, cell):
     with pytest.raises(SystemExit, match="fault") as exc:
-        run(capsys, "verify", "--oracle-cap", "5", "--order", "8",
-            "--inject-fault", cell)
+        run(capsys, "verify", "--oracle-cap", "5", "--inject-fault", cell)
     message = str(exc.value.code)
     assert message.startswith("error: ") and "\n" not in message
 
@@ -210,9 +214,9 @@ def test_verify_rejects_bad_fault_cell(capsys, cell):
     ("--oracle-cap", "13", "--inject-fault", "b:13:3:2"),
 ])
 def test_verify_rejects_oracle_cap_past_cells(capsys, argv):
-    # fails before any check runs: no oracle enumeration of 13! words
+    # fails before any check runs: no brute-force scan at n = 13
     with pytest.raises(SystemExit, match="oracle cap 13") as exc:
-        run(capsys, "verify", "--order", "8", *argv)
+        run(capsys, "verify", *argv)
     message = str(exc.value.code)
     assert message.startswith("error: ") and "\n" not in message
     assert capsys.readouterr().out == ""
@@ -222,31 +226,30 @@ def test_verify_rejects_oracle_cap_past_cells(capsys, argv):
     (("--oracle-cap", "1"), "oracle cap 1"),
     (("--oracle-cap", "0"), "oracle cap 0"),
     (("--oracle-cap", "-2"), "oracle cap -2"),
-    (("--oracle-cap", "1", "--order", "1"), "oracle cap 1"),
-    (("--order", "1"), "series order 1"),
-    (("--order", "0"), "series order 0"),
-    (("--order", "-3"), "series order -3"),
+    (("--oracle-cap", "1", "--inject-fault", "b:5:3:2"), "oracle cap 1"),
 ])
 def test_verify_rejects_caps_that_drop_the_oracle(capsys, argv, name):
-    # a cap below 2 would silently run no oracle-dp or reduction check, and
-    # an order below 2 would leave the series checks nothing to compare
+    # a cap below 2 would silently run no oracle-dp or reduction check; the
+    # cap is refused before a fault cell is read against it
     with pytest.raises(SystemExit, match=name) as exc:
-        run(capsys, "verify", "--order", "8", *argv)
+        run(capsys, "verify", *argv)
     message = str(exc.value.code)
     assert message.startswith("error: ") and "\n" not in message
     assert capsys.readouterr().out == ""
 
 
 def test_verify_has_no_table_size(capsys):
-    # the tables are always built at 30; conjectures --N sets a longer range
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "verify", "--N", "12")
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --N 12" in capsys.readouterr().err
+    # the tables are always built at 30, and conjectures --N sets a longer
+    # range; the series checks always run at order 32
+    for flag, value in (("--N", "12"), ("--order", "8")):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_verify_json(capsys):
-    argv = ("verify", "--oracle-cap", "4", "--order", "8")
+    argv = ("verify", "--oracle-cap", "4")
     code, text, _ = run(capsys, *argv)
     json_code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == json_code == 0
@@ -265,8 +268,7 @@ def test_verify_json(capsys):
 
 def test_verify_json_reports_a_failure(capsys):
     code, out, _ = run(capsys, "verify", "--oracle-cap", "5",
-                       "--order", "8", "--inject-fault", "c:5:2:4",
-                       "--format", "json")
+                       "--inject-fault", "c:5:2:4", "--format", "json")
     assert code == 1
     doc = json.loads(out)
     failed = [check for check in doc["checks"] if not check["passed"]]
@@ -295,3 +297,28 @@ def test_rejects_nonsense_sizes(capsys):
         run(capsys, "series", "--order", "0")
     with pytest.raises(SystemExit):
         run(capsys, "conjectures", "--N", "1")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """(argv, stated output or None) for every line of the README's
+    ``vincular`` command block; a comment ending in "-> value" states the
+    output."""
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.splitlines():
+            if line.startswith("vincular "):
+                command, _, comment = line.partition("#")
+                _, arrow, stated = comment.partition("->")
+                yield shlex.split(command)[1:], stated.strip() if arrow else None
+
+
+def test_readme_commands_parse_and_state_their_output(capsys):
+    commands = list(readme_commands())
+    assert len(commands) >= 5 and sum(s is not None for _, s in commands) >= 2
+    parser = cli.build_parser()
+    for argv, stated in commands:
+        parser.parse_args(argv)  # a flag the CLI dropped exits here
+        if stated is not None:
+            assert run(capsys, *argv)[:2] == (0, stated + "\n"), argv
