@@ -141,7 +141,8 @@ def apply_fault(tables: Tables, cell: str, oracle_max: int | None = None) -> str
 
 def check_dp_reference(tables: Tables) -> CheckResult:
     """Recurrence sequence against the thirty reference values."""
-    return _reference("dp-reference-table", "dp", tables.a, min(tables.N, 30))
+    return _reference("dp-reference-table", "dp", tables.a,
+                      min(tables.N, len(REFERENCE_A)))
 
 
 def check_series_reference() -> CheckResult:

@@ -230,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="emit the counting sequence a_1..a_N",
         description="Emit the linear-class counting sequence a_1..a_N "
         "computed by the recurrence.")
-    table.add_argument("--N", type=int, default=30, help="last index (default 30)")
+    table.add_argument("--N", type=int, default=len(checks.REFERENCE_A),
+                       help="last index (default %(default)s)")
     table.add_argument(
         "--format", choices=("plain", "csv", "json"), default="plain",
         help="plain aligned columns, csv with an n,value header, or json")
@@ -244,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--gf", choices=tuple(_SERIES_BUILDERS), default="A",
         help="which series: A (circular counts), B11/C11 (weight-1 cell "
         "classes), V1 (weight-1 avoiders), V0 (first-letter column)")
-    series.add_argument("--order", type=int, default=32,
-                        help="truncation order (default 32)")
+    series.add_argument("--order", type=int, default=checks.SERIES_ORDER,
+                        help="truncation order (default %(default)s)")
     series.add_argument(
         "--v", type=_rational, default=None,
         help="rational weight on the next-to-last letter (A only)")
@@ -283,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         "conjectures", help="check the growth conjectures exactly",
         description="Evaluate the power inequality exactly for n < N and "
         "report ratio evidence; finite checks, not proofs.")
-    conj.add_argument("--N", type=int, default=30,
-                      help="check n < N (default 30)")
+    conj.add_argument("--N", type=int, default=len(checks.REFERENCE_A),
+                      help="check n < N (default %(default)s)")
     conj.set_defaults(func=cmd_conjectures)
     return parser
 

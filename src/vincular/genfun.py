@@ -25,7 +25,7 @@ term by term without reduction.  A part (lo, (num, den), cs) stands for
 num/den * sum_k cs[k] y^(lo+k).  The terms of a sum, and the pieces of
 one formula that all reach the same order, are added as one vector over
 the lcm of their denominators (:func:`_fold`).  The scale is applied
-once, where the result is placed as a series (:func:`_place`): the
+once, where the result is placed as a series (:func:`_placed`): the
 coefficient of x^n is divided by den*D^n in one divmod, which leaves an
 int wherever the division is exact and a Q in lowest terms otherwise.
 
@@ -70,26 +70,21 @@ def clear_caches() -> None:
     _SERIES_CACHE.clear()
 
 
-def _cached(key: str, N: int, build) -> Series:
-    """Serve key from the cache, rebuilding when more order is needed.
-
-    The entry is truncated to N before it is stored, so a build that
-    falls short of N raises ValueError and a cached series is reliable
-    through its whole order.
-    """
-    hit = _SERIES_CACHE.get(key)
-    if hit is None or hit.order < N:
-        hit = build().truncate(N)
-        _SERIES_CACHE[key] = hit
-    return hit.truncate(N)
-
-
 def _memo(build):
-    """build(N) served by :func:`_cached`, keyed by the builder's name."""
+    """build(N) cached by the builder's name, rebuilt when more order is
+    needed.
+
+    A build is truncated to N before it is stored, so one that falls short
+    of N raises ValueError and a cached series is reliable through its
+    whole order.
+    """
 
     @wraps(build)
     def cached(N: int) -> Series:
-        return _cached(build.__name__, N, lambda: build(N))
+        hit = _SERIES_CACHE.get(build.__name__)
+        if hit is None or hit.order < N:
+            hit = _SERIES_CACHE[build.__name__] = build(N).truncate(N)
+        return hit.truncate(N)
 
     return cached
 
@@ -129,28 +124,6 @@ def _divided(part, *factors):
     return lo, (num, den), cs
 
 
-def _place(lo: int, scale, cs, N: int, D: int = 1) -> Series:
-    """scale * sum_k cs[k] y^(lo+k) with y = x/D, reaching x^N, as a Series.
-
-    The coefficient of x^n is multiplied by the numerator of the rational
-    scale and divided by its denominator times D^n in one divmod, so a
-    quotient that is integral stays an int.  The Laurent part below x^0
-    must cancel exactly.
-    """
-    if lo < 0:
-        if any(cs[:-lo]):
-            raise RuntimeError("a kernel sum left a term below x^0")
-        cs, lo = cs[-lo:], 0
-    num, den = scale.numerator, scale.denominator * D ** lo
-    out = [0] * lo
-    for c in cs[: N + 1 - lo]:
-        c *= num
-        q, rem = divmod(c, den)
-        out.append(Q(c, den) if rem else q)
-        den *= D
-    return Series(out)
-
-
 def _in_y(s: Series, D: int):
     """s as a part in y = x/D: coefficient n times D^n."""
     return 0, (1, 1), [a * D ** n for n, a in enumerate(s.coeffs)]
@@ -162,9 +135,8 @@ def _div_linear(s: Series, *factors) -> Series:
     It works in y = x/D, D the lcm of the denominators of the ratios a1/a0.
     """
     D = lcm(*(Q(a1, a0).denominator for a0, a1 in factors if a0))
-    lo, (num, den), cs = _divided(
-        _in_y(s, D), *((a0, a1 * D) for a0, a1 in factors))
-    return _place(lo, Q(num, den), cs, s.order + lo, D)
+    part = _divided(_in_y(s, D), *((a0, a1 * D) for a0, a1 in factors))
+    return _placed(s.order + part[0], part, D=D)
 
 
 def _times_poly(s: Series, poly) -> Series:
@@ -235,23 +207,40 @@ def _kernel_sum(init, step, term, top: int, D: int = 1):
 
 def _placed(N: int, *parts, D: int = 1) -> Series:
     """The sum of parts (lo, (num, den), cs) in y = x/D, each reaching
-    x^N, as a Series: one fold, then one exact division per coefficient."""
+    x^N, as a Series: one fold, then one exact division per coefficient.
+
+    The coefficient of x^n is multiplied by the numerator of the rational
+    scale num/den and divided by its denominator times D^n in one divmod,
+    so a quotient that is integral stays an int.  The Laurent part below
+    x^0 must cancel exactly.
+    """
     lo, (num, den), cs = _fold(parts, N) if len(parts) > 1 else parts[0]
-    return _place(lo, Q(num, den), cs, N, D)
+    if lo < 0:
+        if any(cs[:-lo]):
+            raise RuntimeError("a kernel sum left a term below x^0")
+        cs, lo = cs[-lo:], 0
+    scale = Q(num, den)
+    num, den = scale.numerator, scale.denominator * D ** lo
+    out = [0] * lo
+    for c in cs[: N + 1 - lo]:
+        c *= num
+        q, rem = divmod(c, den)
+        out.append(Q(c, den) if rem else q)
+        den *= D
+    return Series(out)
 
 
 def _times(outer, val: int, part, D: int = 1):
     """outer(order), a part or a Series vanishing below x^val, times a part
     in y = x/D in one dense multiply, as a part reaching val orders
-    further."""
+    further.  The outer part must start at or below x^val: a Series starts
+    at x^0, and a c series part at x^1 or below."""
     lo, (n, d), cs = part
     if not cs:
         return part
     f = outer(len(cs) - 1 + val)
     flo, (fn, fd), fcs = _in_y(f, D) if isinstance(f, Series) else f
     k = val - flo
-    if k < 0:
-        fcs, k = [0] * -k + fcs, 0
     if any(fcs[:k]):
         raise RuntimeError(f"outer series does not vanish below x^{val}")
     return lo + val, (n * fn, d * fd), _pmul(fcs[k:], cs, len(cs))

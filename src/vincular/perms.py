@@ -22,6 +22,7 @@ against.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -42,19 +43,6 @@ def standardize(values: Sequence[int]) -> Word:
     return tuple(rank[v] for v in values)
 
 
-def is_permutation_word(word: Sequence[int]) -> bool:
-    """True when word is exactly the integers 1..n in some order."""
-    n = len(word)
-    return sorted(word) == list(range(1, n + 1))
-
-
-def check_word(word: Sequence[int]) -> Word:
-    word = tuple(word)
-    if not is_permutation_word(word):
-        raise ValueError(f"not a permutation of 1..{len(word)}: {word!r}")
-    return word
-
-
 def rotations(word: Sequence[int]) -> list[Word]:
     """All cyclic shifts of word, moving the last letter to the front.
 
@@ -72,6 +60,7 @@ def rotations(word: Sequence[int]) -> list[Word]:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class VincularPattern:
     """A pattern word plus adjacency bonds.
 
@@ -81,28 +70,18 @@ class VincularPattern:
     all k-1 bonds give a subword pattern.
     """
 
-    __slots__ = ("entries", "bonds")
+    entries: Word
+    bonds: frozenset[int] = frozenset()
 
-    def __init__(self, entries: Sequence[int], bonds: Iterable[int] = ()):
-        self.entries: Word = check_word(entries)
-        self.bonds: frozenset[int] = frozenset(bonds)
-        k = len(self.entries)
-        if any(t < 0 or t >= k - 1 for t in self.bonds):
-            raise ValueError(f"bond positions must lie in 0..{k - 2}: {sorted(self.bonds)}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VincularPattern):
-            return NotImplemented
-        return self.entries == other.entries and self.bonds == other.bonds
-
-    def __hash__(self) -> int:
-        return hash((self.entries, self.bonds))
-
-    def __repr__(self) -> str:
-        return f"VincularPattern({self.entries!r}, bonds={sorted(self.bonds)!r})"
+    def __post_init__(self) -> None:
+        entries, bonds = tuple(self.entries), frozenset(self.bonds)
+        k = len(entries)
+        if sorted(entries) != list(range(1, k + 1)):
+            raise ValueError(f"not a permutation of 1..{k}: {entries!r}")
+        if any(t < 0 or t >= k - 1 for t in bonds):
+            raise ValueError(f"bond positions must lie in 0..{k - 2}: {sorted(bonds)}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "bonds", bonds)
 
 
 def iter_occurrences(host: Sequence[int], pattern: VincularPattern) -> Iterator[Word]:

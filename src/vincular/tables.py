@@ -21,6 +21,7 @@ oracle comparison and the tests read, are kept for n <= CELLS_MAX.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 Row = list[int]
 Cells = list[list[int]]
@@ -51,12 +52,8 @@ def _power_rows(N: int, r: int) -> list[Row]:
 
 
 def _prefix(row: Row) -> Row:
-    out = [0] * len(row)
-    acc = 0
-    for idx in range(1, len(row)):
-        acc += row[idx]
-        out[idx] = acc
-    return out
+    """out[idx] = row[1] + ... + row[idx]; row[0] is padding."""
+    return list(accumulate(row[1:], initial=0))
 
 
 def compute_v(N: int) -> list[Row]:
@@ -129,7 +126,7 @@ def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row]]:
     3 <= i < j <= n-1; the remaining cells follow the three recurrences
     plus the two closed-form boundary columns.
     """
-    vpre = [_prefix(row) if row else [] for row in v]
+    vpre = [_prefix(row) for row in v]
     weights = _power_rows(N, 2)
     cells: list[Cells] = [_empty_cells(i) for i in range(min(N, 1) + 1)]
     last: list[Row] = [[0] * (i + 1) for i in range(min(N, 1) + 1)]
@@ -182,13 +179,8 @@ def _diagonal_prefix(c_last: list[Row], N: int) -> list[Row]:
 
 def _antidiagonal_prefix(P: list[Row], N: int) -> list[Row]:
     """R[m][x] = sum over delta in [1, x] of P[delta][m-delta], x < m."""
-    R: list[Row] = []
-    for m in range(N + 1):
-        row = [0] * max(m, 1)
-        for x in range(1, m):
-            row[x] = row[x - 1] + P[x][m - x]
-        R.append(row)
-    return R
+    return [list(accumulate((P[x][m - x] for x in range(1, m)), initial=0))
+            for m in range(N + 1)]
 
 
 def compute_b(N: int, c_last: list[Row]) -> tuple[list[Cells], list[Row]]:

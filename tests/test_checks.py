@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from vincular import checks, genfun, oracle
-from vincular.powerseries import Series
+from vincular.powerseries import Q, Series
 from vincular.tables import build_tables
 
 
@@ -119,3 +119,24 @@ def test_series_of_different_orders_disagree():
     res = checks._same_series("s", "left", Series([1, 2, 3]), "right", Series([1, 2]))
     assert not res.passed
     assert res.detail == "x^2: left=3 right=None"
+
+
+def test_integrality_names_the_first_bad_coefficient(monkeypatch):
+    # the passing run caches C11 and B11, so the bumped V1 reaches no other
+    # series and the first bad coefficient is its own
+    assert checks.check_integrality().passed
+    build = genfun.V1_series
+    monkeypatch.setattr(genfun, "V1_series", lambda N: Series(
+        c + Q(1, 2) * (i == 5) for i, c in enumerate(build(N).coeffs)))
+    res = checks.check_integrality()
+    assert (res.name, res.passed) == ("series-integrality", False)
+    assert res.detail == f"V1[5] = {build(5)[5] + Q(1, 2)}"
+
+
+def test_power_inequality_names_the_first_failure():
+    # a_8 = a_7 breaks a_7^8 < a_8^7 and leaves every earlier n alone
+    tables = build_tables(12)
+    tables.a[8] = tables.a[7]
+    res = checks.check_power_inequality(tables)
+    assert (res.name, res.passed) == ("conjecture-power-inequality", False)
+    assert res.detail == "fails first at n=7"

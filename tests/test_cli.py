@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -236,6 +239,27 @@ def test_verify_rejects_caps_that_drop_the_oracle(capsys, argv, name):
     message = str(exc.value.code)
     assert message.startswith("error: ") and "\n" not in message
     assert capsys.readouterr().out == ""
+
+
+# The process, not main(): a SystemExit message must reach stderr as one
+# line with exit status 1, and argparse's own errors exit 2.
+@pytest.mark.parametrize("argv, status, error", [
+    (("verify", "--inject-fault", "b:x:3:2"), 1,
+     "error: bad fault cell 'b:x:3:2'; use v:n:j or b:n:i:j or c:n:i:j"),
+    (("series", "--v", "abc"), 2,
+     "vincular series: error: argument --v: not a rational: 'abc'"),
+    (("count", "--n", "3", "--pattern", "1-1", "--engine", "oracle"), 1,
+     "error: not a permutation of 1..2: (1, 1)"),
+], ids=["bad-fault-cell", "not-a-rational", "not-a-permutation"])
+def test_user_errors_end_the_process_with_one_line(argv, status, error):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "vincular.cli", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout) == (status, "")
+    assert done.stderr.splitlines()[-1] == error
+    if status == 1:
+        assert done.stderr == error + "\n"
 
 
 def test_verify_has_no_table_size(capsys):

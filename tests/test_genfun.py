@@ -83,15 +83,16 @@ def test_geometric_v_dense_operations_do_not_grow_with_order(monkeypatch):
 def test_laurent_part_must_cancel():
     # a kernel sum may start below x^0 only if those coefficients vanish;
     # the check raises, so it also runs under python -O
-    assert genfun._place(-1, Q(1, 2), [0, 2, 4], 1).coeffs == (1, 2)
+    assert genfun._placed(1, (-1, (1, 2), [0, 2, 4])).coeffs == (1, 2)
     with pytest.raises(RuntimeError):
-        genfun._place(-1, 1, [1, 2, 4], 1)
+        genfun._placed(1, (-1, (1, 1), [1, 2, 4]))
 
 
 @pytest.mark.parametrize("scale", [1, -1, 3, Q(1, 3), Q(-2, 3), Q(5, 6)])
 def test_place_keeps_exact_quotients_integral(scale):
     cs = [6, -9, 4, Q(3, 4), 0, 12]
-    s = genfun._place(1, scale, cs, 5)
+    pair = Q(scale).numerator, Q(scale).denominator
+    s = genfun._placed(5, (1, pair, cs))
     assert s.coeffs == tuple(Q(c) * scale for c in [0] + cs[:5])
     for c in s.coeffs:
         # an exact quotient is an int, any other a Q in lowest terms
@@ -163,6 +164,27 @@ def test_kernel_route_stays_on_integers(monkeypatch, c, m):
     assert len(parts) > 20
     for _, _, cs in parts:
         assert all(type(a) is int for a in cs)
+
+
+def test_fold_rejects_a_short_part():
+    # a part that stops before x^top would leave its tail out of the sum
+    with pytest.raises(RuntimeError, match="falls short of x\\^3"):
+        genfun._fold([(0, (1, 1), [1, 2, 3, 4]), (1, (1, 1), [1, 2])], 3)
+
+
+def test_times_rejects_an_outer_series_below_its_valuation():
+    part = (0, (1, 1), [1, 2, 3])
+    assert genfun._times(lambda n: Series.from_poly([0, 1], n), 1, part) == (
+        1, (1, 1), [1, 2, 3])
+    with pytest.raises(RuntimeError, match="does not vanish below x\\^1"):
+        genfun._times(lambda n: Series.from_poly([1, 1], n), 1, part)
+
+
+def test_kernel_terms_must_advance():
+    # every term starting at y^0 would never pass top and never stop
+    terms = genfun._kernel_terms([], lambda j: [], lambda j: (0, (1, 1), [1]), 5)
+    with pytest.raises(RuntimeError, match="do not advance"):
+        list(terms)
 
 
 @pytest.mark.parametrize("a0, a1", [(3, 1), (Q(2, 3), 1), (2, Q(1, 2))])
@@ -283,8 +305,13 @@ def test_nonnegative_integer_coefficients():
 
 
 def test_cache_rejects_a_short_build():
+    @genfun._memo
+    def probe(N):
+        return Series.zero(3)
+
     with pytest.raises(ValueError):
-        genfun._cached(("probe",), 5, lambda: Series.zero(3))
+        probe(5)
+    assert "probe" not in genfun._SERIES_CACHE
 
 
 def test_cache_serves_truncations():
@@ -364,13 +391,13 @@ def test_one_cold_call_builds_each_shared_series_once(monkeypatch, call):
     # each formula asks for a shared series at its highest order first,
     # so a later, smaller request is served by truncation
     builds = []
-    cached = genfun._cached
 
-    def counting(key, N, build):
-        return cached(key, N, lambda: builds.append(key) or build())
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            builds.append(key)
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(genfun, "_cached", counting)
-    genfun.clear_caches()
+    monkeypatch.setattr(genfun, "_SERIES_CACHE", Recording())
     call()
     assert builds
     assert len(builds) == len(set(builds)), builds

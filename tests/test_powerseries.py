@@ -76,6 +76,9 @@ def test_division_errors():
     # numerator valuation below denominator valuation is not a power series
     with pytest.raises(ValueError):
         Series([1, 0, 0]) / Series([0, 1, 0])
+    # a divisor starting past the known order leaves no coefficient at all
+    with pytest.raises(ValueError, match="divisor valuation exceeds known order"):
+        Series([1, 0]) / Series([0, 0, 1])
 
 
 def test_scalar_division():
