@@ -10,9 +10,12 @@ finds an occurrence ending at its last letter.  That loses no avoider: an
 occurrence inside a prefix is an occurrence in every extension of it,
 since bonds ask only for adjacent positions and a prefix keeps them
 adjacent.  So a scan visits the prefixes of avoiders instead of all n!
-words.  Runtimes are still exponential in n: on one core of a 2-core
-machine with Python 3.11, ``oracle_report(10)`` takes about 4 s and
-``oracle_report(11)`` about 30 s, so sizes up to 11 are practical.
+words.  One walk can serve several pattern sets: it drops a prefix on a
+pattern that all of them hold and keeps a flag per set for the rest, so
+the two linear pairs of :func:`oracle_report`, which share 12-3, are
+grown together.  Runtimes are still exponential in n: on one core of a
+2-core machine with Python 3.11, ``oracle_report(10)`` takes about 4.4 s
+and ``oracle_report(11)`` about 31 s, so sizes up to 11 are practical.
 
 The enumeration partitions naturally by leading letters and shares no
 mutable state but the cache of compiled tests, whose entries never change
@@ -22,6 +25,7 @@ once made, so the functions are safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .perms import (
@@ -56,6 +60,64 @@ def held_out(n: int) -> Word:
     return tuple(range(n - 1, 0, -1)) + (n,)
 
 
+def _walk(
+    n: int, sets: tuple[tuple[VincularPattern, ...], ...], first: Word = ()
+) -> Iterator[tuple[Word, int]]:
+    """Words of [n] that start with first and avoid every pattern of at
+    least one of sets, in lexicographic order, each with the bit mask of
+    the sets it avoids (bit k for sets[k]).
+
+    One walk serves all the sets.  A prefix is dropped as soon as a
+    pattern common to every set closes it.  Any other pattern that closes
+    it clears the bits of its sets, and the prefix is dropped once no bit
+    is left.  The walk keeps its own stack, so each word reaches the
+    caller through one generator only.
+    """
+    shared = [p for p in sets[0] if all(p in s for s in sets[1:])]
+    prune = tuple(closes(p) for p in shared)
+    flags = tuple((1 << k, closes(p))
+                  for k, s in enumerate(sets) for p in s if p not in shared)
+
+    def survives(word: Word, alive: int) -> int:
+        """alive less the bits of the sets that a pattern closing word
+        belongs to; 0 when word is dropped."""
+        for test in prune:
+            if test(word):
+                return 0
+        for bit, test in flags:
+            if alive & bit and test(word):
+                alive ^= bit
+        return alive
+
+    alive = (1 << len(sets)) - 1
+    for m in range(len(first) + 1):
+        alive = survives(first[:m], alive)
+        if not alive:
+            return
+    stack = [(first, tuple(x for x in range(1, n + 1) if x not in first), alive)]
+    while stack:
+        prefix, rest, alive = stack.pop()
+        if len(rest) <= 2:
+            # At most two words lie below: finish them here rather than
+            # push and pop one more node for each.
+            for tail in permutations(rest):
+                word, bits = prefix, alive
+                for x in tail:
+                    word += (x,)
+                    bits = survives(word, bits)
+                    if not bits:
+                        break
+                else:
+                    yield word, bits
+            continue
+        # Pushed from the largest letter down, so popped in lexicographic order.
+        for i in range(len(rest) - 1, -1, -1):
+            word = prefix + (rest[i],)
+            bits = survives(word, alive)
+            if bits:
+                stack.append((word, rest[:i] + rest[i + 1:], bits))
+
+
 def iter_avoiders(
     n: int, patterns: Iterable[VincularPattern], first: Sequence[int] = ()
 ) -> Iterator[Word]:
@@ -65,31 +127,11 @@ def iter_avoiders(
     A prefix is extended only while no pattern closes it, so each word is
     built from avoiding prefixes alone.
     """
-    tests = tuple(closes(p) for p in patterns)
     first = tuple(first)
     if len(set(first)) != len(first) or not all(1 <= x <= n for x in first):
         raise ValueError(f"first must be distinct letters of 1..{n}: {first!r}")
-    if any(test(first[:m]) for m in range(len(first) + 1) for test in tests):
-        return
-    rest = [x for x in range(1, n + 1) if x not in first]
-
-    def extend(prefix: Word, rest: list[int]) -> Iterator[Word]:
-        last = len(rest) == 1
-        for i, x in enumerate(rest):
-            word = prefix + (x,)
-            for test in tests:
-                if test(word):
-                    break
-            else:
-                if last:
-                    yield word
-                else:
-                    yield from extend(word, rest[:i] + rest[i + 1:])
-
-    if rest:
-        yield from extend(first, rest)
-    else:
-        yield first
+    for word, _ in _walk(n, (tuple(patterns),), first):
+        yield word
 
 
 def count_linear_avoiders(n: int, patterns: Iterable[VincularPattern]) -> int:
@@ -152,9 +194,10 @@ class OracleReport:
 def oracle_report(n: int) -> OracleReport:
     """Compute count_l, the circular avoiders, and all v/b/c cells at size n.
 
-    One pruned pass over the avoiders of the reduced pair gives count_l
-    and the b/c cells, one over the avoiders of the last-letter pair gives
-    v, and one over the canonical words gives the circular avoiders.
+    One pruned walk grows the avoiders of the reduced pair and those of
+    the last-letter pair together.  The first give count_l and the b/c
+    cells, the second v.  A pass over the canonical words gives the
+    circular avoiders.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -163,16 +206,17 @@ def oracle_report(n: int) -> OracleReport:
     b_cells = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
     c_cells = {k: 0 for k in b_cells}
     skip = held_out(n)
-    for w in iter_avoiders(n, REDUCED_PATTERNS):
-        count_l += 1
-        if w != skip:
-            klass = _classify(w, n)
-            if klass == "b":
-                b_cells[(w[-2], w[-1])] += 1
-            elif klass == "c":
-                c_cells[(w[-2], w[-1])] += 1
-    for w in iter_avoiders(n, LAST_LETTER_PATTERNS):
-        v[w[-1]] += 1
+    for w, avoided in _walk(n, (REDUCED_PATTERNS, LAST_LETTER_PATTERNS)):
+        if avoided & 1:
+            count_l += 1
+            if w != skip:
+                klass = _classify(w, n)
+                if klass == "b":
+                    b_cells[(w[-2], w[-1])] += 1
+                elif klass == "c":
+                    c_cells[(w[-2], w[-1])] += 1
+        if avoided & 2:
+            v[w[-1]] += 1
     return OracleReport(
         n=n,
         count_l=count_l,

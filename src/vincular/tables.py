@@ -28,7 +28,7 @@ Cells = list[list[int]]
 
 # Largest size whose full b and c cell tables are kept.  The oracle
 # comparison that reads them is bounded by its run time: oracle_report(11)
-# alone takes 30-40 s (2 cores, Python 3.11.7).
+# alone takes about 31 s (2 shared cores, Python 3.11.7).
 CELLS_MAX = 12
 
 

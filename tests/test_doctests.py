@@ -2,6 +2,7 @@
 
 import doctest
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -16,4 +17,7 @@ MODULES = [vincular] + [
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_doctests(module):
-    assert doctest.testmod(module).failed == 0
+    # (failed, attempted): every example in the source runs, so a docstring
+    # that doctest cannot reach fails here rather than passing with none run
+    examples = inspect.getsource(module).count(">>> ")
+    assert tuple(doctest.testmod(module)) == (0, examples)

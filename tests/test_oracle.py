@@ -1,13 +1,16 @@
 """Brute-force counts and cell classifications, frozen at small sizes."""
 
+import gc
 from itertools import permutations
 
 import pytest
 
+from vincular import oracle
 from vincular.oracle import (
     CIRCULAR_PATTERN,
     LAST_LETTER_PATTERNS,
     REDUCED_PATTERNS,
+    OracleReport,
     count_circular_avoiders,
     count_linear_avoiders,
     delete_smallest,
@@ -16,7 +19,7 @@ from vincular.oracle import (
     oracle_report,
     weighted_circular_sum,
 )
-from vincular.perms import VincularPattern, avoids_linear, contains, rotations
+from vincular.perms import VincularPattern, avoids_linear, closes, contains, rotations
 from vincular.powerseries import Q
 
 # a_1..a_8, also the circular counts shifted one size up.
@@ -196,3 +199,69 @@ def test_iter_avoiders_with_first_letters():
     for bad in ((1, 1), (0,), (6,)):
         with pytest.raises(ValueError):
             list(iter_avoiders(5, REDUCED_PATTERNS, first=bad))
+
+
+def _three_pass_report(n):
+    """oracle_report(n) from one walk per linear pair and the circular pass."""
+    count_l = 0
+    v = [0] * (n + 1)
+    b_cells = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    c_cells = dict(b_cells)
+    for w in iter_avoiders(n, REDUCED_PATTERNS):
+        count_l += 1
+        if w != held_out(n):
+            klass = oracle._classify(w, n)
+            if klass == "b":
+                b_cells[(w[-2], w[-1])] += 1
+            elif klass == "c":
+                c_cells[(w[-2], w[-1])] += 1
+    for w in iter_avoiders(n, LAST_LETTER_PATTERNS):
+        v[w[-1]] += 1
+    circular = tuple(oracle._circular_avoiders(n, (CIRCULAR_PATTERN,)))
+    return OracleReport(n, count_l, circular, tuple(v), b_cells, c_cells)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_one_walk_report_matches_three_passes(n):
+    assert oracle_report(n) == _three_pass_report(n)
+
+
+def test_last_letter_avoiders_avoid_the_reduced_pair():
+    # an occurrence of 4-1-23 holds a 1-23 in its last three letters, so the
+    # one walk of oracle_report grows no prefix outside the reduced pair's tree
+    for n in range(1, 9):
+        last_letter = set(iter_avoiders(n, LAST_LETTER_PATTERNS))
+        assert last_letter <= set(iter_avoiders(n, REDUCED_PATTERNS))
+
+
+@pytest.mark.parametrize("sets", [
+    (REDUCED_PATTERNS, LAST_LETTER_PATTERNS),
+    (REDUCED_PATTERNS, LAST_LETTER_PATTERNS, (CIRCULAR_PATTERN,)),
+], ids=["shared-12-3", "nothing-shared"])
+def test_walk_marks_each_avoided_set(sets):
+    for n in range(7):
+        for first in ((), (2,), (2, 1)):
+            if max(first, default=0) > n:
+                continue
+            want = []
+            for w in permutations(range(1, n + 1)):
+                bits = sum(1 << k for k, s in enumerate(sets) if avoids_linear(w, s))
+                if w[:len(first)] == first and bits:
+                    want.append((w, bits))
+            assert list(oracle._walk(n, sets, first)) == want
+
+
+def test_scans_leave_no_reference_cycles():
+    # a cycle would keep each report's cell dicts alive until the cyclic
+    # collector runs, which shows as peak memory in a loop of reports
+    for p in (*REDUCED_PATTERNS, *LAST_LETTER_PATTERNS, CIRCULAR_PATTERN):
+        closes(p)
+    gc.collect()
+    gc.disable()
+    try:
+        oracle_report(6)
+        count_linear_avoiders(7, REDUCED_PATTERNS)
+        count_circular_avoiders(7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
