@@ -13,15 +13,20 @@ size-(n-1) marginal.  The sums inside the computed cells are folded
 through prefix sums (per-row running totals of v and b, a diagonal and an
 anti-diagonal running total over the c marginals) and, for c, through the
 closed form sum_d C(j-3, d-3) C(j-d, s-d) = C(j-3, s-3) 2^(s-3), without
-touching the recurrences themselves.  A build takes O(N^3) big-integer
-operations and O(N^2) stored integers.  Full cell tables, which only the
-oracle comparison and the tests read, are kept for n <= CELLS_MAX.
+touching the recurrences themselves.  What is left of each computed cell
+is a binomial transform, taken at a J that grows by one with n, of a
+sequence fixed by the gap g between n and the cell's letter; :func:`_step`
+extends it by one entry per size.  A build does O(N^3) big-integer
+additions inside ``accumulate``, no multiplications in the inner sums,
+and stores O(N^2) integers.  Full cell tables, which only the oracle
+comparison and the tests read, are kept for n <= CELLS_MAX.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 
 Row = list[int]
 Cells = list[list[int]]
@@ -38,17 +43,15 @@ def _require(ok: bool, what: str) -> None:
         raise RuntimeError(f"recurrence invariant broken: {what}")
 
 
-def _power_rows(N: int, r: int) -> list[Row]:
-    """Row J holds the coefficients C(J, S) r^S of (1 + r x)^J, J < N.
+def _step(runs: list[Row], g: int, y: int, double: bool = False) -> int:
+    """Extend gap g's binomial transform by y; return its value at the new J.
 
-    Looked up instead of calling math.comb inside the O(N^3) loops.
+    runs[g] holds a_i = sum_t C(i, t) r^t y_(J-t), i = 0..J (r = 2 when
+    double, else 1); the next one starts at y and adds r a_i term by term.
     """
-    rows: list[Row] = [[1]]
-    for _ in range(1, N):
-        prev = rows[-1]
-        rows.append([1, *(prev[k] + r * prev[k - 1] for k in range(1, len(prev))),
-                     r * prev[-1]])
-    return rows
+    prev = runs[g]
+    runs[g] = run = list(accumulate(map(add, prev, prev) if double else prev, initial=y))
+    return run[-1]
 
 
 def _prefix(row: Row) -> Row:
@@ -60,22 +63,20 @@ def compute_v(N: int) -> list[Row]:
     """Rows v[n][j] for 1 <= j <= n <= N; v[n][0] is padding."""
     if N < 1:
         raise ValueError("N must be positive")
-    binom = _power_rows(N, 1)
     v: list[Row] = [[], [0, 1]]
     pre: list[Row] = [[], _prefix(v[1])]
+    runs: list[Row] = [[] for _ in range(N)]
     for n in range(2, N + 1):
         row = [0] * (n + 1)
         row[n] = 1
         # ending in 1: anything of size n-1 with 1 appended
-        row[1] = pre[n - 1][n - 1]
+        top = row[1] = pre[n - 1][n - 1]
+        vrow = pre[n - 2]
         for j in range(2, n):
-            total = pre[n - 1][n - 1] - pre[n - 1][j - 1]
-            weight = binom[j - 2]
-            for d in range(2, j + 1):
-                m = n - d
-                # sum of v(n-d, i-d) over i in [j+1, n]
-                total += weight[d - 2] * (pre[m][m] - pre[m][j - d])
-            row[j] = total
+            # C(j-2, d-2)-weighted sum over d of v(n-d, i-d), i in [j+1, n]:
+            # g = n-j, J = j-2, new y = that suffix sum at d = 2
+            g = n - j
+            row[j] = top - pre[n - 1][j - 1] + _step(runs, g, vrow[n - 2] - vrow[j - 2])
         _require(min(row) >= 0, f"negative v({n}, .)")
         v.append(row)
         pre.append(_prefix(row))
@@ -127,7 +128,7 @@ def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row]]:
     plus the two closed-form boundary columns.
     """
     vpre = [_prefix(row) for row in v]
-    weights = _power_rows(N, 2)
+    runs: list[Row] = [[] for _ in range(N)]
     cells: list[Cells] = [_empty_cells(i) for i in range(min(N, 1) + 1)]
     last: list[Row] = [[0] * (i + 1) for i in range(min(N, 1) + 1)]
     col: Row = []
@@ -145,17 +146,15 @@ def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row]]:
         row = [0] * (n + 1)  # penultimate letter 2: cells (2, j)
         if n >= 4:
             row[n - 1] = 2 ** (n - 4)
+        vrow = vpre[n - 4] if n >= 4 else []
         for j in range(3, n - 1):
             # split off a decreasing prefix (d-3 letters) and a decreasing
             # insert (e letters) before a last-letter avoider; the (d, e)
             # weights with d + e = s sum to C(j-3, s-3) 2^(s-3), and the
-            # k-sum folds through the v prefix rows.
-            total = 0
-            weight = weights[j - 3]
-            for s in range(3, j + 1):
-                m = n - s - 1
-                total += weight[s - 3] * (vpre[m][m] - vpre[m][j - s])
-            row[j] = total
+            # k-sum folds through the v prefix rows.  g = n-1-j, J = j-3,
+            # new y = the v suffix sum of the s = 3 term
+            g = n - 1 - j
+            row[j] = _step(runs, g, vrow[n - 4] - vrow[j - 3], double=True)
         _require(min(col) >= 0 and min(row) >= 0, f"negative c({n}, ., .)")
         marg = _marginal(n, 2, col, row, prev)
         _require(marg[1] == 0 and marg[n] == 0, f"c({n}) ending in 1 or {n}")
@@ -188,10 +187,10 @@ def compute_b(N: int, c_last: list[Row]) -> tuple[list[Cells], list[Row]]:
     letter for every n <= N."""
     P = _diagonal_prefix(c_last, N)
     R = _antidiagonal_prefix(P, N)
-    binom = _power_rows(N, 1)
     cells: list[Cells] = [_empty_cells(i) for i in range(min(N, 1) + 1)]
     last: list[Row] = [[0] * (i + 1) for i in range(min(N, 1) + 1)]
     pre: list[Row] = [_prefix(row) for row in last]
+    runs: list[Row] = [[] for _ in range(N)]
     for n in range(2, N + 1):
         prev = last[n - 1]
         col = [0] * (n + 1)  # final letter 1: cells (i, 1)
@@ -201,22 +200,19 @@ def compute_b(N: int, c_last: list[Row]) -> tuple[list[Cells], list[Row]]:
             # delete the final 1, or delete [1, d] when 2 sits left of n
             col[i] = prev[i - 1] + P[n - i][i - 1]
         row = [0] * (n + 1)  # penultimate letter 1: cells (1, j)
+        bpre, anti = pre[n - 2], R[n - 2]
         for j in range(2, n):
             # the word ends gamma,1,j with gamma a decreasing set of d-2
             # letters under j; k is the rightmost letter exceeding j.
             # k = n gives the closed 2^(j-2) count; otherwise deleting
             # gamma,1,j leaves a b-type member (prefix row of b) or a
-            # c-type one (anti-diagonal prefix over k).
-            total = 2 ** (j - 2)
-            weight = binom[j - 2]
-            x = n - j - 1  # k runs over n-x..n-1, i.e. delta = n-k over 1..x
-            for d in range(2, j + 1):
-                m = n - d
-                # k - d >= 2 caps delta at m-2; P[m-1][1] = 0, so
-                # R[m][m-1] = R[m][m-2] and x needs no cap
-                inner = pre[m][m - 1] - pre[m][j - d] + R[m][x]
-                total += weight[d - 2] * inner
-            row[j] = total
+            # c-type one (anti-diagonal prefix over delta = n-k in
+            # [1, n-j-1]; k - d >= 2 caps delta at n-d-2, but P[n-d-1][1]
+            # = 0 makes the cap moot).  g = n-j, J = j-2, new y = the d = 2
+            # term of the C(j-2, d-2)-weighted sum over d.
+            g = n - j
+            y = bpre[n - 3] - bpre[j - 2] + anti[g - 1]
+            row[j] = 2 ** (j - 2) + _step(runs, g, y)
         _require(min(col) >= 0 and min(row) >= 0, f"negative b({n}, ., .)")
         marg = _marginal(n, 1, col, row, prev)
         _require(marg[n] == 0, f"b({n}) ending in {n}")

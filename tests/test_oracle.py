@@ -188,6 +188,20 @@ def test_pruned_linear_counts_match_full_scan():
             assert count_linear_avoiders(n, (pat,)) == want
 
 
+@pytest.mark.parametrize("patterns", [
+    (VincularPattern((3, 1, 4, 2), bonds={2}),),
+    (CIRCULAR_PATTERN, VincularPattern((1, 3, 2, 4), bonds={1})),
+], ids=["3-1-42", "23-4-1+1-32-4"])
+def test_circular_counts_match_rotation_scan(patterns):
+    # the circular pass tests rotations 1..n-1 of each word the walk grew,
+    # and leaves rotation 0 to the walk
+    for n in range(1, 8):
+        want = sum(
+            1 for rest in permutations(range(2, n + 1))
+            if not any(contains(r, p) for r in rotations((1,) + rest) for p in patterns))
+        assert count_circular_avoiders(n, patterns) == want
+
+
 def test_iter_avoiders_with_first_letters():
     words = list(iter_avoiders(6, REDUCED_PATTERNS, first=(3, 1)))
     want = [w for w in permutations(range(1, 7))

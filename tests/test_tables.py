@@ -3,6 +3,8 @@
 import hashlib
 import subprocess
 import sys
+from itertools import accumulate
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import vincular
 from vincular.checks import REFERENCE_A, apply_fault, check_oracle_dp
 from vincular.oracle import oracle_report
-from vincular.tables import CELLS_MAX, build_tables, check_conjectures, compute_v
+from vincular.tables import CELLS_MAX, Tables, build_tables, check_conjectures, compute_v
 
 T12 = build_tables(12)
 
@@ -42,6 +44,94 @@ def test_pinned_digests_at_130():
         "v": _sha(_rows(t.v)),
     }
     assert got == PINS_130
+
+
+def _prefix(row):
+    return list(accumulate(row[1:], initial=0))
+
+
+def _zeros(n):
+    return [[0] * (n + 1) for _ in range(n + 1)]
+
+
+def _column_sums(cells):
+    return [sum(col) for col in zip(*cells)]
+
+
+def _direct_sum_tables(N):
+    """The tables with every sum over d written out with math.comb
+    weights, full cell tables at every size and marginals summed from
+    those tables."""
+    v, vpre = [[], [0, 1]], [[], [0, 1]]
+    for n in range(2, N + 1):
+        row = [0] * (n + 1)
+        row[1], row[n] = vpre[n - 1][n - 1], 1
+        for j in range(2, n):
+            row[j] = vpre[n - 1][n - 1] - vpre[n - 1][j - 1] + sum(
+                comb(j - 2, d - 2) * (vpre[n - d][n - d] - vpre[n - d][j - d])
+                for d in range(2, j + 1))
+        v.append(row)
+        vpre.append(_prefix(row))
+
+    c_cells, c_last = [_zeros(0), _zeros(1)], [[0], [0, 0]]
+    for n in range(2, N + 1):
+        cur = _zeros(n)
+        if n >= 3:
+            cur[n][2] = 1
+        for i in range(3, n):
+            cur[i][2] = sum(c_last[n - i + d][d] for d in range(2, i))
+        if n >= 4:
+            cur[2][n - 1] = 2 ** (n - 4)
+        for j in range(3, n - 1):
+            cur[2][j] = sum(
+                comb(j - 3, s - 3) * 2 ** (s - 3)
+                * (vpre[n - s - 1][n - s - 1] - vpre[n - s - 1][j - s])
+                for s in range(3, j + 1))
+        for i in range(4, n):
+            for j in range(3, i):
+                cur[i][j] = c_last[n - 1][i - 1]
+        c_cells.append(cur)
+        c_last.append(_column_sums(cur))
+
+    def P(delta, t):  # sum over s in [2, t] of c(delta+s, s)
+        return sum(c_last[delta + s][s] for s in range(2, t + 1))
+
+    def R(m, x):  # sum over delta in [1, x] of P(delta, m-delta)
+        return sum(P(delta, m - delta) for delta in range(1, x + 1))
+
+    b_cells, b_last, bpre = [_zeros(0), _zeros(1)], [[0], [0, 0]], [[0], [0, 0]]
+    for n in range(2, N + 1):
+        cur = _zeros(n)
+        cur[n][1] = 1
+        for i in range(2, n):
+            cur[i][1] = b_last[n - 1][i - 1] + P(n - i, i - 1)
+        for j in range(2, n):
+            cur[1][j] = 2 ** (j - 2) + sum(
+                comb(j - 2, d - 2)
+                * (bpre[n - d][n - d - 1] - bpre[n - d][j - d] + R(n - d, n - j - 1))
+                for d in range(2, j + 1))
+        for i in range(3, n):
+            for j in range(2, i):
+                cur[i][j] = b_last[n - 1][i - 1]
+        b_cells.append(cur)
+        b_last.append(_column_sums(cur))
+        bpre.append(_prefix(b_last[n]))
+
+    a = [0, 1] + [1 + sum(b_last[n][1:]) + sum(sum(c_last[m][1:]) for m in range(2, n + 1))
+                  for n in range(2, N + 1)]
+    return v, c_cells, c_last, b_cells, b_last, a
+
+
+DIRECT_40 = _direct_sum_tables(40)
+
+
+@pytest.mark.parametrize("N", range(1, 41))
+def test_matches_direct_sums(N):
+    v, c_cells, c_last, b_cells, b_last, a = DIRECT_40
+    kept = min(N, CELLS_MAX) + 1
+    want = Tables(N=N, v=v[:N + 1], c_cells=c_cells[:kept], c_last=c_last[:N + 1],
+                  b_cells=b_cells[:kept], b_last=b_last[:N + 1], a=a[:N + 1])
+    assert build_tables(N) == want
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, CELLS_MAX, CELLS_MAX + 1, 40])
