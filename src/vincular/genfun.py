@@ -15,19 +15,25 @@ c = 1) moves an explicit x-power offset.  With every valuation explicit,
 each series is built at exactly the order asked for.
 
 Scales stay on integers.  At the weight c = p/q the kernel route works in
-y = x/D with D = q*|q - p| (D = 1 at c = 1 and c = 2), where every factor
-a0 + a1*y has an integral ratio a1/a0, so each pass subtracts an integer
-multiple of the previous coefficient (integer-preserving elimination, as
-in Bareiss 1968).  What is left over, the reciprocals of the constant
-terms, the powers of c and the q that clears each term polynomial, is
-carried as an integer pair (num, den), multiplied up factor by factor and
-term by term without reduction.  A part (lo, (num, den), cs) stands for
-num/den * sum_k cs[k] y^(lo+k).  The terms of a sum, and the pieces of
-one formula that all reach the same order, are added as one vector over
-the lcm of their denominators (:func:`_fold`).  The scale is applied
-once, where the result is placed as a series (:func:`_placed`): the
-coefficient of x^n is divided by den*D^n in one divmod, which leaves an
-int wherever the division is exact and a Q in lowest terms otherwise.
+y = x/D with D = q*|q - p| (D = 1 at c = 1 and c = 2), or any multiple of
+it.  There every factor a0 + a1*y has an integral ratio a1/a0, so each
+pass subtracts an integer multiple of the previous coefficient
+(integer-preserving elimination, as in Bareiss 1968).  A two-variable
+formula at the weights u, v builds every part in one y = x/D with
+D = lcm(D_u, D_v, D_uv), where each of its linear factors (1 - u*x,
+(1 - u) - 2u*x, 1 - v*x, 1 - uv*x, 1 - x, ...) has an integral ratio too;
+the weight-1 formulas have D = 1.  What is left over, the reciprocals of
+the constant terms, the powers of c, scalars such as uv/(1 - u) and the q
+that clears each term polynomial, is carried as an integer pair
+(num, den), multiplied up without reduction.  A part (lo, (num, den), cs)
+stands for num/den * sum_k cs[k] y^(lo+k).  The terms of a sum and the
+pieces of a formula, explicit polynomials (:func:`_poly`) among them, are
+added as one vector over the lcm of their denominators (:func:`_fold`),
+and each formula's one part is placed once as a series (:func:`_placed`):
+the coefficient of x^n is divided by den*D^n in one divmod, which leaves
+an int wherever the division is exact and a Q in lowest terms otherwise.
+Only V0 and B11 then divide by a second placed series, the denominator
+sum.
 
 Three jobs have one home each.  Products of coefficient lists go through
 :func:`vincular.powerseries._pmul`.  :func:`_geometric` normalises a
@@ -129,19 +135,19 @@ def _in_y(s: Series, D: int):
     return 0, (1, 1), [a * D ** n for n, a in enumerate(s.coeffs)]
 
 
-def _div_linear(s: Series, *factors) -> Series:
-    """s divided by linear factors (a0, a1) in x; each a1*x costs one order.
-
-    It works in y = x/D, D the lcm of the denominators of the ratios a1/a0.
-    """
-    D = lcm(*(Q(a1, a0).denominator for a0, a1 in factors if a0))
-    part = _divided(_in_y(s, D), *((a0, a1 * D) for a0, a1 in factors))
-    return _placed(s.order + part[0], part, D=D)
+def _scaled(part, c, e: int = 0, D: int = 1):
+    """A part in y = x/D times c*x^e: c and D^e go into the scale."""
+    lo, (num, den), cs = part
+    return lo + e, (num * c.numerator * D ** e, den * c.denominator), cs
 
 
-def _times_poly(s: Series, poly) -> Series:
-    """s times a polynomial, truncated to s's order, in O(order)."""
-    return Series(_pmul(poly, s.coeffs, s.order + 1))
+def _poly(coeffs, top: int, D: int = 1):
+    """The polynomial sum_k coeffs[k] x^k as a part in y = x/D reaching
+    x^top, its coefficients' common denominator in the scale."""
+    den = lcm(*(c.denominator for c in coeffs))
+    cs = [c.numerator * (den // c.denominator) * D ** k
+          for k, c in enumerate(coeffs)]
+    return 0, (1, den), cs + [0] * (top + 1 - len(cs))
 
 
 def _kernel_terms(init, step, term, top: int, D: int = 1):
@@ -209,21 +215,18 @@ def _placed(N: int, *parts, D: int = 1) -> Series:
     """The sum of parts (lo, (num, den), cs) in y = x/D, each reaching
     x^N, as a Series: one fold, then one exact division per coefficient.
 
-    The coefficient of x^n is multiplied by the numerator of the rational
-    scale num/den and divided by its denominator times D^n in one divmod,
-    so a quotient that is integral stays an int.  The Laurent part below
-    x^0 must cancel exactly.
+    The fold leaves one denominator; the coefficient of x^n is divided by
+    it times D^n in one divmod, so a quotient that is integral stays an
+    int.  The Laurent part below x^0 must cancel exactly.
     """
-    lo, (num, den), cs = _fold(parts, N) if len(parts) > 1 else parts[0]
+    lo, (_, den), cs = _fold(parts, N)
     if lo < 0:
         if any(cs[:-lo]):
             raise RuntimeError("a kernel sum left a term below x^0")
         cs, lo = cs[-lo:], 0
-    scale = Q(num, den)
-    num, den = scale.numerator, scale.denominator * D ** lo
+    den *= D ** lo
     out = [0] * lo
-    for c in cs[: N + 1 - lo]:
-        c *= num
+    for c in cs:
         q, rem = divmod(c, den)
         out.append(Q(c, den) if rem else q)
         den *= D
@@ -252,17 +255,16 @@ def _scale(c) -> int:
     return q * (abs(q - p) or 1)
 
 
-def _geometric(c, m: int):
-    """c as ``_coeff`` gives it, the scale D, P = c*D, and 1 - p + px,
-    1 - i*px, 1 - p - i*px at p = c/(1 - m*c*x), each times
-    L = 1 - m*c*x, as linear factors in y = x/D: K0, F(i) and G(i).
-
-    Their constant terms are 1 and 1 - c, their y-terms integer multiples
-    of P.  Raises KernelSpecializationError when K0 vanishes identically,
-    which happens exactly at the weight 1/(1-x) (c = m = 1).
+def _geometric(c, m: int, D: int | None = None):
+    """c as ``_coeff`` gives it, the scale D (``_scale(c)`` or a multiple
+    of it), P = c*D, and 1 - p + px, 1 - i*px, 1 - p - i*px at
+    p = c/(1 - m*c*x), each times L = 1 - m*c*x, as linear factors in
+    y = x/D: K0, F(i) and G(i).  Their constant terms are 1 and 1 - c,
+    their y-terms integer multiples of P.  Raises KernelSpecializationError
+    when K0 vanishes identically: at the weight 1/(1-x) (c = m = 1).
     """
     c = _coeff(c)
-    D = _scale(c)
+    D = D or _scale(c)
     P = c.numerator * D // c.denominator
     lam = 1 - c
     K0 = (lam, (1 - m) * P)
@@ -328,14 +330,14 @@ def V0_series(N: int) -> Series:
     return _placed(N + 1, num) / _den_sum(N + 1)
 
 
-def _V_scaled_geom(c, m: int, N: int):
+def _V_scaled_geom(c, m: int, N: int, D: int | None = None):
     """Last-letter series at the geometric weight p = c/(1 - m*c*x), the
     final letter j weighted by p^(j-1), as a part in y = x/D.
 
     Two alternating kernel sums over j; the second is multiplied by the
     final-letter-1 series.
     """
-    c, D, P, K0, F, G = _geometric(c, m)
+    c, D, P, K0, F, G = _geometric(c, m, D)
     first = _kernel_sum(
         [K0, F(1), G(1)], lambda j: (F(j + 1), G(j + 1)),
         lambda j: (2 * j + 1, _alt(c, j, 1), _p1(c, P, m + j)), N, D)
@@ -358,15 +360,14 @@ def V1_series(N: int) -> Series:
 @_memo
 def C11_series(N: int) -> Series:
     """Totals, by size, of words with 1 left of n and 2 right of n."""
-    par = (
-        _times_poly(_placed(N, _V_scaled_geom(1, 3, N)), [1, -1])
-        - _times_poly(V1_series(N), [1, -4, 3])
-        + Series.from_poly([3, -6, -3], N)
-    )
-    return _div_linear(_times_poly(par, [0, 0, 0, 1]), (3, -6), (1, -3))
+    lo, k, cs = _V_scaled_geom(1, 3, N)
+    par = _fold([(lo, k, _pmul([1, -1], cs, len(cs))),
+                 (0, (-1, 1), _pmul([1, -4, 3], V1_series(N).coeffs, N + 1)),
+                 _poly([3, -6, -3], N)], N - 3)
+    return _placed(N, _divided(_scaled(par, 1, 3), (3, -6), (1, -3)))
 
 
-def _C1u_geom(c, k: int, N: int):
+def _C1u_geom(c, k: int, N: int, D: int | None = None):
     """One-variable c series at the weight u = c/(1 - k*c*x), as a part in
     y = x/D.
 
@@ -377,8 +378,8 @@ def _C1u_geom(c, k: int, N: int):
     At c = 1 the kernels 1-u+ux and 1-u-2ux vanish at 0 and each costs one
     order, so the pieces are built that much higher.
     """
-    c, D, P, K0, F, G = _geometric(c, k)
-    p, q = c.numerator, c.denominator
+    c, D, P, K0, F, G = _geometric(c, k, D)
+    q = c.denominator
     z = 1 if c == 1 else 0
     W = N + z
     one, g0 = (1, -D), _g(c, P, k)  # 1 - x and q*G(0), in y
@@ -389,12 +390,10 @@ def _C1u_geom(c, k: int, N: int):
         # c x^4 G(0) (V1 - c V(c, k+2) / F(2)) / G(2): x^4 spares four orders
         top = W + z - 4
         if top >= 0:
-            lo, (n, d), cs = _divided(_V_scaled_geom(c, k + 2, top), F(2))
-            lo, (n, d), cs = _fold(
-                [_in_y(V1_series(top), D), (lo, (-p * n, q * d), cs)], top)
-            parts.append(_divided(
-                (lo + 4, (p * D ** 4 * n, q * q * d), _pmul(g0, cs, len(cs))),
-                G(2)))
+            lo, (n, d), cs = _fold([_in_y(V1_series(top), D), _scaled(
+                _divided(_V_scaled_geom(c, k + 2, top, D), F(2)), -c)], top)
+            parts.append(_divided(_scaled(
+                (lo, (n, q * d), _pmul(g0, cs, len(cs))), c, 4, D), G(2)))
         # x^3 G(0) (1 - (k+1)cx - cx^2) / ((1 - x) F(2))
         cs = _pmul(g0, [1, -(k + 1) * P, -P * D], 4) + [0] * W
         parts.append(_divided((3, (D ** 3, q), cs[: max(W - 2, 0)]),
@@ -411,10 +410,10 @@ def C1u_series(u, N: int) -> Series:
 # b-type series
 
 
-def _coupled(terms, c, m: int, N: int):
+def _coupled(terms, c, m: int, N: int, D: int | None = None):
     """Sum of kernel terms j reaching x^(N-3), each times the c series at
-    c/(1-(m+j)cx), as one part reaching x^N."""
-    return _fold((_times(lambda n: _C1u_geom(c, m + j, n), 3, (lo, k, cs))
+    c/(1-(m+j)cx), as one part reaching x^N, all in y = x/D."""
+    return _fold((_times(lambda n: _C1u_geom(c, m + j, n, D), 3, (lo, k, cs))
                   for j, lo, k, cs in terms), N)
 
 
@@ -441,7 +440,7 @@ def B11_series(N: int) -> Series:
     return _placed(W, bracket, T2C) / _den_sum(W)
 
 
-def _B1u_geom(c, m: int, N: int):
+def _B1u_geom(c, m: int, N: int, D: int | None = None):
     """One-variable b series at the weight u = c/(1 - m*c*x), as a part in
     y = x/D.
 
@@ -451,7 +450,7 @@ def _B1u_geom(c, m: int, N: int):
     three vanish identically and are skipped before any c input is built
     (the skipped c argument would sit at the collapsed weight 1/(1-x)).
     """
-    c, D, P, K0, F, G = _geometric(c, m)
+    c, D, P, K0, F, G = _geometric(c, m, D)
     one = (1, -D)  # 1 - x in y
 
     # S1 multiplies the b series, S2 the c series, S4 stands alone.  The
@@ -474,7 +473,7 @@ def _B1u_geom(c, m: int, N: int):
     S3 = _coupled(_kernel_terms(
         [K0, F(1), F(2), G(1)], lambda j: (F(j + 2), G(j + 1)),
         lambda j: (2 * j + 2, _alt(c, j + 1, 1), _g(c, P, m + j)), N - 3, D),
-        c, m + 1, N)
+        c, m + 1, N, D)
     return _fold([S1, _times(C11_series, 3, S2, D), S3, S4], N)
 
 
@@ -487,48 +486,56 @@ def B1u_series(u, N: int) -> Series:
 # two-variable series and the circular count
 
 
-def _C_general(v, u, cv: Series, N: int) -> Series:
-    """Two-variable c series at scalar weights, u away from 1; cv = C1u(v)."""
-    inner = V1_series(N) - _div_linear(
-        _at(_V_scaled_geom, u, 2, N) * u, (1, -2 * u))
-    return (
-        _div_linear(_times_poly(inner, [0, 0, 0, 0, u]), (1 - u, -2 * u))
-        + _div_linear(Series.from_poly([0, 0, 0, 0, u], N), (1, -2 * u))
-        + _times_poly(cv - _at(_C1u_geom, u * v, 0, N), [0, u * v / (1 - u)])
-        + _div_linear(_times_poly(cv, [0, v])
-                      + Series.from_poly([0, 0, 0, v], N), (1, -v))
-    )
+def _C_general(v, u, cv, N: int, D: int):
+    """Two-variable c series, u away from 1, through x^(N-1) as a part in
+    y = x/D, from parts built at N; cv = C1u(v) is one of them."""
+    M, uD = N - 1, u * D
+    inner = _fold([_in_y(V1_series(N), D), _divided(
+        _scaled(_V_scaled_geom(u, 2, N, D), -u), (1, -2 * uD))], M - 4)
+    return _fold([
+        _divided(_scaled(inner, u, 4, D), (1 - u, -2 * uD)),
+        _divided(_poly([0, 0, 0, 0, u], M, D), (1, -2 * uD)),
+        _scaled(_fold([cv, _scaled(_C1u_geom(u * v, 0, N, D), -1)], M - 1),
+                u * v / (1 - u), 1, D),
+        _divided(_fold([_scaled(cv, v, 1, D), _poly([0, 0, 0, v], M, D)], M),
+                 (1, -v * D)),
+    ], M)
 
 
-def _B_general(v, u, cv: Series, N: int) -> Series:
-    """Two-variable b series at scalar weights, u away from 1; cv = C1u(v)."""
-    inner = (
-        B11_series(N) + _div_linear(C11_series(N), (1, -1))
-        - _div_linear(
-            _at(_B1u_geom, u, 1, N) * u
-            + _div_linear(_at(_C1u_geom, u, 1, N) * (u * u), (1, -2 * u)),
-            (1, -u))
-    )
-    return (
-        _div_linear(Series.from_poly([0, 0, 0, u], N), (1, -1), (1, -2 * u))
-        + _div_linear(_times_poly(inner, [0, 0, u]), (1 - u, -u))
-        + _times_poly(_at(_B1u_geom, v, 0, N)
-                      - u * _at(_B1u_geom, u * v, 0, N), [0, v / (1 - u)])
-        + _div_linear(_times_poly(cv, [0, v * v])
-                      + Series.from_poly([0, 0, v], N), (1, -v))
-    )
+def _B_general(v, u, cv, N: int, D: int):
+    """Two-variable b series, u away from 1, through x^(N-1) as a part in
+    y = x/D, from parts built at N; cv = C1u(v) is one of them."""
+    M, uD = N - 1, u * D
+    inner = _fold([
+        _in_y(B11_series(N), D),
+        _divided(_in_y(C11_series(N), D), (1, -D)),
+        _divided(_fold([
+            _scaled(_B1u_geom(u, 1, N, D), -u),
+            _divided(_scaled(_C1u_geom(u, 1, N, D), -u * u), (1, -2 * uD)),
+        ], M - 2), (1, -uD)),
+    ], M - 2)
+    return _fold([
+        _divided(_poly([0, 0, 0, u], M, D), (1, -D), (1, -2 * uD)),
+        _divided(_scaled(inner, u, 2, D), (1 - u, -uD)),
+        _scaled(_fold([_B1u_geom(v, 0, N, D),
+                       _scaled(_B1u_geom(u * v, 0, N, D), -u)], M - 1),
+                v / (1 - u), 1, D),
+        _divided(_fold([_scaled(cv, v * v, 1, D), _poly([0, 0, v], M, D)], M),
+                 (1, -v * D)),
+    ], M)
 
 
-def _circular(b: Series, c: Series) -> Series:
-    """x/(1-x) + x*b + x*c/(1-x), the circular series from b and c ones."""
-    return (_div_linear(_times_poly(c + 1, [0, 1]), (1, -1))
-            + _times_poly(b, [0, 1]))
+def _circular(b, c, N: int) -> Series:
+    """x/(1-x) + x*b + x*c/(1-x), the circular series from parts b and c
+    in y = x reaching x^N."""
+    return _placed(N, _scaled(b, 1, 1), _divided(
+        _scaled(_fold([c, _poly([1], N - 1)], N - 1), 1, 1), (1, -1)))
 
 
 def A_series(N: int) -> Series:
     """Circular avoider counts: the coefficient of x^n is the number of
     avoiding cyclic classes of size n, which equals a_(n-1) for n >= 2."""
-    return _circular(B11_series(N), C11_series(N))
+    return _circular(_in_y(B11_series(N), 1), _in_y(C11_series(N), 1), N)
 
 
 def A_vu_series(v, u, N: int) -> Series:
@@ -546,7 +553,7 @@ def A_vu_series(v, u, N: int) -> Series:
                 "the two-variable closed forms divide by 1-u; the weight "
                 "u = 1 is only available on the diagonal v = u = 1"
             )
-        return _circular(B1u_series(1, N), C1u_series(1, N))
+        return _circular(_B1u_geom(1, 0, N), _C1u_geom(1, 0, N), N)
     # ask for the shared series at this formula's highest order first; a
     # weight-1 b or c series among the terms reaches one order past N
     if 1 in (v, u * v):
@@ -554,13 +561,14 @@ def A_vu_series(v, u, N: int) -> Series:
         B11_series(N + 1)
     else:
         B11_series(N)
-    cv = C1u_series(v, N)
-    return (
-        _div_linear(Series.from_poly([0, 1, 1 - u], N), (1, -u))
-        + _times_poly(_B_general(v, u, cv, N), [0, 1])
-        + _div_linear(_times_poly(_C_general(v, u, cv, N), [0, u * v]),
-                      (1, -u * v))
-    )
+    # one y = x/D for every part: there each linear factor is integral
+    D = lcm(_scale(u), _scale(v), _scale(u * v))
+    cv = _C1u_geom(v, 0, N, D)
+    return _placed(
+        N, _divided(_poly([0, 1, 1 - u], N, D), (1, -u * D)),
+        _scaled(_B_general(v, u, cv, N, D), 1, 1, D),
+        _divided(_scaled(_C_general(v, u, cv, N, D), u * v, 1, D),
+                 (1, -u * v * D)), D=D)
 
 
 def a_from_series(series: Series) -> list[int]:

@@ -2,10 +2,11 @@
 
 A :class:`Series` stores coefficients 0..order of a formal power series in
 one variable.  The order is a reliability bound: coefficients past it are
-unknown, not zero.  Addition, subtraction and multiplication therefore
-insist on equal orders (truncate explicitly to align operands), and
-division shrinks the order by the valuation of the divisor, since dividing
-by a series that starts at x^w costs w coefficients of certainty.
+unknown, not zero.  A product of two series therefore insists on equal
+orders (truncate explicitly to align operands), and division shrinks the
+order by the valuation of the divisor, since dividing by a series that
+starts at x^w costs w coefficients of certainty.  There is no addition:
+:mod:`vincular.genfun` sums integer parts and places only the result.
 
 Coefficients live in one ring: a coefficient that is integral is stored as
 a plain ``int`` and any other as a ``Q`` (``fractions.Fraction``) in lowest
@@ -21,7 +22,7 @@ the kernel sums of :mod:`vincular.genfun` both multiply through it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction as Q
 
 
@@ -67,17 +68,6 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls([0] * (order + 1))
-
-    @classmethod
-    def from_poly(cls, poly: Sequence, order: int) -> "Series":
-        """Polynomial coefficients, zero-padded or truncated to the order."""
-        c = list(poly[: order + 1])
-        c += [0] * (order + 1 - len(c))
-        return cls(c)
-
     def __getitem__(self, n: int):
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond order {self.order}")
@@ -104,18 +94,6 @@ class Series:
                 f"{op} needs equal orders, got {self.order} and {other.order}"
             )
 
-    def __add__(self, other) -> "Series":
-        if isinstance(other, Series):
-            self._check_aligned(other, "+")
-            return Series(a + b for a, b in zip(self.coeffs, other.coeffs))
-        return Series((self.coeffs[0] + other,) + self.coeffs[1:])
-
-    def __neg__(self) -> "Series":
-        return Series(-c for c in self.coeffs)
-
-    def __sub__(self, other) -> "Series":
-        return self + (-other)
-
     def __mul__(self, other) -> "Series":
         if not isinstance(other, Series):
             return Series(c * other for c in self.coeffs)
@@ -133,7 +111,7 @@ class Series:
             raise ValueError("divisor valuation exceeds known order")
         v = self.val()
         if v is None:
-            return Series.zero(result_order)
+            return Series([0] * (result_order + 1))
         if v < w:
             raise ValueError(
                 f"quotient is not a power series: valuations {v} < {w}"

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import log
 from operator import add
 
 Row = list[int]
@@ -277,9 +278,20 @@ class ConjectureReport:
     ratios_increasing: bool
 
 
+def _power_holds(x: int, y: int, n: int) -> bool:
+    """x^(n+1) < y^n, by logarithms unless they are within a relative 1e-9
+    (math.log is off by a few ulps) or x, y are not positive; only such
+    near ties, an exact one like x = 2^n, y = 2^(n+1), take the powers."""
+    if x > 0 and y > 0:
+        lhs, rhs = (n + 1) * log(x), n * log(y)
+        if abs(lhs - rhs) > 1e-9 * (abs(lhs) + abs(rhs) + 1):
+            return lhs < rhs
+    return x ** (n + 1) < y ** n
+
+
 def check_conjectures(a: list[int]) -> ConjectureReport:
     N = len(a) - 1
-    holds = tuple(a[n] ** (n + 1) < a[n + 1] ** n for n in range(1, N))
+    holds = tuple(_power_holds(a[n], a[n + 1], n) for n in range(1, N))
     first_fail = next((n for n, ok in enumerate(holds, 1) if not ok), None)
     ratios_up = all(
         a[n + 1] * a[n - 1] > a[n] * a[n] for n in range(2, N)

@@ -9,13 +9,15 @@ import hashlib
 import os
 import subprocess
 import sys
+from functools import cache
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 from vincular import genfun
 from vincular.oracle import oracle_report, weighted_circular_sum
-from vincular.powerseries import Q, Series, as_int
+from vincular.powerseries import Q, Series, _pmul, as_int
 from vincular.tables import build_tables
 
 T = build_tables(14)
@@ -37,14 +39,14 @@ def test_v1_matches_row_sums():
 def test_geometric_v_matches_recurrence(c, m):
     # the c = 1 cases divide by factors that vanish at x = 0
     genfun.clear_caches()
-    p = Series.from_poly([c], 12) / Series.from_poly([1, -m * c], 12)
-    want = Series.zero(12)
-    power = Series.from_poly([1], 12)  # p^(j-1)
+    p = Series([c] + [0] * 12) / Series([1, -m * c] + [0] * 11)
+    want = [0] * 13
+    power = Series([1] + [0] * 12)  # p^(j-1)
     for j in range(1, 13):
         row = [T.v[n][j] if j < len(T.v[n]) else 0 for n in range(13)]
-        want = want + Series(row) * power
+        want = [a + b for a, b in zip(want, _pmul(row, power.coeffs, 13))]
         power = power * p
-    assert genfun._at(genfun._V_scaled_geom, c, m, 12) == want
+    assert genfun._at(genfun._V_scaled_geom, c, m, 12) == Series(want)
 
 
 @pytest.mark.parametrize("c", [1, Q(1)])
@@ -104,13 +106,17 @@ def test_place_keeps_exact_quotients_integral(scale):
     [(-2, 5)], [(Q(4, 7), Q(-3, 7))], [(Q(-1, 2), 3)],
     [(0, -3), (-2, 5), (0, Q(2, 7))]], ids=str)
 def test_div_linear_matches_series_division(factors):
-    # the integer-pair scale must carry the sign, the size and the x-power
-    # shift of each factor
+    # _divided in y = x/D, then _placed: the integer-pair scale must carry
+    # the sign, the size and the x-power shift of each factor
     s = Series([0, 0, 2, -3, Q(1, 2), 7, 0, -5, 1])
     want = s
     for a0, a1 in factors:
-        want = want / Series.from_poly([a0, a1], want.order)
-    got = genfun._div_linear(s, *factors)
+        want = want / Series([a0, a1] + [0] * (want.order - 1))
+    # every ratio a1/a0 is an integer in y = x/D
+    D = lcm(*(Q(a1, a0).denominator for a0, a1 in factors if a0))
+    part = genfun._divided(genfun._in_y(s, D),
+                           *((a0, a1 * D) for a0, a1 in factors))
+    got = genfun._placed(s.order + part[0], part, D=D)
     assert got == want
     assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
@@ -174,10 +180,10 @@ def test_fold_rejects_a_short_part():
 
 def test_times_rejects_an_outer_series_below_its_valuation():
     part = (0, (1, 1), [1, 2, 3])
-    assert genfun._times(lambda n: Series.from_poly([0, 1], n), 1, part) == (
-        1, (1, 1), [1, 2, 3])
+    assert genfun._times(lambda n: Series([0, 1] + [0] * (n - 1)), 1,
+                         part) == (1, (1, 1), [1, 2, 3])
     with pytest.raises(RuntimeError, match="does not vanish below x\\^1"):
-        genfun._times(lambda n: Series.from_poly([1, 1], n), 1, part)
+        genfun._times(lambda n: Series([1, 1] + [0] * (n - 1)), 1, part)
 
 
 def test_kernel_terms_must_advance():
@@ -257,7 +263,8 @@ _UNDER_O = """
 from fractions import Fraction as Q
 from vincular import genfun
 for s in (genfun.B1u_series(Q(3, 7), 12), genfun.C1u_series(Q(22, 7), 12),
-          genfun.A_vu_series(Q(1, 2), Q(2, 3), 8)):
+          genfun.A_vu_series(Q(1, 2), Q(2, 3), 8),
+          genfun.A_vu_series(2, Q(1, 2), 8)):
     print(";".join(f"{type(c).__name__}:{c}" for c in s.coeffs))
 """
 
@@ -272,7 +279,8 @@ def test_series_agree_under_python_O():
     genfun.clear_caches()
     want = [";".join(f"{type(c).__name__}:{c}" for c in s.coeffs) for s in (
         genfun.B1u_series(Q(3, 7), 12), genfun.C1u_series(Q(22, 7), 12),
-        genfun.A_vu_series(Q(1, 2), Q(2, 3), 8))]
+        genfun.A_vu_series(Q(1, 2), Q(2, 3), 8),
+        genfun.A_vu_series(2, Q(1, 2), 8))]
     assert done.stdout.splitlines() == want
 
 
@@ -282,11 +290,46 @@ def test_bivariate_against_oracle():
         assert s[n] == weighted_circular_sum(oracle_report(n), 2, 3)
 
 
-def test_bivariate_rational_weights():
+_report = cache(oracle_report)
+
+
+@pytest.mark.parametrize("v, u", [
+    (Q(1, 2), Q(2, 3)), (Q(3, 5), Q(2, 7)), (Q(-2, 5), 3), (2, Q(1, 2)),
+    (1, Q(3, 4)), (Q(5, 3), Q(3, 2))], ids=str)
+def test_bivariate_rational_weights(v, u):
+    # the scales D_u, D_v and D_uv differ, so every part is built in
+    # y = x/D with D their lcm (2030 at 3/5, 2/7); at 2, 1/2 the product
+    # uv is 1 and at 1, 3/4 the weight v is, each with scale 1
+    s = genfun.A_vu_series(v, u, 8)
+    for n in range(3, 9):
+        assert s[n] == weighted_circular_sum(_report(n), v, u)
+
+
+def test_two_variable_formula_builds_few_fractions(monkeypatch):
+    # every formula folds as integer parts in one y = x/D and is placed
+    # once, so past the shared V0/V1/C11/B11 builds a cold call makes only
+    # the few Fractions of its seven part builds, its scalars and the
+    # final placement
+    made, new = [0], Q.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
     v, u = Q(1, 2), Q(2, 3)
-    s = genfun.A_vu_series(v, u, 6)
-    for n in range(3, 7):
-        assert s[n] == weighted_circular_sum(oracle_report(n), v, u)
+    genfun.clear_caches()
+    monkeypatch.setattr(Q, "__new__", counting)
+    genfun.A_vu_series(v, u, 20)
+    total = made[0]
+    orders = {name: s.order for name, s in genfun._SERIES_CACHE.items()}
+    # the same shared builds, cold and each once: inputs first
+    genfun.clear_caches()
+    for name in ("V0_series", "V1_series", "C11_series", "B11_series"):
+        getattr(genfun, name)(orders[name])
+    assert {name: s.order for name, s in genfun._SERIES_CACHE.items()} == (
+        orders)
+    shared = made[0] - total
+    assert total - shared <= 200
 
 
 def test_degenerate_weight_raises():
@@ -307,7 +350,7 @@ def test_nonnegative_integer_coefficients():
 def test_cache_rejects_a_short_build():
     @genfun._memo
     def probe(N):
-        return Series.zero(3)
+        return Series([0] * 4)
 
     with pytest.raises(ValueError):
         probe(5)

@@ -21,31 +21,13 @@ def test_construction_and_order():
         s[3]
 
 
-def test_named_constructors():
-    assert ints(Series.zero(3)) == (0, 0, 0, 0)
-    assert ints(Series.from_poly([1], 2)) == (1, 0, 0)
-    # from_poly pads or truncates to the requested order
-    assert ints(Series.from_poly([1, 1], 3)) == (1, 1, 0, 0)
-    assert ints(Series.from_poly([1, 1, 1, 1], 2)) == (1, 1, 1)
-
-
 def test_valuation():
     assert Series([0, 0, 3, 1]).val() == 2
     assert Series([5]).val() == 0
-    assert Series.zero(4).val() is None
-
-
-def test_addition_and_scalars():
-    f = Series([1, 2, 3])
-    g = Series([0, 1, 1])
-    assert ints(f + g) == (1, 3, 4)
-    assert ints(f - g) == (1, 1, 2)
-    assert ints(-f) == (-1, -2, -3)
+    assert Series([0] * 5).val() is None
 
 
 def test_mismatched_orders_rejected():
-    with pytest.raises(ValueError):
-        Series([1, 2]) + Series([1, 2, 3])
     with pytest.raises(ValueError):
         Series([1, 2]) * Series([1, 2, 3])
 
@@ -58,7 +40,7 @@ def test_multiplication():
 
 
 def test_geometric_inverse():
-    geo = Series.from_poly([1], 8) / Series.from_poly([1, -1], 8)
+    geo = Series([1] + [0] * 8) / Series([1, -1] + [0] * 7)
     assert ints(geo) == (1,) * 9
 
 
@@ -72,7 +54,7 @@ def test_division_drops_order_by_denominator_valuation():
 
 def test_division_errors():
     with pytest.raises(ZeroDivisionError):
-        Series([1, 0]) / Series.zero(1)
+        Series([1, 0]) / Series([0, 0])
     # numerator valuation below denominator valuation is not a power series
     with pytest.raises(ValueError):
         Series([1, 0, 0]) / Series([0, 1, 0])
@@ -82,7 +64,7 @@ def test_division_errors():
 
 
 def test_scalar_division():
-    assert ints(Series.from_poly([2], 4) / Series.from_poly([1, -1], 4)) == (
+    assert ints(Series([2, 0, 0, 0, 0]) / Series([1, -1, 0, 0, 0])) == (
         2, 2, 2, 2, 2)
 
 
@@ -102,20 +84,25 @@ def test_coefficient_ring():
     assert all(type(c) is Q for c in s.coeffs[2:])
     assert all(type(c) is int for c in (Series([Q(1, 2)]) * 2).coeffs)
     # a -1 constant term divides exactly without leaving the integers
-    inv = Series.from_poly([1], 4) / Series.from_poly([-1, 1], 4)
+    inv = Series([1, 0, 0, 0, 0]) / Series([-1, 1, 0, 0, 0])
     assert inv.coeffs == (-1, -1, -1, -1, -1)
     assert all(type(c) is int for c in inv.coeffs)
 
 
 def test_equality_and_hash():
-    assert Series([1, 2]) == Series.from_poly([1, 2], 1)
+    assert Series([1, 2]) == Series((1, 2))
     assert hash(Series([1, 2])) == hash(Series([Q(1), Q(2)]))
     assert Series([1, 2]) != Series([1, 2, 0])
 
 
+def series(poly, order):
+    """A polynomial as a series of the given order, zero-padded."""
+    return Series((list(poly) + [0] * order)[: order + 1])
+
+
 def test_expand_rational():
     def ratio(num, den, order):
-        return Series.from_poly(num, order) / Series.from_poly(den, order)
+        return series(num, order) / series(den, order)
 
     assert ints(ratio([1], [1, -1], 5)) == (1,) * 6
     assert ints(ratio([1], [1, -2, 1], 4)) == (1, 2, 3, 4, 5)
@@ -141,21 +128,25 @@ polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6)
 
 @given(polys, polys)
 def test_multiplication_commutes(p, q):
-    f = Series.from_poly(p, 7)
-    g = Series.from_poly(q, 7)
+    f = series(p, 7)
+    g = series(q, 7)
     assert f * g == g * f
 
 
 @given(polys, polys)
 def test_product_then_exact_division_roundtrips(p, q):
-    f = Series.from_poly(p, 7)
-    g = Series.from_poly([1] + q, 7)   # unit constant term
+    f = series(p, 7)
+    g = series([1] + q, 7)   # unit constant term
     assert (f * g) / g == f
-    h = Series.from_poly([Q(-3, 2)] + q, 7)   # non-unit rational constant
+    h = series([Q(-3, 2)] + q, 7)   # non-unit rational constant
     assert (f * h) / h == f
 
 
 @given(polys, polys, polys)
 def test_distributive(p, q, r):
-    f, g, h = (Series.from_poly(t, 6) for t in (p, q, r))
-    assert f * (g + h) == f * g + f * h
+    # the sums are taken on the coefficients: Series has no addition
+    def add(a, b):
+        return Series(x + y for x, y in zip(a.coeffs, b.coeffs))
+
+    f, g, h = (series(t, 6) for t in (p, q, r))
+    assert f * add(g, h) == add(f * g, f * h)

@@ -8,11 +8,14 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import vincular
 from vincular.checks import REFERENCE_A, apply_fault, check_oracle_dp
 from vincular.oracle import oracle_report
-from vincular.tables import CELLS_MAX, Tables, build_tables, check_conjectures, compute_v
+from vincular.tables import (
+    CELLS_MAX, ConjectureReport, Tables, build_tables, check_conjectures, compute_v)
 
 T12 = build_tables(12)
 
@@ -260,6 +263,43 @@ def test_conjecture_report_keeps_every_verdict():
     rep = check_conjectures([0, 1, 2, 3, 100, 101, 10**9])
     assert rep.power_holds == (True, True, True, False, True)
     assert rep.first_power_failure == 4
+
+
+def _exact_report(a):
+    # the rule with every power raised exactly, as the report states it
+    N = len(a) - 1
+    holds = tuple(a[n] ** (n + 1) < a[n + 1] ** n for n in range(1, N))
+    first = next((n for n, ok in enumerate(holds, 1) if not ok), None)
+    ratios = all(a[n + 1] * a[n - 1] > a[n] * a[n] for n in range(2, N))
+    return ConjectureReport(holds, first, ratios)
+
+
+def test_conjecture_report_decides_an_exact_tie():
+    # a_n = 2^n gives a_n^(n+1) = a_(n+1)^n at every n, which logarithms
+    # cannot tell from less; the exact test must say it does not hold
+    rep = check_conjectures([2**n for n in range(60)])
+    assert rep.power_holds == (False,) * 58
+    assert rep.first_power_failure == 1
+
+
+def test_conjecture_report_decides_near_ties():
+    # one entry of 2^n moved by one: a relative gap near 2^-k, on either
+    # side of the float test's margin as k grows
+    for k in range(1, 60):
+        for step in (1, -1):
+            a = [2**n for n in range(60)]
+            a[k] += step
+            assert check_conjectures(a) == _exact_report(a), (k, step)
+
+
+def test_conjecture_report_matches_exact_powers_on_the_sequence():
+    a = build_tables(130).a
+    assert check_conjectures(a) == _exact_report(a)
+
+
+@given(st.lists(st.integers(-3, 10**40), min_size=3, max_size=30))
+def test_conjecture_report_matches_exact_powers(a):
+    assert check_conjectures(a) == _exact_report(a)
 
 
 def test_rejects_nonpositive_size():
