@@ -2,18 +2,20 @@
 
 The three arrays are built bottom-up in the only order their recurrences
 allow: every v row first, then every c row (cells consume c marginals of
-smaller sizes and v rows), then every b row (cells consume b and c
-marginals of smaller sizes).  All values are plain Python ints, so the
-arithmetic is exact at any size.
+smaller sizes and v rows), then every b row (cells consume b marginals
+of smaller sizes and c columns of sizes n and n-1).  All values are plain
+Python ints, so the arithmetic is exact at any size.
 
 At size n only one column and one row of each cell table are computed;
 every other nonzero cell copies a marginal of size n-1, so each marginal
 by final letter is that computed column or row plus a suffix sum of the
 size-(n-1) marginal.  The sums inside the computed cells are folded
-through prefix sums (per-row running totals of v and b, a diagonal and an
-anti-diagonal running total over the c marginals) and, for c, through the
-closed form sum_d C(j-3, d-3) C(j-d, s-d) = C(j-3, s-3) 2^(s-3), without
-touching the recurrences themselves.  What is left of each computed cell
+through per-row prefix sums of v and b and, for c, through the closed form
+sum_d C(j-3, d-3) C(j-d, s-d) = C(j-3, s-3) 2^(s-3), without touching the
+recurrences themselves.  b reads c only through the final-letter-2 column
+c(n, i, 2) = sum over d in [2, i-1] of c(n-i+d, d), which the c build
+computes anyway: that sum is b's column term, and b's row term sums the
+column of size n-1 over i in [j, n-2].  What is left of each computed cell
 is a binomial transform, taken at a J that grows by one with n, of a
 sequence fixed by the gap g between n and the cell's letter; :func:`_step`
 extends it by one entry per size.  A build does O(N^3) big-integer
@@ -105,24 +107,33 @@ def _marginal(n: int, low: int, col: Row, row: Row, prev: Row) -> Row:
     return marg
 
 
-def _keep_cells(cells: list[Cells], n: int, low: int, col: Row, row: Row,
-                prev: Row, marg: Row, name: str) -> None:
-    """Append the full size-n cell table laid out as in :func:`_marginal`."""
-    cur = _empty_cells(n)
-    for i in range(low + 1, n + 1):
-        cur[i][low] = col[i]
-    for j in range(low + 1, n):
-        cur[low][j] = row[j]
-    for i in range(low + 2, n):
-        cur[i][low + 1:i] = [prev[i - 1]] * (i - low - 1)
-    sums = [sum(cur[i][j] for i in range(n + 1)) for j in range(n + 1)]
-    _require(sums == marg, f"{name}({n}, ., .) cells do not resum to the marginals")
-    cells.append(cur)
+def _close(cells: list[Cells], last: list[Row], n: int, low: int, col: Row,
+           row: Row, name: str) -> None:
+    """Check the size-n column and row laid out as in :func:`_marginal`,
+    append their marginal to ``last`` and, for n <= CELLS_MAX, the full
+    cell table to ``cells``."""
+    _require(min(col) >= 0 and min(row) >= 0, f"negative {name}({n}, ., .)")
+    prev = last[n - 1]
+    marg = _marginal(n, low, col, row, prev)
+    _require(not any(marg[:low]) and marg[n] == 0,
+             f"{name}({n}) ending below {low} or in {n}")
+    if n <= CELLS_MAX:
+        cur = _empty_cells(n)
+        for i in range(low + 1, n + 1):
+            cur[i][low] = col[i]
+        for j in range(low + 1, n):
+            cur[low][j] = row[j]
+        for i in range(low + 2, n):
+            cur[i][low + 1:i] = [prev[i - 1]] * (i - low - 1)
+        sums = [sum(cur[i][j] for i in range(n + 1)) for j in range(n + 1)]
+        _require(sums == marg, f"{name}({n}, ., .) cells do not resum to the marginals")
+        cells.append(cur)
+    last.append(marg)
 
 
-def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row]]:
-    """Cell tables c[n][i][j] for n <= CELLS_MAX and marginals by final
-    letter for every n <= N.
+def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row], list[Row]]:
+    """Cell tables c[n][i][j] for n <= CELLS_MAX, marginals by final
+    letter and the final-letter-2 columns c(n, ., 2) for every n <= N.
 
     Cells with i == 1, j == 1 or j == n stay zero, as does the wedge
     3 <= i < j <= n-1; the remaining cells follow the three recurrences
@@ -132,9 +143,9 @@ def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row]]:
     runs: list[Row] = [[] for _ in range(N)]
     cells: list[Cells] = [_empty_cells(i) for i in range(min(N, 1) + 1)]
     last: list[Row] = [[0] * (i + 1) for i in range(min(N, 1) + 1)]
-    col: Row = []
+    cols: list[Row] = [row[:] for row in last]
     for n in range(2, N + 1):
-        prev, prev_col = last[n - 1], col
+        prev, prev_col = last[n - 1], cols[n - 1]
         col = [0] * (n + 1)  # final letter 2: cells (i, 2)
         # penultimate letter n forces the word (n-1)...1n2
         if n >= 3:
@@ -156,38 +167,15 @@ def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row]]:
             # new y = the v suffix sum of the s = 3 term
             g = n - 1 - j
             row[j] = _step(runs, g, vrow[n - 4] - vrow[j - 3], double=True)
-        _require(min(col) >= 0 and min(row) >= 0, f"negative c({n}, ., .)")
-        marg = _marginal(n, 2, col, row, prev)
-        _require(marg[1] == 0 and marg[n] == 0, f"c({n}) ending in 1 or {n}")
-        if n <= CELLS_MAX:
-            _keep_cells(cells, n, 2, col, row, prev, marg, "c")
-        last.append(marg)
-    return cells, last
+        _close(cells, last, n, 2, col, row, "c")
+        cols.append(col)
+    return cells, last, cols
 
 
-def _diagonal_prefix(c_last: list[Row], N: int) -> list[Row]:
-    """P[delta][t] = sum over s in [2, t] of c(delta+s, s)."""
-    P: list[Row] = [[]]
-    for delta in range(1, N + 1):
-        width = N - delta
-        row = [0] * (width + 1)
-        for t in range(2, width + 1):
-            row[t] = row[t - 1] + c_last[delta + t][t]
-        P.append(row)
-    return P
-
-
-def _antidiagonal_prefix(P: list[Row], N: int) -> list[Row]:
-    """R[m][x] = sum over delta in [1, x] of P[delta][m-delta], x < m."""
-    return [list(accumulate((P[x][m - x] for x in range(1, m)), initial=0))
-            for m in range(N + 1)]
-
-
-def compute_b(N: int, c_last: list[Row]) -> tuple[list[Cells], list[Row]]:
+def compute_b(N: int, c_cols: list[Row]) -> tuple[list[Cells], list[Row]]:
     """Cell tables b[n][i][j] for n <= CELLS_MAX and marginals by final
-    letter for every n <= N."""
-    P = _diagonal_prefix(c_last, N)
-    R = _antidiagonal_prefix(P, N)
+    letter for every n <= N, from the c columns c(n, ., 2) of
+    :func:`compute_c`."""
     cells: list[Cells] = [_empty_cells(i) for i in range(min(N, 1) + 1)]
     last: list[Row] = [[0] * (i + 1) for i in range(min(N, 1) + 1)]
     pre: list[Row] = [_prefix(row) for row in last]
@@ -198,29 +186,25 @@ def compute_b(N: int, c_last: list[Row]) -> tuple[list[Cells], list[Row]]:
         # penultimate letter n forces (n-1)...2n1
         col[n] = 1
         for i in range(2, n):
-            # delete the final 1, or delete [1, d] when 2 sits left of n
-            col[i] = prev[i - 1] + P[n - i][i - 1]
+            # delete the final 1, or delete [1, d] when 2 sits left of n:
+            # sum over d in [2, i-1] of c(n-i+d, d), which is c(n, i, 2)
+            col[i] = prev[i - 1] + c_cols[n][i]
         row = [0] * (n + 1)  # penultimate letter 1: cells (1, j)
-        bpre, anti = pre[n - 2], R[n - 2]
-        for j in range(2, n):
+        bpre, anti = pre[n - 2], 0
+        for j in range(n - 1, 1, -1):
             # the word ends gamma,1,j with gamma a decreasing set of d-2
             # letters under j; k is the rightmost letter exceeding j.
             # k = n gives the closed 2^(j-2) count; otherwise deleting
             # gamma,1,j leaves a b-type member (prefix row of b) or a
-            # c-type one (anti-diagonal prefix over delta = n-k in
-            # [1, n-j-1]; k - d >= 2 caps delta at n-d-2, but P[n-d-1][1]
-            # = 0 makes the cap moot).  g = n-j, J = j-2, new y = the d = 2
-            # term of the C(j-2, d-2)-weighted sum over d.
+            # c-type one, which sum over k to anti, the sum of c(n-1, i, 2)
+            # over i in [j, n-2].  g = n-j, J = j-2, new y = the d = 2 term
+            # of the C(j-2, d-2)-weighted sum over d.
             g = n - j
-            y = bpre[n - 3] - bpre[j - 2] + anti[g - 1]
+            y = bpre[n - 3] - bpre[j - 2] + anti
             row[j] = 2 ** (j - 2) + _step(runs, g, y)
-        _require(min(col) >= 0 and min(row) >= 0, f"negative b({n}, ., .)")
-        marg = _marginal(n, 1, col, row, prev)
-        _require(marg[n] == 0, f"b({n}) ending in {n}")
-        if n <= CELLS_MAX:
-            _keep_cells(cells, n, 1, col, row, prev, marg, "b")
-        last.append(marg)
-        pre.append(_prefix(marg))
+            anti += c_cols[n - 1][j - 1]
+        _close(cells, last, n, 1, col, row, "b")
+        pre.append(_prefix(last[n]))
     return cells, last
 
 
@@ -254,8 +238,8 @@ class Tables:
 
 def build_tables(N: int) -> Tables:
     v = compute_v(N)
-    c_cells, c_last = compute_c(N, v)
-    b_cells, b_last = compute_b(N, c_last)
+    c_cells, c_last, c_cols = compute_c(N, v)
+    b_cells, b_last = compute_b(N, c_cols)
     a = compute_a(N, b_last, c_last)
     return Tables(N=N, v=v, c_cells=c_cells, c_last=c_last,
                   b_cells=b_cells, b_last=b_last, a=a)

@@ -226,6 +226,11 @@ def test_a_series_shifts_the_sequence():
     assert a[1:13] == list(T.a[1:13])
 
 
+def test_series_and_recurrence_agree_through_130():
+    a = genfun.a_from_series(genfun.A_series(131))
+    assert a[1:131] == build_tables(130).a[1:131]
+
+
 def test_weight_one_specializations():
     assert genfun.C1u_series(1, 16) == genfun.C11_series(16)
     assert genfun.B1u_series(1, 16) == genfun.B11_series(16)

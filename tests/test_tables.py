@@ -15,7 +15,8 @@ import vincular
 from vincular.checks import REFERENCE_A, apply_fault, check_oracle_dp
 from vincular.oracle import oracle_report
 from vincular.tables import (
-    CELLS_MAX, ConjectureReport, Tables, build_tables, check_conjectures, compute_v)
+    CELLS_MAX, ConjectureReport, Tables, build_tables, check_conjectures, compute_c,
+    compute_v)
 
 T12 = build_tables(12)
 
@@ -156,23 +157,34 @@ def test_cell_checks_stop_at_cutoff():
         apply_fault(t, f"b:{CELLS_MAX + 1}:3:2")
 
 
+def test_c_columns_past_cutoff():
+    # build_tables keeps c cells only to CELLS_MAX; the direct sums keep them all
+    _, c_cells, *_ = DIRECT_40
+    cols = compute_c(40, compute_v(40))[2]
+    assert cols[:2] == [[0], [0, 0]]
+    assert cols[2:] == [[row[2] for row in c_cells[n]] for n in range(2, 41)]
+
+
 def test_invariants_raise_under_optimize():
-    # a negative v entry drives a c cell negative; the check must not be
-    # an assert, which python -O strips
+    # a negative v entry drives a c cell negative, a negative c column
+    # entry a b cell; the checks must not be asserts, which python -O strips
     src = str(Path(vincular.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
-        "from vincular.tables import compute_c, compute_v\n"
+        "from vincular.tables import compute_b, compute_c, compute_v\n"
         "v = compute_v(8)\n"
-        "v[3][3] = -1000\n"
-        "try:\n"
-        "    compute_c(8, v)\n"
-        "except RuntimeError as exc:\n"
-        "    print(exc)\n"
+        "cols = compute_c(8, v)[2]\n"
+        "v[3][3] = cols[5][3] = -1000\n"
+        "for build in (lambda: compute_c(8, v), lambda: compute_b(8, cols)):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except RuntimeError as exc:\n"
+        "        print(exc)\n"
     )
     out = subprocess.run([sys.executable, "-O", "-c", code, src],
                          capture_output=True, text=True, timeout=60, check=True)
     assert "recurrence invariant broken: negative c(" in out.stdout
+    assert "recurrence invariant broken: negative b(" in out.stdout
 
 
 def test_sequence_prefix():
