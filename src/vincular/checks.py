@@ -54,6 +54,8 @@ REFERENCE_A = (
 
 # The order of every series the series checks compare.
 SERIES_ORDER = 32
+# The default largest size of the brute-force oracle scans.
+ORACLE_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -287,7 +289,8 @@ def check_bivariate_oracle(n_max: int = 8, *, reports=None) -> CheckResult:
         "series", "oracle", f"(v,u)=({v},{u}), 2 <= n <= {n_max}")
 
 
-def run_all(oracle_max: int = 10, fault: str | None = None) -> list[CheckResult]:
+def run_all(oracle_max: int = ORACLE_CAP,
+            fault: str | None = None) -> list[CheckResult]:
     """The full suite, most trustworthy checks first.
 
     The recurrence tables are built once, at len(REFERENCE_A) = 30, the

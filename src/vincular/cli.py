@@ -221,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="count the size-n linear class instead (equals the circular "
         "count one size up for the default pattern)")
     count.add_argument(
-        "--oracle-cap", type=int, default=10,
+        "--oracle-cap", type=int, default=checks.ORACLE_CAP,
         help="largest n the oracle accepts; raise it to scan more (up to n! "
-        "words; slow) (default 10)")
+        "words; slow) (default %(default)s)")
     count.set_defaults(func=cmd_count)
 
     table = sub.add_parser(
@@ -264,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
         "the structural identities, with every series at order "
         f"{checks.SERIES_ORDER}; exit 0 only if every check passes.")
     verify.add_argument(
-        "--oracle-cap", type=int, default=10,
+        "--oracle-cap", type=int, default=checks.ORACLE_CAP,
         help="largest size of the oracle-dp, reduction and bivariate "
         "checks, which share one brute-force scan per size; at least 2 and "
-        f"at most {CELLS_MAX} (default 10)")
+        f"at most {CELLS_MAX} (default %(default)s)")
     verify.add_argument(
         "--inject-fault", metavar="CELL", default=None,
         help="self-test hook: corrupt one recurrence cell (v:n:j, b:n:i:j "

@@ -28,20 +28,22 @@ that clears each term polynomial, is carried as an integer pair
 (num, den), multiplied up without reduction.  A part (lo, (num, den), cs)
 stands for num/den * sum_k cs[k] y^(lo+k).  The terms of a sum and the
 pieces of a formula, explicit polynomials (:func:`_poly`) among them, are
-added as one vector over the lcm of their denominators (:func:`_fold`),
-and each formula's one part is placed once as a series (:func:`_placed`):
-the coefficient of x^n is divided by den*D^n in one divmod, which leaves
-an int wherever the division is exact and a Q in lowest terms otherwise.
+collected and added as one vector over the lcm of their denominators,
+taken once per fold (:func:`_fold`), and each formula's one part is
+placed once as a series (:func:`_placed`): the coefficient of x^n is
+divided by den*D^n in one divmod, which leaves an int wherever the
+division is exact and a Q in lowest terms otherwise.
 Only V0 and B11 then divide by a second placed series, the denominator
-sum.
+sum, which they share.
 
 Three jobs have one home each.  Products of coefficient lists go through
 :func:`vincular.powerseries._pmul`.  :func:`_geometric` normalises a
 weight and raises :class:`KernelSpecializationError` for the one weight
-that collapses a kernel.  :func:`_memo` caches, by name, the only series
-read again: V0, V1, C11 and B11, on which the kernel method builds every
-weighted series.  Each formula asks for them at its highest order first,
-so one call builds each once.
+that collapses a kernel.  :func:`_memo` caches, by name, the only five
+series read again: V0, V1, C11 and B11, on which the kernel method builds
+every weighted series, and the denominator sum of V0 and B11.  Each
+formula asks for them at its highest order first, so one call builds each
+once.
 
 Weight conventions, with the coefficient of x^n counting words of size n:
 
@@ -183,22 +185,21 @@ def _kernel_terms(init, step, term, top: int, D: int = 1):
 
 def _fold(parts, top: int):
     """The sum of parts (lo, (num, den), cs), each reaching x^top, as one
-    part (lo, (1, den), cs) through x^top: the vectors are added over the
-    lcm of their denominators, so integer vectors stay on ints.  All parts
-    are in the same y = x/D, so no power of D is needed to align them."""
-    base, den, acc = top + 1, 1, []
-    for lo, (n, d), cs in parts:
+    part (lo, (1, den), cs) through x^top: the parts inside the window are
+    kept, then each is added once over the lcm of their denominators, so
+    integer vectors stay on ints.  All parts are in the same y = x/D, so
+    no power of D is needed to align them."""
+    kept, base, den = [], top + 1, 1
+    for part in parts:
+        lo, (_, d), cs = part
         if not cs or lo > top:
             continue
         if lo + len(cs) <= top:
             raise RuntimeError(f"a part falls short of x^{top}")
-        if lo < base:
-            acc[:0] = [0] * (base - lo)
-            base = lo
-        if den % d:
-            grown = lcm(den, d)
-            acc = [a * (grown // den) for a in acc]
-            den = grown
+        kept.append(part)
+        base, den = min(base, lo), lcm(den, d)
+    acc = [0] * (top + 1 - base)
+    for lo, (n, d), cs in kept:
         f = n * (den // d)
         for i, a in enumerate(cs[: top + 1 - lo], lo - base):
             acc[i] += f * a
@@ -308,6 +309,7 @@ def _p2(c, P: int, M: int) -> list:
 # last-letter avoider series
 
 
+@_memo
 def _den_sum(N: int) -> Series:
     """sum_j x^(j+1) ((j+2) - (j+1)^2 x) / ((j+2)! prod_(i<=j+1) (1 - ix))
     through x^N: the valuation-1 denominator that V0 and B11 divide by."""
@@ -373,10 +375,10 @@ def _C1u_geom(c, k: int, N: int, D: int | None = None):
 
     Four closed terms over the kernels 1-u+ux, 1-u-2ux and 1-2ux, whose
     common factor 1-u+ux is divided out last.  When the weight is
-    identically 1 the factor 1-u vanishes exactly and only the first term
-    survives, so the last three are skipped before their pieces are built.
-    At c = 1 the kernels 1-u+ux and 1-u-2ux vanish at 0 and each costs one
-    order, so the pieces are built that much higher.
+    identically 1 the last three terms carry the factor G(0) = 1-u = 0, so
+    they add zero vectors and the formula returns C11.  At c = 1 the
+    kernels 1-u+ux and 1-u-2ux vanish at 0 and each costs one order, so
+    the pieces are built that much higher.
     """
     c, D, P, K0, F, G = _geometric(c, k, D)
     q = c.denominator
@@ -386,18 +388,16 @@ def _C1u_geom(c, k: int, N: int, D: int | None = None):
     # C11 x (1 - (k+1)cx) / (1 - x); C11 reaches furthest, so it comes first
     cs = _in_y(C11_series(W), D)[2]
     parts = [_divided((1, (D, 1), _pmul([1, -(k + 1) * P], cs, W)), one)]
-    if not (c == 1 and k == 0):
-        # c x^4 G(0) (V1 - c V(c, k+2) / F(2)) / G(2): x^4 spares four orders
-        top = W + z - 4
-        if top >= 0:
-            lo, (n, d), cs = _fold([_in_y(V1_series(top), D), _scaled(
-                _divided(_V_scaled_geom(c, k + 2, top, D), F(2)), -c)], top)
-            parts.append(_divided(_scaled(
-                (lo, (n, q * d), _pmul(g0, cs, len(cs))), c, 4, D), G(2)))
-        # x^3 G(0) (1 - (k+1)cx - cx^2) / ((1 - x) F(2))
-        cs = _pmul(g0, [1, -(k + 1) * P, -P * D], 4) + [0] * W
-        parts.append(_divided((3, (D ** 3, q), cs[: max(W - 2, 0)]),
-                              one, F(2)))
+    # c x^4 G(0) (V1 - c V(c, k+2) / F(2)) / G(2): x^4 spares four orders
+    top = W + z - 4
+    if top >= 0:
+        lo, (n, d), cs = _fold([_in_y(V1_series(top), D), _scaled(
+            _divided(_V_scaled_geom(c, k + 2, top, D), F(2)), -c)], top)
+        parts.append(_divided(_scaled(
+            (lo, (n, q * d), _pmul(g0, cs, len(cs))), c, 4, D), G(2)))
+    # x^3 G(0) (1 - (k+1)cx - cx^2) / ((1 - x) F(2))
+    cs = _pmul(g0, [1, -(k + 1) * P, -P * D], 4) + [0] * W
+    parts.append(_divided((3, (D ** 3, q), cs[: max(W - 2, 0)]), one, F(2)))
     return _divided(_fold(parts, W), K0)
 
 

@@ -115,8 +115,6 @@ def _close(cells: list[Cells], last: list[Row], n: int, low: int, col: Row,
     _require(min(col) >= 0 and min(row) >= 0, f"negative {name}({n}, ., .)")
     prev = last[n - 1]
     marg = _marginal(n, low, col, row, prev)
-    _require(not any(marg[:low]) and marg[n] == 0,
-             f"{name}({n}) ending below {low} or in {n}")
     if n <= CELLS_MAX:
         cur = _empty_cells(n)
         for i in range(low + 1, n + 1):
@@ -139,7 +137,6 @@ def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row], list[Row]]:
     3 <= i < j <= n-1; the remaining cells follow the three recurrences
     plus the two closed-form boundary columns.
     """
-    vpre = [_prefix(row) for row in v]
     runs: list[Row] = [[] for _ in range(N)]
     cells: list[Cells] = [_empty_cells(i) for i in range(min(N, 1) + 1)]
     last: list[Row] = [[0] * (i + 1) for i in range(min(N, 1) + 1)]
@@ -158,7 +155,7 @@ def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row], list[Row]]:
         row = [0] * (n + 1)  # penultimate letter 2: cells (2, j)
         if n >= 4:
             row[n - 1] = 2 ** (n - 4)
-        vrow = vpre[n - 4] if n >= 4 else []
+        vrow = _prefix(v[n - 4]) if n >= 4 else []
         for j in range(3, n - 1):
             # split off a decreasing prefix (d-3 letters) and a decreasing
             # insert (e letters) before a last-letter avoider; the (d, e)
@@ -178,7 +175,6 @@ def compute_b(N: int, c_cols: list[Row]) -> tuple[list[Cells], list[Row]]:
     :func:`compute_c`."""
     cells: list[Cells] = [_empty_cells(i) for i in range(min(N, 1) + 1)]
     last: list[Row] = [[0] * (i + 1) for i in range(min(N, 1) + 1)]
-    pre: list[Row] = [_prefix(row) for row in last]
     runs: list[Row] = [[] for _ in range(N)]
     for n in range(2, N + 1):
         prev = last[n - 1]
@@ -190,7 +186,7 @@ def compute_b(N: int, c_cols: list[Row]) -> tuple[list[Cells], list[Row]]:
             # sum over d in [2, i-1] of c(n-i+d, d), which is c(n, i, 2)
             col[i] = prev[i - 1] + c_cols[n][i]
         row = [0] * (n + 1)  # penultimate letter 1: cells (1, j)
-        bpre, anti = pre[n - 2], 0
+        bpre, anti = _prefix(last[n - 2]), 0
         for j in range(n - 1, 1, -1):
             # the word ends gamma,1,j with gamma a decreasing set of d-2
             # letters under j; k is the rightmost letter exceeding j.
@@ -204,7 +200,6 @@ def compute_b(N: int, c_cols: list[Row]) -> tuple[list[Cells], list[Row]]:
             row[j] = 2 ** (j - 2) + _step(runs, g, y)
             anti += c_cols[n - 1][j - 1]
         _close(cells, last, n, 1, col, row, "b")
-        pre.append(_prefix(last[n]))
     return cells, last
 
 

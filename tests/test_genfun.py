@@ -178,6 +178,27 @@ def test_fold_rejects_a_short_part():
         genfun._fold([(0, (1, 1), [1, 2, 3, 4]), (1, (1, 1), [1, 2])], 3)
 
 
+def test_fold_matches_a_fraction_sum():
+    # parts out of order, one below x^0, coprime denominators; the empty
+    # part and the one past top are skipped and leave the lcm alone
+    top = 5
+    parts = [(2, (3, 7), [1, -2, 5, 4]),
+             (-1, (-5, 4), [2, 0, 1, 3, 1, 1, 9, 8]),
+             (0, (1, 9), []),
+             (6, (1, 11), [1, 2]),
+             (0, (2, 1), [1, 1, 1, 1, 1, 1])]
+    want = {}
+    for lo, (n, d), cs in parts:
+        for e, a in enumerate(cs, lo):
+            if e <= top:
+                want[e] = want.get(e, 0) + Q(n, d) * a
+    lo, (num, den), cs = genfun._fold(parts, top)
+    assert (lo, num, den) == (-1, 1, 28)
+    assert all(type(a) is int for a in cs)
+    assert [Q(a, den) for a in cs] == [want[e] for e in range(lo, top + 1)]
+    assert genfun._fold([], top) == (top + 1, (1, 1), [])
+
+
 def test_times_rejects_an_outer_series_below_its_valuation():
     part = (0, (1, 1), [1, 2, 3])
     assert genfun._times(lambda n: Series([0, 1] + [0] * (n - 1)), 1,
@@ -235,6 +256,21 @@ def test_weight_one_specializations():
     assert genfun.C1u_series(1, 16) == genfun.C11_series(16)
     assert genfun.B1u_series(1, 16) == genfun.B11_series(16)
     assert genfun.A_vu_series(1, 1, 16) == genfun.A_series(16)
+
+
+def test_weight_one_c_series_builds_the_x4_term(monkeypatch):
+    # at u = 1 the last three terms of C1u vanish through G(0) = 1 - u but
+    # are built all the same, so C1u(1) = C11 checks the general formula
+    weights, build = [], genfun._V_scaled_geom
+
+    def recording(c, m, N, D=None):
+        weights.append((c, m))
+        return build(c, m, N, D)
+
+    monkeypatch.setattr(genfun, "_V_scaled_geom", recording)
+    genfun.clear_caches()
+    assert genfun.C1u_series(1, 16) == genfun.C11_series(16)
+    assert (1, 2) in weights
 
 
 def test_weighted_marginals():
@@ -419,7 +455,7 @@ def test_cache_holds_only_the_shared_series():
     genfun.C1u_series(Q(3, 7), 10)
     genfun.A_vu_series(Q(1, 2), Q(2, 3), 8)
     assert set(genfun._SERIES_CACHE) == {
-        "V0_series", "V1_series", "C11_series", "B11_series"}
+        "V0_series", "V1_series", "C11_series", "B11_series", "_den_sum"}
 
 
 @pytest.mark.parametrize("call", [

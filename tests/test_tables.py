@@ -15,8 +15,8 @@ import vincular
 from vincular.checks import REFERENCE_A, apply_fault, check_oracle_dp
 from vincular.oracle import oracle_report
 from vincular.tables import (
-    CELLS_MAX, ConjectureReport, Tables, build_tables, check_conjectures, compute_c,
-    compute_v)
+    CELLS_MAX, ConjectureReport, Tables, _marginal, build_tables, check_conjectures,
+    compute_c, compute_v)
 
 T12 = build_tables(12)
 
@@ -240,6 +240,21 @@ def test_marginals_resum():
                 T12.b_cells[n][i][j] for i in range(1, n + 1))
             assert T12.c_last[n][j] == sum(
                 T12.c_cells[n][i][j] for i in range(1, n + 1))
+
+
+@given(st.data())
+def test_marginal_leaves_the_boundary_zero(data):
+    # a marginal never counts a final letter below its low letter, nor n
+    # (for n > low), whatever the column, row and size-(n-1) marginal hold
+    low = data.draw(st.sampled_from((1, 2)))
+    n = data.draw(st.integers(low + 1, 20))
+    ints = st.integers(-10**6, 10**6)
+    col = data.draw(st.lists(ints, min_size=n + 1, max_size=n + 1))
+    row = data.draw(st.lists(ints, min_size=n + 1, max_size=n + 1))
+    prev = data.draw(st.lists(ints, min_size=n, max_size=n))
+    marg = _marginal(n, low, col, row, prev)
+    assert len(marg) == n + 1
+    assert not any(marg[:low]) and marg[n] == 0
 
 
 def test_v_row_sums_recur():
