@@ -211,8 +211,8 @@ def check_c1u_at_one() -> CheckResult:
     """C1u at u = 1 against C11.
 
     At u = 1 the C1u series is built from C11 itself, so this guards only
-    the weight-1 path of ``genfun._C1u_geom``: the three terms it skips and
-    its division by x.
+    ``genfun._C1u_geom``'s general formula run at weight 1: its last three
+    terms, which vanish there through G(0) = 0, and its division by x.
     """
     return _same_series("series-c-weight-one", "C1u(1)",
                         genfun.C1u_series(1, SERIES_ORDER),
@@ -297,11 +297,12 @@ def run_all(oracle_max: int = ORACLE_CAP,
     largest size any check reads.  oracle_max sizes the oracle-dp,
     reduction and bivariate checks, which share one oracle_report per
     size, made in this call.  Each result carries the seconds its check
-    took, a shared report counting towards the first check that reads it.
-    Raises ValueError, before any check runs, when oracle_max is past
-    CELLS_MAX (the cell tables stop there) or below 2, which would leave
-    the checks it sizes nothing to compare.  The series checks run at
-    SERIES_ORDER.
+    took, a shared report counting towards the first check that reads it;
+    a check that raises gives a FAIL row with the exception's type and
+    message.  Raises ValueError, before any check runs, when oracle_max
+    is past CELLS_MAX (the cell tables stop there) or below 2, which
+    would leave the checks it sizes nothing to compare.  The series
+    checks run at SERIES_ORDER.
     """
     if oracle_max > CELLS_MAX:
         raise ValueError(
@@ -318,8 +319,14 @@ def run_all(oracle_max: int = ORACLE_CAP,
     reports = functools.cache(oracle.oracle_report)
 
     def run(check, *args, **kwargs) -> None:
+        """Append check's result, or a FAIL row naming the exception it
+        raised, so that one broken route leaves the later checks running."""
         t0 = time.perf_counter()
-        res = check(*args, **kwargs)
+        try:
+            res = check(*args, **kwargs)
+        except Exception as exc:
+            name = check.__name__ + "".join(f"-n{a}" for a in args if type(a) is int)
+            res = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
         results.append(replace(res, seconds=time.perf_counter() - t0))
 
     if fault is not None:

@@ -5,17 +5,45 @@ nothing is memoized or derived from the recurrences, so these counts are
 what the faster engines are checked against.
 
 Words are grown one letter at a time (:func:`iter_avoiders`) and a prefix
-is dropped as soon as the compiled test :func:`vincular.perms.closes`
-finds an occurrence ending at its last letter.  That loses no avoider: an
-occurrence inside a prefix is an occurrence in every extension of it,
-since bonds ask only for adjacent positions and a prefix keeps them
-adjacent.  So a scan visits the prefixes of avoiders instead of all n!
-words.  One walk can serve several pattern sets: it drops a prefix on a
-pattern that all of them hold and keeps a flag per set for the rest, so
-the two linear pairs of :func:`oracle_report`, which share 12-3, are
-grown together.  Runtimes are still exponential in n: on one core of a
-2-core machine with Python 3.11, ``oracle_report(10)`` takes about 4.4 s
-and ``oracle_report(11)`` about 31 s, so sizes up to 11 are practical.
+is dropped as soon as every word that extends it must contain a pattern.
+An occurrence inside the prefix is one reason: the compiled test
+:func:`vincular.perms.closes` finds it ending at the prefix's last letter,
+and it stays an occurrence in every extension, since bonds ask only for
+adjacent positions and a prefix keeps them adjacent.  Two lemmas see
+occurrences that are already decided but not yet complete.  Both rest on
+containment alone and hold for any pattern P.
+
+* Lookahead (both walks).  Let P's last gap be unbonded and its last
+  letter be its largest.  If P closes the prefix followed by some
+  unplaced letter x, every extension contains P: x comes later, and the
+  gap before it asks for no adjacency.  Only x's size against the other
+  letters of the occurrence matters, so trying the largest unplaced
+  letter decides it, in one call (the smallest, when P's last letter is
+  its smallest).  For such a P this test replaces the direct one: the
+  prefix's parent passed it, and so no letter it could still place,
+  the prefix's last letter among them, closed P.  Other patterns keep
+  the direct test.  Here it serves 12-3, 23-4-1 (smallest letter) and
+  1-23-4 (largest).
+* Seam (circular walk).  A circular word is grown from a fixed first
+  letter, so the unplaced letters sit between the prefix's last letter
+  and its first.  Rotate P at an unbonded gap g: letters g+1..k-1, then
+  0..g, keeping P's bonds.  An occurrence of the rotated pattern in the
+  prefix, read linearly, is one of P in every completion read from the
+  letter taking P's first place: gap g, which needs no adjacency, spans
+  the seam.  So canonical words are grown against P and its rotations,
+  for 23-4-1 against 4-1-23 and 1-23-4 too.  The lemma cannot see an
+  occurrence whose bond spans the seam of the complete word, so every
+  survivor still gets the rotation test.
+
+So a scan visits far fewer prefixes than the n! words: at n = 10 the
+linear walk of :func:`oracle_report` tests 314219 prefixes and the
+circular walk 64162 (856371 and 629642 without the lemmas).  One
+walk can serve several pattern sets: it drops a prefix on a pattern that
+all of them hold and keeps a flag per set for the rest, so the two linear
+pairs of :func:`oracle_report`, which share 12-3, are grown together.
+Runtimes are still exponential in n: on one core of a 2-core machine
+with Python 3.11, ``oracle_report(10)`` takes about 1 s (2.4-2.8 s without
+the lemmas) and ``oracle_report(11)`` about 4.6 s (15 s).
 
 The enumeration partitions naturally by leading letters and shares no
 mutable state but the cache of compiled tests, whose entries never change
@@ -61,6 +89,18 @@ def held_out(n: int) -> Word:
     return tuple(range(n - 1, 0, -1)) + (n,)
 
 
+def _lookahead(pattern: VincularPattern) -> int | None:
+    """Where the walk's sorted unplaced letters hold the one letter worth
+    trying after a prefix: -1 (the largest) when pattern's last letter is
+    its largest, 0 (the smallest) when it is its smallest, and None, for
+    the direct test, when its last gap is bonded or it has no last gap."""
+    k = len(pattern.entries)
+    if k < 2 or k - 2 in pattern.bonds:
+        return None
+    last = pattern.entries[-1]
+    return -1 if last == k else 0 if last == 1 else None
+
+
 def _walk(
     n: int, sets: tuple[tuple[VincularPattern, ...], ...], first: Word = ()
 ) -> Iterator[tuple[Word, int]]:
@@ -68,34 +108,40 @@ def _walk(
     least one of sets, in lexicographic order, each with the bit mask of
     the sets it avoids (bit k for sets[k]).
 
-    One walk serves all the sets.  A prefix is dropped as soon as a
-    pattern common to every set closes it.  Any other pattern that closes
-    it clears the bits of its sets, and the prefix is dropped once no bit
-    is left.  The walk keeps its own stack, so each word reaches the
+    One walk serves all the sets.  A pattern that decides a prefix
+    (closes it, or, under the lookahead lemma, closes it followed by the
+    unplaced letter that :func:`_lookahead` picks) clears the bits of the
+    sets that hold it, all of them for a pattern common to every set, and
+    the prefix is dropped once no bit is left.  The common patterns are
+    tried first.  The walk keeps its own stack, so each word reaches the
     caller through one generator only.
     """
+    full = (1 << len(sets)) - 1
     shared = [p for p in sets[0] if all(p in s for s in sets[1:])]
-    prune = tuple(closes(p) for p in shared)
-    flags = tuple((1 << k, closes(p))
-                  for k, s in enumerate(sets) for p in s if p not in shared)
+    masks = [(full, p) for p in shared] + [
+        (1 << k, p) for k, s in enumerate(sets) for p in s if p not in shared]
+    checks = tuple((mask, _lookahead(p), closes(p)) for mask, p in masks)
 
-    def survives(word: Word, alive: int) -> int:
-        """alive less the bits of the sets that a pattern closing word
-        belongs to; 0 when word is dropped."""
-        for test in prune:
-            if test(word):
-                return 0
-        for bit, test in flags:
-            if alive & bit and test(word):
-                alive ^= bit
+    def survives(word: Word, rest: Word, alive: int) -> int:
+        """alive less the bits of the sets that a pattern deciding word
+        belongs to, rest being the letters still to place; 0 when word is
+        dropped.  A lookahead pattern is not tested on word itself: the
+        parent's lookahead already tried every letter of its rest."""
+        for mask, pick, test in checks:
+            if alive & mask and (
+                    test(word) if pick is None else rest and test(word + (rest[pick],))):
+                alive &= ~mask
         return alive
 
-    alive = (1 << len(sets)) - 1
+    alive = full
+    # Each prefix of first is a node of its own: its lookahead covers the
+    # direct test of the next one.
     for m in range(len(first) + 1):
-        alive = survives(first[:m], alive)
+        rest = tuple(x for x in range(1, n + 1) if x not in first[:m])
+        alive = survives(first[:m], rest, alive)
         if not alive:
             return
-    stack = [(first, tuple(x for x in range(1, n + 1) if x not in first), alive)]
+    stack = [(first, rest, alive)]
     while stack:
         prefix, rest, alive = stack.pop()
         if len(rest) <= 2:
@@ -103,9 +149,9 @@ def _walk(
             # push and pop one more node for each.
             for tail in permutations(rest):
                 word, bits = prefix, alive
-                for x in tail:
+                for j, x in enumerate(tail, start=1):
                     word += (x,)
-                    bits = survives(word, bits)
+                    bits = survives(word, tail[j:], bits)
                     if not bits:
                         break
                 else:
@@ -114,9 +160,10 @@ def _walk(
         # Pushed from the largest letter down, so popped in lexicographic order.
         for i in range(len(rest) - 1, -1, -1):
             word = prefix + (rest[i],)
-            bits = survives(word, alive)
+            left = rest[:i] + rest[i + 1:]
+            bits = survives(word, left, alive)
             if bits:
-                stack.append((word, rest[:i] + rest[i + 1:], bits))
+                stack.append((word, left, bits))
 
 
 def iter_avoiders(
@@ -125,8 +172,9 @@ def iter_avoiders(
     """Words of [n] that start with first and avoid every pattern linearly,
     in lexicographic order.
 
-    A prefix is extended only while no pattern closes it, so each word is
-    built from avoiding prefixes alone.
+    A prefix is extended only while no pattern decides it (closes it, or
+    by the lookahead lemma), so each word is built from avoiding prefixes
+    alone.
     """
     first = tuple(first)
     if len(set(first)) != len(first) or not all(1 <= x <= n for x in first):
@@ -139,18 +187,35 @@ def count_linear_avoiders(n: int, patterns: Iterable[VincularPattern]) -> int:
     return sum(1 for _ in iter_avoiders(n, patterns))
 
 
+def _seam_rotations(pattern: VincularPattern) -> tuple[VincularPattern, ...]:
+    """pattern rotated at each unbonded gap g: its letters g+1..k-1, then
+    0..g, keeping its bonds, with none at the junction.
+
+    >>> [(p.entries, sorted(p.bonds)) for p in _seam_rotations(CIRCULAR_PATTERN)]
+    [((4, 1, 2, 3), [2]), ((1, 2, 3, 4), [1])]
+    """
+    k = len(pattern.entries)
+    return tuple(
+        VincularPattern(pattern.entries[g + 1:] + pattern.entries[:g + 1],
+                        {(t - g - 1) % k for t in pattern.bonds})
+        for g in range(k - 1) if g not in pattern.bonds)
+
+
 def _circular_avoiders(n: int, patterns: tuple[VincularPattern, ...]) -> Iterator[Word]:
     """Canonical words (first letter 1) of the cyclic classes of [n] whose
     rotations all avoid patterns.
 
-    The walk prunes on the canonical rotation, which must avoid too, and
-    so has found rotation 0 not closed; each survivor then gets the closed
-    test on rotations 1..n-1 (see :func:`vincular.perms.avoids_circular`).
+    The walk grows the canonical words against patterns and their
+    :func:`_seam_rotations` (seam lemma), and each survivor then gets the
+    closed test on rotations 1..n-1 (see
+    :func:`vincular.perms.avoids_circular`), which also sees a bond across
+    the seam of the complete word.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    grown = tuple(q for p in patterns for q in (p, *_seam_rotations(p)))
     tests = [closes(p) for p in patterns]
-    for rep in iter_avoiders(n, patterns, first=(1,)):
+    for rep in iter_avoiders(n, grown, first=(1,)):
         if not any(test(rep[m:] + rep[:m]) for m in range(1, n) for test in tests):
             yield rep
 

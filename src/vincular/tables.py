@@ -67,22 +67,22 @@ def compute_v(N: int) -> list[Row]:
     if N < 1:
         raise ValueError("N must be positive")
     v: list[Row] = [[], [0, 1]]
-    pre: list[Row] = [[], _prefix(v[1])]
+    # prefix rows of sizes n-1 and n-2, the only ones size n reads
+    last, before = _prefix(v[1]), []
     runs: list[Row] = [[] for _ in range(N)]
     for n in range(2, N + 1):
         row = [0] * (n + 1)
         row[n] = 1
         # ending in 1: anything of size n-1 with 1 appended
-        top = row[1] = pre[n - 1][n - 1]
-        vrow = pre[n - 2]
+        top = row[1] = last[n - 1]
         for j in range(2, n):
             # C(j-2, d-2)-weighted sum over d of v(n-d, i-d), i in [j+1, n]:
             # g = n-j, J = j-2, new y = that suffix sum at d = 2
             g = n - j
-            row[j] = top - pre[n - 1][j - 1] + _step(runs, g, vrow[n - 2] - vrow[j - 2])
+            row[j] = top - last[j - 1] + _step(runs, g, before[n - 2] - before[j - 2])
         _require(min(row) >= 0, f"negative v({n}, .)")
         v.append(row)
-        pre.append(_prefix(row))
+        before, last = last, _prefix(row)
     return v
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from vincular import cli
+from vincular import cli, genfun
 from vincular.checks import REFERENCE_A
 from vincular.oracle import CIRCULAR_PATTERN, REDUCED_PATTERNS
 from vincular.perms import VincularPattern
@@ -346,3 +346,29 @@ def test_readme_commands_parse_and_state_their_output(capsys):
         parser.parse_args(argv)  # a flag the CLI dropped exits here
         if stated is not None:
             assert run(capsys, *argv)[:2] == (0, stated + "\n"), argv
+
+
+def test_verify_reports_a_check_that_raises(capsys, monkeypatch):
+    # a non-integral coefficient makes a_from_series raise inside the
+    # series-reference check; the suite still runs and the JSON stays whole
+    def raises(series):
+        raise ValueError("not an integer: 486911/2")
+
+    monkeypatch.setattr(genfun, "a_from_series", raises)
+    code, out, _ = run(capsys, "verify", "--oracle-cap", "3", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    names = [check["name"] for check in doc["checks"]]
+    failed = [check for check in doc["checks"] if not check["passed"]]
+    assert doc["failed"] == len(failed) == 1
+    assert failed[0] == {
+        "name": "check_series_reference", "passed": False,
+        "detail": "raised ValueError: not an integer: 486911/2",
+        "seconds": failed[0]["seconds"]}
+    assert names.index("check_series_reference") == 2
+    assert names[3:5] == ["oracle-dp-n2", "oracle-dp-n3"]
+    assert names[-1] == "bivariate-oracle"
+    code, text, _ = run(capsys, "verify", "--oracle-cap", "3")
+    assert code == 1
+    assert "FAIL check_series_reference: raised ValueError: not an integer: 486911/2" in text
+    assert text.splitlines()[-1] == f"1 of {len(names)} checks FAILED"

@@ -203,10 +203,19 @@ def test_circular_counts_match_rotation_scan(patterns):
 
 
 def test_iter_avoiders_with_first_letters():
-    words = list(iter_avoiders(6, REDUCED_PATTERNS, first=(3, 1)))
-    want = [w for w in permutations(range(1, 7))
-            if w[:2] == (3, 1) and avoids_linear(w, REDUCED_PATTERNS)]
-    assert words == want and words
+    # 23-4-1 and 1-23-4 look ahead to the smallest and the largest
+    # unplaced letter, 12-3 to the largest
+    grown = (CIRCULAR_PATTERN, *oracle._seam_rotations(CIRCULAR_PATTERN))
+    found = 0
+    for patterns in (REDUCED_PATTERNS, grown):
+        for first in ((3, 1), (1,), (6,), (1, 6), (6, 5), (2, 5, 1)):
+            words = list(iter_avoiders(6, patterns, first=first))
+            want = [w for w in permutations(range(1, 7))
+                    if w[:len(first)] == first and avoids_linear(w, patterns)]
+            assert words == want, (patterns, first)
+            found += bool(words)
+    # all but one: after 2, 5 the unplaced 6 completes a 12-3
+    assert found == 11
     # a first prefix that already contains a pattern yields nothing
     assert list(iter_avoiders(5, REDUCED_PATTERNS, first=(1, 2, 3))) == []
     assert list(iter_avoiders(3, (), first=(2, 3, 1))) == [(2, 3, 1)]
@@ -215,13 +224,56 @@ def test_iter_avoiders_with_first_letters():
             list(iter_avoiders(5, REDUCED_PATTERNS, first=bad))
 
 
+def _unpruned_walk(n, sets, first=()):
+    """oracle._walk as a list, without the lookahead lemma: a prefix is
+    tested only by whether a pattern closes it, and each word by all its
+    prefixes."""
+    tests = [[closes(p) for p in s] for s in sets]
+    out = []
+
+    def avoided(word, alive):
+        for k, ts in enumerate(tests):
+            if alive >> k & 1 and any(test(word) for test in ts):
+                alive ^= 1 << k
+        return alive
+
+    def grow(prefix, alive):
+        alive = avoided(prefix, alive)
+        if not alive:
+            return
+        if len(prefix) == n:
+            out.append((prefix, alive))
+        for x in range(1, n + 1):
+            if x not in prefix:
+                grow(prefix + (x,), alive)
+
+    alive = (1 << len(sets)) - 1
+    for m in range(len(first)):
+        alive = avoided(first[:m], alive)
+    if alive:
+        grow(tuple(first), alive)
+    return out
+
+
+def _unpruned_circular(n, patterns, linear=None):
+    """oracle._circular_avoiders without the seam lemma: the canonical
+    words that avoid patterns, each then tested on rotations 1..n-1.
+    linear, when given, is the list of all linear avoiders of patterns."""
+    if linear is None:
+        linear = [w for w, _ in _unpruned_walk(n, (patterns,), (1,))]
+    tests = [closes(p) for p in patterns]
+    return [w for w in linear if w[0] == 1 and not any(
+        test(w[m:] + w[:m]) for m in range(1, n) for test in tests)]
+
+
 def _three_pass_report(n):
-    """oracle_report(n) from one walk per linear pair and the circular pass."""
+    """oracle_report(n) from one unpruned walk per linear pair and the
+    unpruned circular pass."""
     count_l = 0
     v = [0] * (n + 1)
     b_cells = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
     c_cells = dict(b_cells)
-    for w in iter_avoiders(n, REDUCED_PATTERNS):
+    for w, _ in _unpruned_walk(n, (REDUCED_PATTERNS,)):
         count_l += 1
         if w != held_out(n):
             klass = oracle._classify(w, n)
@@ -229,9 +281,9 @@ def _three_pass_report(n):
                 b_cells[(w[-2], w[-1])] += 1
             elif klass == "c":
                 c_cells[(w[-2], w[-1])] += 1
-    for w in iter_avoiders(n, LAST_LETTER_PATTERNS):
+    for w, _ in _unpruned_walk(n, (LAST_LETTER_PATTERNS,)):
         v[w[-1]] += 1
-    circular = tuple(oracle._circular_avoiders(n, (CIRCULAR_PATTERN,)))
+    circular = tuple(_unpruned_circular(n, (CIRCULAR_PATTERN,)))
     return OracleReport(n, count_l, circular, tuple(v), b_cells, c_cells)
 
 
@@ -251,10 +303,14 @@ def test_last_letter_avoiders_avoid_the_reduced_pair():
 @pytest.mark.parametrize("sets", [
     (REDUCED_PATTERNS, LAST_LETTER_PATTERNS),
     (REDUCED_PATTERNS, LAST_LETTER_PATTERNS, (CIRCULAR_PATTERN,)),
-], ids=["shared-12-3", "nothing-shared"])
+    # flags that look ahead: 23-4-1 to the smallest unplaced letter, 1-23-4
+    # to the largest
+    (REDUCED_PATTERNS, (REDUCED_PATTERNS[0], CIRCULAR_PATTERN),
+     (REDUCED_PATTERNS[0], VincularPattern((1, 2, 3, 4), bonds={1}))),
+], ids=["shared-12-3", "nothing-shared", "lookahead-flags"])
 def test_walk_marks_each_avoided_set(sets):
     for n in range(7):
-        for first in ((), (2,), (2, 1)):
+        for first in ((), (2,), (2, 1), (1, 2, 3), (4, 1)):
             if max(first, default=0) > n:
                 continue
             want = []
@@ -279,3 +335,30 @@ def test_scans_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# Every pattern of length 1 to 4 with every bond set.
+ALL_SMALL_PATTERNS = [
+    VincularPattern(entries, {t for t in range(k - 1) if mask >> t & 1})
+    for k in range(1, 5) for entries in permutations(range(1, k + 1))
+    for mask in range(1 << max(k - 1, 0))]
+
+
+def test_lemmas_lose_no_avoider_of_any_small_pattern():
+    # the lookahead (both walks) and the seam lemma (circular walk) give
+    # the unpruned lists, as words and in order
+    assert len(ALL_SMALL_PATTERNS) == 221
+    for p in ALL_SMALL_PATTERNS:
+        for n in range(1, 7):
+            linear = [w for w, _ in _unpruned_walk(n, ((p,),))]
+            assert list(iter_avoiders(n, (p,))) == linear, (p, n)
+            assert list(oracle._circular_avoiders(n, (p,))) == _unpruned_circular(
+                n, (p,), linear), (p, n)
+
+
+def test_lookahead_applies_to_the_documented_patterns():
+    # -1: the largest unplaced letter, 0: the smallest, None: direct test
+    grown = (CIRCULAR_PATTERN, *oracle._seam_rotations(CIRCULAR_PATTERN))
+    assert [oracle._lookahead(p) for p in grown] == [0, None, -1]
+    assert [oracle._lookahead(p) for p in (*REDUCED_PATTERNS, LAST_LETTER_PATTERNS[1])] == [
+        -1, None, None]
