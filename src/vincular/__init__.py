@@ -31,7 +31,6 @@ from .perms import (
     avoids_circular,
     avoids_linear,
     iter_occurrences,
-    rotations,
     standardize,
 )
 from .powerseries import Q, Series, as_int
@@ -66,6 +65,5 @@ __all__ = [
     "count_linear_avoiders",
     "iter_occurrences",
     "oracle_report",
-    "rotations",
     "standardize",
 ]

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field, replace
 from itertools import permutations, zip_longest
 
-from . import genfun, oracle
+from . import genfun, oracle, perms
 from .powerseries import Q, Series
 from .tables import CELLS_MAX, Tables, build_tables, check_conjectures
 
@@ -104,6 +104,29 @@ def _reference(name: str, left: str, a, upto: int) -> CheckResult:
     return _agree(name, rows, left, "reference", f"a_1..a_{upto} exact")
 
 
+def _fault_cell(cell: str, n_max: int) -> tuple[str, list[int]]:
+    """The kind and numbers of the fault cell "b:n:i:j", "c:n:i:j" or
+    "v:n:j"; ValueError unless check_oracle_dp reads it at some size
+    2 <= n <= n_max."""
+    kind, *fields = cell.split(":")
+    arity = {"v": 2, "b": 3, "c": 3}.get(kind)
+    try:
+        nums = [int(f) for f in fields]
+    except ValueError:
+        nums = []
+    if arity is None or len(nums) != arity:
+        raise ValueError(
+            f"bad fault cell {cell!r}; use v:n:j or b:n:i:j or c:n:i:j")
+    n, *letters = nums
+    read = (2 <= n <= n_max and all(1 <= k <= n for k in letters)
+            and (kind == "v" or letters[0] != letters[1]))
+    if not read:
+        raise ValueError(
+            f"fault cell {cell!r} is never read by the oracle check; it needs "
+            f"2 <= n <= {n_max}, letters in 1..n, and i != j")
+    return kind, nums
+
+
 def apply_fault(tables: Tables, cell: str, oracle_max: int | None = None) -> str:
     """Corrupt one recurrence cell in place (self-test hook).
 
@@ -114,25 +137,11 @@ def apply_fault(tables: Tables, cell: str, oracle_max: int | None = None) -> str
     min(N, CELLS_MAX)), letters 1..n, and i != j.  Anything else raises
     ValueError, since corrupting it would show nothing.
     """
-    kind, *fields = cell.split(":")
-    arity = {"v": 2, "b": 3, "c": 3}.get(kind)
-    try:
-        nums = [int(f) for f in fields]
-    except ValueError:
-        nums = []
-    if arity is None or len(nums) != arity:
-        raise ValueError(
-            f"bad fault cell {cell!r}; use v:n:j or b:n:i:j or c:n:i:j")
     n_max = len(tables.b_cells) - 1  # min(N, CELLS_MAX)
     if oracle_max is not None:
         n_max = min(oracle_max, n_max)
+    kind, nums = _fault_cell(cell, n_max)
     n, *letters = nums
-    read = (2 <= n <= n_max and all(1 <= k <= n for k in letters)
-            and (kind == "v" or letters[0] != letters[1]))
-    if not read:
-        raise ValueError(
-            f"fault cell {cell!r} is never read by the oracle check; it needs "
-            f"2 <= n <= {n_max}, letters in 1..n, and i != j")
     if kind == "v":
         tables.v[n][letters[0]] += 1
     else:
@@ -192,7 +201,7 @@ def check_reduction(n: int, *, reports=None) -> CheckResult:
 
     def rows():
         for w in circular:
-            yield str(w), True, oracle.avoids_linear(
+            yield str(w), True, perms.avoids_linear(
                 oracle.delete_smallest(w), oracle.REDUCED_PATTERNS)
         yield "count", len(circular), reports(n - 1).count_l
 
@@ -289,6 +298,10 @@ def check_bivariate_oracle(n_max: int = 8, *, reports=None) -> CheckResult:
         "series", "oracle", f"(v,u)=({v},{u}), 2 <= n <= {n_max}")
 
 
+def _raised(name: str, exc: Exception) -> CheckResult:
+    return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+
+
 def run_all(oracle_max: int = ORACLE_CAP,
             fault: str | None = None) -> list[CheckResult]:
     """The full suite, most trustworthy checks first.
@@ -299,10 +312,12 @@ def run_all(oracle_max: int = ORACLE_CAP,
     size, made in this call.  Each result carries the seconds its check
     took, a shared report counting towards the first check that reads it;
     a check that raises gives a FAIL row with the exception's type and
-    message.  Raises ValueError, before any check runs, when oracle_max
-    is past CELLS_MAX (the cell tables stop there) or below 2, which
-    would leave the checks it sizes nothing to compare.  The series
-    checks run at SERIES_ORDER.
+    message.  So does a table build that raises, and then every check
+    that reads the tables is a FAIL row too, left unrun, while the others
+    run.  Raises ValueError, before any check runs, when oracle_max is
+    past CELLS_MAX (the cell tables stop there) or below 2, which would
+    leave the checks it sizes nothing to compare, or when fault names a
+    cell that no check reads.  The series checks run at SERIES_ORDER.
     """
     if oracle_max > CELLS_MAX:
         raise ValueError(
@@ -311,25 +326,34 @@ def run_all(oracle_max: int = ORACLE_CAP,
     if oracle_max < 2:
         raise ValueError(
             f"oracle cap {oracle_max} is below 2; its checks would compare nothing")
+    if fault is not None:
+        _fault_cell(fault, oracle_max)
     t0 = time.perf_counter()
-    tables = build_tables(len(REFERENCE_A))
-    build_dt = time.perf_counter() - t0
-    results = [CheckResult("dp-build", True, f"N={tables.N}", build_dt)]
+    try:
+        tables = build_tables(len(REFERENCE_A))
+        build = CheckResult("dp-build", True, f"N={tables.N}")
+    except Exception as exc:
+        tables, build = None, _raised("dp-build", exc)
+    results = [replace(build, seconds=time.perf_counter() - t0)]
 
     reports = functools.cache(oracle.oracle_report)
 
     def run(check, *args, **kwargs) -> None:
         """Append check's result, or a FAIL row naming the exception it
-        raised, so that one broken route leaves the later checks running."""
+        raised, so that one broken route leaves the later checks running.
+        A check handed the tables fails unrun when they did not build."""
+        name = check.__name__ + "".join(f"-n{a}" for a in args if type(a) is int)
         t0 = time.perf_counter()
-        try:
-            res = check(*args, **kwargs)
-        except Exception as exc:
-            name = check.__name__ + "".join(f"-n{a}" for a in args if type(a) is int)
-            res = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+        if None in args:
+            res = CheckResult(name, False, "not run: dp-build failed")
+        else:
+            try:
+                res = check(*args, **kwargs)
+            except Exception as exc:
+                res = _raised(name, exc)
         results.append(replace(res, seconds=time.perf_counter() - t0))
 
-    if fault is not None:
+    if fault is not None and tables is not None:
         cell = apply_fault(tables, fault, oracle_max)
         results.append(CheckResult(
             "fault-injection", True, f"corrupted {cell}; expect a FAIL below"))

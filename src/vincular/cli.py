@@ -150,8 +150,9 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # run_all turns a check that raises into a FAIL row, so a ValueError
-    # here is a bad cap or fault cell, refused before any check runs.
+    # run_all turns a check or a table build that raises into a FAIL row,
+    # so a ValueError here is a bad cap or fault cell, refused before any
+    # check runs.
     try:
         results = checks.run_all(args.oracle_cap, args.inject_fault)
     except ValueError as exc:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 # avoids_linear and avoids_circular stay bound here for the benchmark tracer.
 from .perms import (
@@ -166,20 +166,15 @@ def _walk(
                 stack.append((word, left, bits))
 
 
-def iter_avoiders(
-    n: int, patterns: Iterable[VincularPattern], first: Sequence[int] = ()
-) -> Iterator[Word]:
-    """Words of [n] that start with first and avoid every pattern linearly,
-    in lexicographic order.
+def iter_avoiders(n: int, patterns: Iterable[VincularPattern]) -> Iterator[Word]:
+    """Words of [n] that avoid every pattern linearly, in lexicographic
+    order.
 
     A prefix is extended only while no pattern decides it (closes it, or
     by the lookahead lemma), so each word is built from avoiding prefixes
     alone.
     """
-    first = tuple(first)
-    if len(set(first)) != len(first) or not all(1 <= x <= n for x in first):
-        raise ValueError(f"first must be distinct letters of 1..{n}: {first!r}")
-    for word, _ in _walk(n, (tuple(patterns),), first):
+    for word, _ in _walk(n, (tuple(patterns),)):
         yield word
 
 
@@ -215,7 +210,7 @@ def _circular_avoiders(n: int, patterns: tuple[VincularPattern, ...]) -> Iterato
         raise ValueError("n must be positive")
     grown = tuple(q for p in patterns for q in (p, *_seam_rotations(p)))
     tests = [closes(p) for p in patterns]
-    for rep in iter_avoiders(n, grown, first=(1,)):
+    for rep, _ in _walk(n, (grown,), (1,)):
         if not any(test(rep[m:] + rep[:m]) for m in range(1, n) for test in tests):
             yield rep
 

@@ -43,23 +43,6 @@ def standardize(values: Sequence[int]) -> Word:
     return tuple(rank[v] for v in values)
 
 
-def rotations(word: Sequence[int]) -> list[Word]:
-    """All cyclic shifts of word, moving the last letter to the front.
-
-    The word itself comes first, then each successive shift.
-
-    >>> rotations((1, 2, 3))
-    [(1, 2, 3), (3, 1, 2), (2, 3, 1)]
-    """
-    word = tuple(word)
-    out = [word]
-    cur = word
-    for _ in range(len(word) - 1):
-        cur = (cur[-1],) + cur[:-1]
-        out.append(cur)
-    return out
-
-
 @dataclass(frozen=True, slots=True)
 class VincularPattern:
     """A pattern word plus adjacency bonds.
@@ -92,6 +75,11 @@ def iter_occurrences(host: Sequence[int], pattern: VincularPattern) -> Iterator[
     is plain backtracking over index tuples; the only shortcuts are the
     forced next index under a bond and abandoning prefixes that already
     violate the relative order.
+
+    >>> list(iter_occurrences((4, 1, 5, 2, 3), VincularPattern((2, 3, 1), bonds={1})))
+    [(0, 2, 3)]
+    >>> list(iter_occurrences((1, 2, 3, 4), VincularPattern((1, 2, 3), bonds={0})))
+    [(0, 1, 2), (0, 1, 3), (1, 2, 3)]
     """
     entries = pattern.entries
     bonds = pattern.bonds
@@ -128,24 +116,6 @@ def iter_occurrences(host: Sequence[int], pattern: VincularPattern) -> Iterator[
                 chosen.pop()
 
     yield from extend(0)
-
-
-def occurrences(host: Sequence[int], pattern: VincularPattern) -> list[Word]:
-    """All occurrences of pattern in host as 0-based index tuples.
-
-    >>> occurrences((4, 1, 5, 2, 3), VincularPattern((2, 3, 1), bonds={1}))
-    [(0, 2, 3)]
-    >>> occurrences((1, 2, 3, 4), VincularPattern((1, 2, 3), bonds={0}))
-    [(0, 1, 2), (0, 1, 3), (1, 2, 3)]
-    """
-    return list(iter_occurrences(host, pattern))
-
-
-def contains(host: Sequence[int], pattern: VincularPattern) -> bool:
-    """True when host has at least one occurrence of pattern."""
-    for _ in iter_occurrences(host, pattern):
-        return True
-    return False
 
 
 def closes(pattern: VincularPattern) -> Callable[[Sequence[int]], bool]:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from vincular import cli, genfun
+from vincular import cli, genfun, tables
 from vincular.checks import REFERENCE_A
 from vincular.oracle import CIRCULAR_PATTERN, REDUCED_PATTERNS
 from vincular.perms import VincularPattern
@@ -372,3 +372,32 @@ def test_verify_reports_a_check_that_raises(capsys, monkeypatch):
     assert code == 1
     assert "FAIL check_series_reference: raised ValueError: not an integer: 486911/2" in text
     assert text.splitlines()[-1] == f"1 of {len(names)} checks FAILED"
+
+
+def test_verify_reports_a_table_build_that_raises(capsys, monkeypatch):
+    # a broken recurrence invariant stops the table build: the checks that
+    # read the tables fail unrun, the others still run, the JSON stays whole
+    monkeypatch.setattr(tables, "_step", lambda *args, **kwargs: -10**9)
+    code, out, _ = run(capsys, "verify", "--oracle-cap", "3", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    unrun = "not run: dp-build failed"
+    failed = {c["name"]: c["detail"] for c in doc["checks"] if not c["passed"]}
+    assert failed == {
+        "dp-build": "raised RuntimeError: recurrence invariant broken: negative v(3, .)",
+        "check_dp_reference": unrun,
+        "check_oracle_dp-n2": unrun,
+        "check_oracle_dp-n3": unrun,
+        "check_weighted_marginals": unrun,
+        "check_power_inequality": unrun,
+    }
+    passed = [c["name"] for c in doc["checks"] if c["passed"]]
+    assert passed == [
+        "series-reference-table", "reduction-n2", "reduction-n3", "series-v0-shift",
+        "series-c-weight-one", "series-b-weight-one", "series-bivariate-diagonal",
+        "series-integrality", "bivariate-oracle"]
+    assert doc["failed"] == 6 and doc["total"] == 15
+    # a fault cell is still read against the cap before anything runs
+    with pytest.raises(SystemExit, match="fault cell 'b:5:3:2'"):
+        run(capsys, "verify", "--oracle-cap", "3", "--inject-fault", "b:5:3:2")
+    assert capsys.readouterr().out == ""

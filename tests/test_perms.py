@@ -12,10 +12,7 @@ from vincular.perms import (
     avoids_circular,
     avoids_linear,
     closes,
-    contains,
     iter_occurrences,
-    occurrences,
-    rotations,
     standardize,
 )
 
@@ -37,26 +34,19 @@ def test_standardize_rejects_duplicates():
         standardize((2, 2, 1))
 
 
-def test_rotations():
-    assert rotations((1, 2, 3)) == [(1, 2, 3), (3, 1, 2), (2, 3, 1)]
-    assert rotations((1,)) == [(1,)]
-    assert rotations((2, 3, 4, 1)) == [
-        (2, 3, 4, 1), (1, 2, 3, 4), (4, 1, 2, 3), (3, 4, 1, 2)]
-
-
 def test_single_occurrence_in_41523():
     # 4,5,2 at 0-based indices (0,2,3) is the only occurrence: the final
     # two pattern letters are glued, so 4,5,3 does not count.
-    assert occurrences((4, 1, 5, 2, 3), P2_31) == [(0, 2, 3)]
+    assert list(iter_occurrences((4, 1, 5, 2, 3), P2_31)) == [(0, 2, 3)]
 
 
 def test_host_shorter_than_pattern():
-    assert occurrences((2, 1, 3), P41_23) == []
+    assert list(iter_occurrences((2, 1, 3), P41_23)) == []
     assert avoids_linear((1, 2), REDUCED)
 
 
 def test_glued_ascent_occurrences_in_identity():
-    assert occurrences((1, 2, 3, 4), P12_3) == [(0, 1, 2), (0, 1, 3), (1, 2, 3)]
+    assert list(iter_occurrences((1, 2, 3, 4), P12_3)) == [(0, 1, 2), (0, 1, 3), (1, 2, 3)]
 
 
 def test_45132_avoids_both_reduced_patterns():
@@ -66,7 +56,7 @@ def test_45132_avoids_both_reduced_patterns():
 def test_3142_avoids_glued_tail_pattern():
     # The only length-4 index tuple is the whole word, and 3142 is not
     # order-isomorphic to 4123.
-    assert occurrences((3, 1, 4, 2), P41_23) == []
+    assert list(iter_occurrences((3, 1, 4, 2), P41_23)) == []
     assert avoids_linear((3, 1, 4, 2), (P41_23,))
 
 
@@ -107,14 +97,14 @@ def test_no_bonds_matches_classical_containment():
         for host in permutations(range(1, n + 1)):
             for entries in pats:
                 pat = VincularPattern(entries)
-                got = bool(occurrences(host, pat))
+                got = bool(list(iter_occurrences(host, pat)))
                 assert got == _classical_contains(host, entries)
 
 
 def test_all_bonds_matches_window_scan():
     pat = VincularPattern((2, 1, 3), bonds={0, 1})
     for host in permutations(range(1, 6)):
-        got = occurrences(host, pat)
+        got = list(iter_occurrences(host, pat))
         want = [
             (i, i + 1, i + 2)
             for i in range(3)
@@ -153,7 +143,7 @@ def test_empty_pattern_closes_every_word():
     empty = VincularPattern(())
     assert closes(empty)(()) and closes(empty)((2, 1))
     assert not avoids_linear((), (empty,))
-    assert contains((), empty)
+    assert list(iter_occurrences((), empty)) == [()]
 
 
 def test_pattern_compiled_once():
@@ -172,15 +162,16 @@ def _word(n):
 
 @given(st.integers(1, 6).flatmap(_word))
 def test_avoidance_iff_no_occurrence(host):
+    rots = [host[m:] + host[:m] for m in range(len(host))]
     for pat in (P12_3, P41_23, CIRC, P2_31):
-        assert avoids_linear(host, (pat,)) == (not occurrences(host, pat))
+        assert avoids_linear(host, (pat,)) == (not list(iter_occurrences(host, pat)))
         assert avoids_circular(host, (pat,)) == (
-            not any(contains(rot, pat) for rot in rotations(host)))
+            not any(list(iter_occurrences(rot, pat)) for rot in rots))
     assert avoids_linear(host, REDUCED) == (
-        not any(contains(host, pat) for pat in REDUCED))
+        not any(list(iter_occurrences(host, pat)) for pat in REDUCED))
 
 
 @given(st.integers(1, 6).flatmap(_word))
 def test_circular_avoidance_is_rotation_invariant(host):
-    values = {avoids_circular(r, (CIRC,)) for r in rotations(host)}
+    values = {avoids_circular(host[m:] + host[:m], (CIRC,)) for m in range(len(host))}
     assert len(values) == 1
