@@ -338,11 +338,11 @@ def run_all(oracle_max: int = ORACLE_CAP,
 
     reports = functools.cache(oracle.oracle_report)
 
-    def run(check, *args, **kwargs) -> None:
-        """Append check's result, or a FAIL row naming the exception it
-        raised, so that one broken route leaves the later checks running.
-        A check handed the tables fails unrun when they did not build."""
-        name = check.__name__ + "".join(f"-n{a}" for a in args if type(a) is int)
+    def run(name: str, check, *args, **kwargs) -> None:
+        """Append check's result, or a FAIL row under the check's own name
+        naming the exception it raised, so that one broken route leaves
+        the later checks running.  A check handed the tables fails unrun
+        when they did not build."""
         t0 = time.perf_counter()
         if None in args:
             res = CheckResult(name, False, "not run: dp-build failed")
@@ -357,18 +357,18 @@ def run_all(oracle_max: int = ORACLE_CAP,
         cell = apply_fault(tables, fault, oracle_max)
         results.append(CheckResult(
             "fault-injection", True, f"corrupted {cell}; expect a FAIL below"))
-    run(check_dp_reference, tables)
-    run(check_series_reference)
+    run("dp-reference-table", check_dp_reference, tables)
+    run("series-reference-table", check_series_reference)
     for n in range(2, oracle_max + 1):
-        run(check_oracle_dp, tables, n, reports=reports)
+        run(f"oracle-dp-n{n}", check_oracle_dp, tables, n, reports=reports)
     for n in range(2, oracle_max + 1):
-        run(check_reduction, n, reports=reports)
-    run(check_v0_shift)
-    run(check_c1u_at_one)
-    run(check_b1u_at_one)
-    run(check_a_vu_diagonal)
-    run(check_weighted_marginals, tables)
-    run(check_integrality)
-    run(check_power_inequality, tables)
-    run(check_bivariate_oracle, oracle_max, reports=reports)
+        run(f"reduction-n{n}", check_reduction, n, reports=reports)
+    run("series-v0-shift", check_v0_shift)
+    run("series-c-weight-one", check_c1u_at_one)
+    run("series-b-weight-one", check_b1u_at_one)
+    run("series-bivariate-diagonal", check_a_vu_diagonal)
+    run("weighted-marginals", check_weighted_marginals, tables)
+    run("series-integrality", check_integrality)
+    run("conjecture-power-inequality", check_power_inequality, tables)
+    run("bivariate-oracle", check_bivariate_oracle, oracle_max, reports=reports)
     return results

@@ -16,24 +16,36 @@ containment alone and hold for any pattern P.
 * Lookahead (both walks).  Let P's last gap be unbonded and its last
   letter be its largest.  If P closes the prefix followed by some
   unplaced letter x, every extension contains P: x comes later, and the
-  gap before it asks for no adjacency.  Only x's size against the other
-  letters of the occurrence matters, so trying the largest unplaced
-  letter decides it, in one call (the smallest, when P's last letter is
-  its smallest).  For such a P this test replaces the direct one: the
-  prefix's parent passed it, and so no letter it could still place,
-  the prefix's last letter among them, closed P.  Other patterns keep
-  the direct test.  Here it serves 12-3, 23-4-1 (smallest letter) and
-  1-23-4 (largest).
+  gap before it asks for no adjacency.  Let P' be P less its last
+  letter.  P closes the prefix followed by x iff some occurrence of P'
+  in the prefix has its top letter below x, so the walk carries T, the
+  least top letter over all occurrences of P' in the prefix, down its
+  stack, and drops the prefix iff its largest unplaced letter is above
+  T.  A child's T is the least of its parent's and of the top letters
+  of the occurrences ending at its last letter, one compiled scan
+  (:func:`vincular.perms.threshold_scan`) with one loop fewer than the
+  test of P: for 12-3 it reads two letters.  When P's last letter is its
+  smallest, T is the greatest bottom letter instead, against the
+  smallest unplaced letter.  For such a P this replaces the direct
+  test: the prefix's parent passed it, and so no letter it could still
+  place, the prefix's last letter among them, closed P.  Other patterns
+  keep the direct test.  Here it serves 12-3 and 1-23-4 (largest
+  letter).
 * Seam (circular walk).  A circular word is grown from a fixed first
   letter, so the unplaced letters sit between the prefix's last letter
   and its first.  Rotate P at an unbonded gap g: letters g+1..k-1, then
   0..g, keeping P's bonds.  An occurrence of the rotated pattern in the
   prefix, read linearly, is one of P in every completion read from the
   letter taking P's first place: gap g, which needs no adjacency, spans
-  the seam.  So canonical words are grown against P and its rotations,
-  for 23-4-1 against 4-1-23 and 1-23-4 too.  The lemma cannot see an
-  occurrence whose bond spans the seam of the complete word, so every
-  survivor still gets the rotation test.
+  the seam.  So canonical words are grown against P's rotations, for
+  23-4-1 against 4-1-23 and 1-23-4.  They are grown against P itself
+  too, unless P's last letter is 1 and its last gap unbonded, as in
+  23-4-1: then an occurrence of P in a canonical word is, with the
+  leading 1 in front, one of P's rotation at its last gap.  The lemma
+  cannot see an occurrence whose bond spans the seam of the complete
+  word.  The letter after that seam is the canonical word's 1, so only
+  a P with a bond g into its letter 1 (entries[g+1] == 1) gives its
+  survivors the rotation test; 23-4-1 has no such bond.
 
 So a scan visits far fewer prefixes than the n! words: at n = 10 the
 linear walk of :func:`oracle_report` tests 314219 prefixes and the
@@ -41,9 +53,14 @@ circular walk 64162 (856371 and 629642 without the lemmas).  One
 walk can serve several pattern sets: it drops a prefix on a pattern that
 all of them hold and keeps a flag per set for the rest, so the two linear
 pairs of :func:`oracle_report`, which share 12-3, are grown together.
-Runtimes are still exponential in n: on one core of a 2-core machine
-with Python 3.11, ``oracle_report(10)`` takes about 1 s (2.4-2.8 s without
-the lemmas) and ``oracle_report(11)`` about 4.6 s (15 s).
+Each walk runs all its tests on a node in one generated function
+(:func:`_node_test`), made on the walk's first call.  Runtimes are still
+exponential in n: on one core of a shared 2-core machine with Python
+3.11, ``oracle_report(10)`` takes about 0.75 s and ``oracle_report(11)``
+about 4.5 s.  In runs alternated with these, the walk that tried the
+lookahead letter by a closes call and gave every circular survivor the
+rotation test took 1.4 s and 8.1 s; earlier runs without the lemmas
+took 2.4-2.8 s and 15 s.
 
 The enumeration partitions naturally by leading letters and shares no
 mutable state but the cache of compiled tests, whose entries never change
@@ -53,8 +70,9 @@ once made, so the functions are safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # avoids_linear and avoids_circular stay bound here for the benchmark tracer.
 from .perms import (
@@ -64,6 +82,7 @@ from .perms import (
     avoids_linear,
     closes,
     standardize,
+    threshold_scan,
 )
 
 # The circular pattern under study: 2341 with its first two letters bonded
@@ -90,15 +109,60 @@ def held_out(n: int) -> Word:
 
 
 def _lookahead(pattern: VincularPattern) -> int | None:
-    """Where the walk's sorted unplaced letters hold the one letter worth
-    trying after a prefix: -1 (the largest) when pattern's last letter is
-    its largest, 0 (the smallest) when it is its smallest, and None, for
-    the direct test, when its last gap is bonded or it has no last gap."""
+    """Where the walk's sorted unplaced letters hold the one letter that a
+    prefix's threshold is compared with: -1 (the largest) when pattern's
+    last letter is its largest, 0 (the smallest) when it is its smallest,
+    and None, for the direct test, when its last gap is bonded or it has
+    no last gap."""
     k = len(pattern.entries)
     if k < 2 or k - 2 in pattern.bonds:
         return None
     last = pattern.entries[-1]
     return -1 if last == k else 0 if last == 1 else None
+
+
+@cache
+def _node_test(checks: tuple[tuple[int, VincularPattern], ...], full: int) -> Callable:
+    """The compiled node test of a walk whose checks are (mask, pattern)
+    pairs, tried in order, and whose sets are the bits of full.
+
+    step(word, rest, state) takes the state of word's parent, (alive,
+    t0, t1, ...): the bits of the sets still avoided and one threshold per
+    lookahead check, and gives word's state, or None when word is
+    dropped; rest is the sorted tuple of letters still to place.  A direct
+    check calls the pattern's closes test on word.  A lookahead check
+    carries T, the least top letter of any occurrence of P' (the pattern
+    less its last letter) in the prefix (the greatest bottom letter, when
+    the last letter is the smallest), and drops word iff rest's largest
+    letter is above T (its smallest below T): exactly when the pattern
+    closes word followed by that letter.  A check whose bits are all
+    cleared is skipped, its threshold left stale, as no later node reads
+    it.
+    """
+    namespace: dict = {}
+    body: list[str] = []
+    thresholds: list[str] = []
+    for j, (mask, p) in enumerate(checks):
+        drop = ["return None"] if mask == full else [
+            f"alive &= {full & ~mask}", "if not alive:", "    return None"]
+        pick = _lookahead(p)
+        if pick is None:
+            namespace[f"c{j}"] = closes(p)
+            body += [f"if alive & {mask} and c{j}(w):", *("    " + d for d in drop)]
+            continue
+        t = f"t{len(thresholds)}"
+        thresholds.append(t)
+        front = VincularPattern(standardize(p.entries[:-1]), p.bonds)
+        namespace[f"s{j}"] = threshold_scan(front, 1 if pick == -1 else -1)
+        body += [f"if alive & {mask}:",
+                 f"    {t} = s{j}(w, {t})",
+                 f"    if rest and rest[{pick}] {'>' if pick == -1 else '<'} {t}:",
+                 *("        " + d for d in drop)]
+    state = ", ".join(["alive", *thresholds])
+    source = "\n    ".join([
+        "def step(w, rest, state):", f"({state},) = state", *body, f"return ({state},)"])
+    exec(source + "\n", namespace)
+    return namespace["step"]
 
 
 def _walk(
@@ -113,57 +177,49 @@ def _walk(
     unplaced letter that :func:`_lookahead` picks) clears the bits of the
     sets that hold it, all of them for a pattern common to every set, and
     the prefix is dropped once no bit is left.  The common patterns are
-    tried first.  The walk keeps its own stack, so each word reaches the
+    tried first, and one compiled :func:`_node_test` runs every check on
+    a node.  The walk keeps its own stack, so each word reaches the
     caller through one generator only.
     """
     full = (1 << len(sets)) - 1
     shared = [p for p in sets[0] if all(p in s for s in sets[1:])]
-    masks = [(full, p) for p in shared] + [
-        (1 << k, p) for k, s in enumerate(sets) for p in s if p not in shared]
-    checks = tuple((mask, _lookahead(p), closes(p)) for mask, p in masks)
-
-    def survives(word: Word, rest: Word, alive: int) -> int:
-        """alive less the bits of the sets that a pattern deciding word
-        belongs to, rest being the letters still to place; 0 when word is
-        dropped.  A lookahead pattern is not tested on word itself: the
-        parent's lookahead already tried every letter of its rest."""
-        for mask, pick, test in checks:
-            if alive & mask and (
-                    test(word) if pick is None else rest and test(word + (rest[pick],))):
-                alive &= ~mask
-        return alive
-
-    alive = full
+    checks = tuple([(full, p) for p in shared] + [
+        (1 << k, p) for k, s in enumerate(sets) for p in s if p not in shared])
+    step = _node_test(checks, full)
+    picks = [_lookahead(p) for _, p in checks]
+    # A threshold starts past every letter: n + 1 for a least top letter,
+    # 0 for a greatest bottom one.
+    state = (full, *(n + 1 if pick == -1 else 0 for pick in picks if pick is not None))
     # Each prefix of first is a node of its own: its lookahead covers the
     # direct test of the next one.
     for m in range(len(first) + 1):
         rest = tuple(x for x in range(1, n + 1) if x not in first[:m])
-        alive = survives(first[:m], rest, alive)
-        if not alive:
+        state = step(first[:m], rest, state)
+        if state is None:
             return
-    stack = [(first, rest, alive)]
+    stack = [(first, rest, state)]
     while stack:
-        prefix, rest, alive = stack.pop()
+        prefix, rest, state = stack.pop()
         if len(rest) <= 2:
             # At most two words lie below: finish them here rather than
             # push and pop one more node for each.
             for tail in permutations(rest):
-                word, bits = prefix, alive
+                word, leaf = prefix, state
                 for j, x in enumerate(tail, start=1):
                     word += (x,)
-                    bits = survives(word, tail[j:], bits)
-                    if not bits:
+                    leaf = step(word, tail[j:], leaf)
+                    if leaf is None:
                         break
                 else:
-                    yield word, bits
+                    yield word, leaf[0]
             continue
         # Pushed from the largest letter down, so popped in lexicographic order.
         for i in range(len(rest) - 1, -1, -1):
             word = prefix + (rest[i],)
             left = rest[:i] + rest[i + 1:]
-            bits = survives(word, left, alive)
-            if bits:
-                stack.append((word, left, bits))
+            child = step(word, left, state)
+            if child is not None:
+                stack.append((word, left, child))
 
 
 def iter_avoiders(n: int, patterns: Iterable[VincularPattern]) -> Iterator[Word]:
@@ -200,16 +256,21 @@ def _circular_avoiders(n: int, patterns: tuple[VincularPattern, ...]) -> Iterato
     """Canonical words (first letter 1) of the cyclic classes of [n] whose
     rotations all avoid patterns.
 
-    The walk grows the canonical words against patterns and their
-    :func:`_seam_rotations` (seam lemma), and each survivor then gets the
-    closed test on rotations 1..n-1 (see
-    :func:`vincular.perms.avoids_circular`), which also sees a bond across
-    the seam of the complete word.
+    The walk grows the canonical words against the :func:`_seam_rotations`
+    of patterns (seam lemma) and against each pattern itself, unless its
+    last letter is 1 and its last gap unbonded: an occurrence of such a
+    pattern in a canonical word is, with the leading 1 in front, one of
+    its rotation at its last gap, which is grown.  A survivor can still
+    contain a pattern through an occurrence with a bond across the seam
+    of the complete word, and the letter after the seam is 1, so only a
+    pattern with a bond into its own letter 1 needs the closed test on
+    rotations 1..n-1 (see :func:`vincular.perms.avoids_circular`).
     """
     if n < 1:
         raise ValueError("n must be positive")
-    grown = tuple(q for p in patterns for q in (p, *_seam_rotations(p)))
-    tests = [closes(p) for p in patterns]
+    grown = tuple(q for p in patterns for q in (
+        (p,) if _lookahead(p) != 0 else ()) + _seam_rotations(p))
+    tests = [closes(p) for p in patterns if any(p.entries[g + 1] == 1 for g in p.bonds)]
     for rep, _ in _walk(n, (grown,), (1,)):
         if not any(test(rep[m:] + rep[:m]) for m in range(1, n) for test in tests):
             yield rep

@@ -15,9 +15,11 @@ position: nested ``for`` loops generated from the pattern's integers, in
 which a bonded position is a forced index and each letter is compared only
 with its value neighbours among the letters placed before it.  A word
 contains a pattern iff one of its prefixes is closed by it, and a circular
-word iff one of its rotations is.  :func:`iter_occurrences` stays the
-plain backtracking search, the reference the compiled tests are checked
-against.
+word iff one of its rotations is.  The same generator makes
+:func:`threshold_scan`, which gives the least top (or greatest bottom)
+letter of those occurrences instead of a yes or no.
+:func:`iter_occurrences` stays the plain backtracking search, the
+reference the compiled tests are checked against.
 """
 
 from __future__ import annotations
@@ -133,21 +135,46 @@ def closes(pattern: VincularPattern) -> Callable[[Sequence[int]], bool]:
     return _compiled(pattern.entries, pattern.bonds)
 
 
+def threshold_scan(pattern: VincularPattern, side: int) -> Callable[[Sequence[int], int], int]:
+    """The compiled threshold scan of pattern, side 1 or -1: on a word w of
+    distinct letters and a bound t, the least letter filling pattern's
+    largest place (side 1) or the greatest filling its smallest (side -1)
+    over the occurrences ending at w's last position, when it is below t
+    (above t); else t.
+
+    Folded over the prefixes of a word from t = +inf (-inf), it gives the
+    least top (greatest bottom) letter of any occurrence in the word.
+
+    >>> threshold_scan(VincularPattern((1, 2), bonds={0}), 1)((3, 1, 4), 9)
+    4
+    >>> threshold_scan(VincularPattern((1, 2, 3), bonds={0}), -1)((2, 5, 1, 3, 6), 0)
+    2
+    """
+    if side not in (1, -1):
+        raise ValueError(f"side must be 1 or -1, not {side!r}")
+    return _compiled(pattern.entries, pattern.bonds, side)
+
+
 @cache
-def _compiled(entries: Word, bonds: frozenset[int]) -> Callable[[Sequence[int]], bool]:
+def _compiled(entries: Word, bonds: frozenset[int], side: int = 0) -> Callable:
     namespace: dict = {}
-    exec(_closes_source(entries, bonds), namespace)
-    return namespace["closes"]
+    exec(_closes_source(entries, bonds, side), namespace)
+    return namespace["closes" if side == 0 else "scan"]
 
 
-def _closes_source(entries: Word, bonds: frozenset[int]) -> str:
-    """Source of the closes test; it holds no value taken from the pattern
-    but positions in range(k) and the comparisons their order implies.
+def _closes_source(entries: Word, bonds: frozenset[int], side: int = 0) -> str:
+    """Source of the closes test (side 0) or of the threshold scan (side 1
+    or -1, see :func:`threshold_scan`); it holds no value taken from the
+    pattern but positions in range(k) and the comparisons their order
+    implies.
 
     Letter t of the pattern lives in a{t} at host index i{t}.  The last
     letter sits at n-1, and a bonded run ending there is fixed too; the
     other positions run left to right, each a loop over its free range or
-    the index forced by a bond.
+    the index forced by a bond.  The scan compares the letter it tracks
+    with the bound as soon as it is placed, and an occurrence found
+    becomes the new bound; when that letter is fixed, the first one found
+    is the answer.
     """
     k = len(entries)
     if k == 0:
@@ -155,9 +182,15 @@ def _closes_source(entries: Word, bonds: frozenset[int]) -> str:
     fixed = k - 1
     while fixed > 0 and fixed - 1 in bonds:
         fixed -= 1
-    lines = ["def closes(w):", "    n = len(w)", f"    if n < {k}:", "        return False"]
+    if side == 0:
+        head, miss, tracked = "def closes(w):", "return False", None
+    else:
+        head, miss = "def scan(w, bound):", "return bound"
+        tracked = entries.index(k if side == 1 else 1)
+    lines = [head, "    n = len(w)", f"    if n < {k}:", f"        {miss}"]
+    final = miss
     placed: list[int] = []
-    pad, miss = "    ", "return False"
+    pad = "    "
 
     def place(t: int, index: str) -> None:
         lines.append(f"{pad}a{t} = w[{index}]")
@@ -168,6 +201,8 @@ def _closes_source(entries: Word, bonds: frozenset[int]) -> str:
             terms.append(f"a{max(below, key=entries.__getitem__)} < a{t}")
         if above:
             terms.append(f"a{t} < a{min(above, key=entries.__getitem__)}")
+        if t == tracked:
+            terms.append(f"a{t} < bound" if side == 1 else f"bound < a{t}")
         if terms:
             lines.append(f"{pad}if not ({' and '.join(terms)}):")
             lines.append(f"{pad}    {miss}")
@@ -183,9 +218,14 @@ def _closes_source(entries: Word, bonds: frozenset[int]) -> str:
             lines.append(f"{pad}for i{t} in range({start}, n - {k - 1 - t}):")
             pad, miss = pad + "    ", "continue"
         place(t, f"i{t}")
-    lines.append(f"{pad}return True")
+    if tracked is None:
+        lines.append(f"{pad}return True")
+    elif tracked >= fixed:
+        lines.append(f"{pad}return a{tracked}")
+    else:
+        lines.append(f"{pad}bound = a{tracked}")
     if fixed > 0:
-        lines.append("    return False")
+        lines.append(f"    {final}")
     return "\n".join(lines) + "\n"
 
 

@@ -361,16 +361,17 @@ def test_verify_reports_a_check_that_raises(capsys, monkeypatch):
     names = [check["name"] for check in doc["checks"]]
     failed = [check for check in doc["checks"] if not check["passed"]]
     assert doc["failed"] == len(failed) == 1
+    # the FAIL row carries the label the check's PASS row has
     assert failed[0] == {
-        "name": "check_series_reference", "passed": False,
+        "name": "series-reference-table", "passed": False,
         "detail": "raised ValueError: not an integer: 486911/2",
         "seconds": failed[0]["seconds"]}
-    assert names.index("check_series_reference") == 2
+    assert names.index("series-reference-table") == 2
     assert names[3:5] == ["oracle-dp-n2", "oracle-dp-n3"]
     assert names[-1] == "bivariate-oracle"
     code, text, _ = run(capsys, "verify", "--oracle-cap", "3")
     assert code == 1
-    assert "FAIL check_series_reference: raised ValueError: not an integer: 486911/2" in text
+    assert "FAIL series-reference-table: raised ValueError: not an integer: 486911/2" in text
     assert text.splitlines()[-1] == f"1 of {len(names)} checks FAILED"
 
 
@@ -383,13 +384,14 @@ def test_verify_reports_a_table_build_that_raises(capsys, monkeypatch):
     doc = json.loads(out)
     unrun = "not run: dp-build failed"
     failed = {c["name"]: c["detail"] for c in doc["checks"] if not c["passed"]}
+    # an unrun check's row carries the label of its PASS row
     assert failed == {
         "dp-build": "raised RuntimeError: recurrence invariant broken: negative v(3, .)",
-        "check_dp_reference": unrun,
-        "check_oracle_dp-n2": unrun,
-        "check_oracle_dp-n3": unrun,
-        "check_weighted_marginals": unrun,
-        "check_power_inequality": unrun,
+        "dp-reference-table": unrun,
+        "oracle-dp-n2": unrun,
+        "oracle-dp-n3": unrun,
+        "weighted-marginals": unrun,
+        "conjecture-power-inequality": unrun,
     }
     passed = [c["name"] for c in doc["checks"] if c["passed"]]
     assert passed == [
@@ -397,6 +399,12 @@ def test_verify_reports_a_table_build_that_raises(capsys, monkeypatch):
         "series-c-weight-one", "series-b-weight-one", "series-bivariate-diagonal",
         "series-integrality", "bivariate-oracle"]
     assert doc["failed"] == 6 and doc["total"] == 15
+    # and every row is named as in a run where nothing fails
+    names = [c["name"] for c in doc["checks"]]
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify", "--oracle-cap", "3", "--format", "json")
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == names
     # a fault cell is still read against the cap before anything runs
     with pytest.raises(SystemExit, match="fault cell 'b:5:3:2'"):
         run(capsys, "verify", "--oracle-cap", "3", "--inject-fault", "b:5:3:2")

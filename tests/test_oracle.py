@@ -1,11 +1,13 @@
 """Brute-force counts and cell classifications, frozen at small sizes."""
 
 import gc
+import hashlib
 from itertools import permutations
 
 import pytest
 
 from vincular import oracle
+from vincular.checks import ORACLE_CAP
 from vincular.oracle import (
     CIRCULAR_PATTERN,
     LAST_LETTER_PATTERNS,
@@ -293,6 +295,18 @@ def test_one_walk_report_matches_three_passes(n):
     assert oracle_report(n) == _three_pass_report(n)
 
 
+def test_report_at_the_default_verify_cap_is_pinned():
+    # oracle_report(10), the largest report a default verify reads, field
+    # for field: a sha256 of its fields, the cells in key order
+    assert ORACLE_CAP == 10
+    rep = oracle_report(10)
+    fields = (rep.n, rep.count_l, rep.circular, rep.v,
+              sorted(rep.b_cells.items()), sorted(rep.c_cells.items()))
+    assert (rep.count_l, rep.count_circular) == (52633, 11857)
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == (
+        "01550816f9814f90d78d164c393d4f8899a56fa01bc767dad26b3ac1175d5cbb")
+
+
 def test_last_letter_avoiders_avoid_the_reduced_pair():
     # an occurrence of 4-1-23 holds a 1-23 in its last three letters, so the
     # one walk of oracle_report grows no prefix outside the reduced pair's tree
@@ -338,17 +352,17 @@ def test_scans_leave_no_reference_cycles():
         gc.enable()
 
 
-# Every pattern of length 1 to 4 with every bond set.
+# Every pattern of length 0 to 4 with every bond set.
 ALL_SMALL_PATTERNS = [
     VincularPattern(entries, {t for t in range(k - 1) if mask >> t & 1})
-    for k in range(1, 5) for entries in permutations(range(1, k + 1))
+    for k in range(5) for entries in permutations(range(1, k + 1))
     for mask in range(1 << max(k - 1, 0))]
 
 
 def test_lemmas_lose_no_avoider_of_any_small_pattern():
     # the lookahead (both walks) and the seam lemma (circular walk) give
     # the unpruned lists, as words and in order
-    assert len(ALL_SMALL_PATTERNS) == 221
+    assert len(ALL_SMALL_PATTERNS) == 222
     for p in ALL_SMALL_PATTERNS:
         for n in range(1, 7):
             linear = [w for w, _ in _unpruned_walk(n, ((p,),))]

@@ -1,5 +1,6 @@
 """Containment semantics against hand scans and naive re-enumeration."""
 
+import math
 from itertools import combinations, permutations
 
 import pytest
@@ -14,6 +15,7 @@ from vincular.perms import (
     closes,
     iter_occurrences,
     standardize,
+    threshold_scan,
 )
 
 P2_31 = VincularPattern((2, 3, 1), bonds={1})
@@ -175,3 +177,47 @@ def test_avoidance_iff_no_occurrence(host):
 def test_circular_avoidance_is_rotation_invariant(host):
     values = {avoids_circular(host[m:] + host[:m], (CIRC,)) for m in range(len(host))}
     assert len(values) == 1
+
+
+# Every pattern of length 2 to 4 whose last gap is unbonded and whose last
+# letter is its largest or its smallest: those the oracle's walk carries a
+# threshold for.
+LOOKAHEAD_PATTERNS = [
+    VincularPattern(entries, bonds)
+    for k in range(2, 5)
+    for entries in permutations(range(1, k + 1)) if entries[-1] in (1, k)
+    for r in range(k - 1)
+    for bonds in combinations(range(k - 2), r)
+]
+
+
+@given(st.lists(st.integers(-40, 40), unique=True, max_size=7), st.integers(-45, 45))
+def test_threshold_scan_is_the_extreme_letter_of_the_front(word, x):
+    # P' is P less its last letter (one letter when P has two); the scan
+    # tracks the letter in P's largest place (side 1) or smallest (side -1)
+    assert len(LOOKAHEAD_PATTERNS) == 2 + 8 + 48
+    word = tuple(word)
+    for pat in LOOKAHEAD_PATTERNS:
+        k = len(pat.entries)
+        side = 1 if pat.entries[-1] == k else -1
+        front = VincularPattern(standardize(pat.entries[:-1]), pat.bonds)
+        place = front.entries.index(k - 1 if side == 1 else 1)
+        scan = threshold_scan(front, side)
+        extreme, inf = (min, math.inf) if side == 1 else (max, -math.inf)
+        occs = list(iter_occurrences(word, front))
+        ends = [word[occ[place]] for occ in occs if occ[-1] == len(word) - 1]
+        assert scan(word, inf) == extreme(ends, default=inf), (pat, word)
+        assert scan(word, x) == extreme([*ends, x]), (pat, word, x)
+        # folded over the prefixes: the extreme over every occurrence, which
+        # decides whether P closes the word followed by any new letter x
+        t = inf
+        for m in range(1, len(word) + 1):
+            t = scan(word[:m], t)
+        assert t == extreme((word[occ[place]] for occ in occs), default=inf)
+        if x not in word:
+            assert closes(pat)(word + (x,)) == (x > t if side == 1 else x < t), (pat, word, x)
+
+
+def test_threshold_scan_rejects_a_side():
+    with pytest.raises(ValueError, match="side"):
+        threshold_scan(P12_3, 0)
