@@ -4,7 +4,7 @@ Everything here is an exhaustive scan, pruned only by containment itself:
 nothing is memoized or derived from the recurrences, so these counts are
 what the faster engines are checked against.
 
-Words are grown one letter at a time (:func:`iter_avoiders`) and a prefix
+Words are grown one letter at a time (:func:`_walk`) and a prefix
 is dropped as soon as every word that extends it must contain a pattern.
 An occurrence inside the prefix is one reason: the compiled test
 :func:`vincular.perms.closes` finds it ending at the prefix's last letter,
@@ -53,9 +53,10 @@ circular walk 64162 (856371 and 629642 without the lemmas).  One
 walk can serve several pattern sets: it drops a prefix on a pattern that
 all of them hold and keeps a flag per set for the rest, so the two linear
 pairs of :func:`oracle_report`, which share 12-3, are grown together.
-Each walk runs all its tests on a node in one generated function
-(:func:`_node_test`), made on the walk's first call.  Runtimes are still
-exponential in n: on one core of a shared 2-core machine with Python
+Every node, a complete word too, takes one path: one generated
+function (:func:`_node_test`), made once for each walk's sets and size,
+runs all its tests, and on a complete word only the direct ones.
+Runtimes are still exponential in n: on one core of a shared 2-core machine with Python
 3.11, ``oracle_report(10)`` takes about 0.75 s and ``oracle_report(11)``
 about 4.5 s.  In runs alternated with these, the walk that tried the
 lookahead letter by a closes call and gave every circular survivor the
@@ -71,7 +72,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
 # avoids_linear and avoids_circular stay bound here for the benchmark tracer.
@@ -122,9 +122,15 @@ def _lookahead(pattern: VincularPattern) -> int | None:
 
 
 @cache
-def _node_test(checks: tuple[tuple[int, VincularPattern], ...], full: int) -> Callable:
-    """The compiled node test of a walk whose checks are (mask, pattern)
-    pairs, tried in order, and whose sets are the bits of full.
+def _node_test(
+    sets: tuple[tuple[VincularPattern, ...], ...], n: int
+) -> tuple[Callable, tuple[int, ...]]:
+    """The compiled node test of a walk of [n] against sets, and the state
+    it starts from.
+
+    The checks are (mask, pattern) pairs, tried in order: first each
+    pattern that every set holds, with the mask of all sets, then the
+    others, each with the bit of its set (bit k for sets[k]).
 
     step(word, rest, state) takes the state of word's parent, (alive,
     t0, t1, ...): the bits of the sets still avoided and one threshold per
@@ -135,13 +141,21 @@ def _node_test(checks: tuple[tuple[int, VincularPattern], ...], full: int) -> Ca
     less its last letter) in the prefix (the greatest bottom letter, when
     the last letter is the smallest), and drops word iff rest's largest
     letter is above T (its smallest below T): exactly when the pattern
-    closes word followed by that letter.  A check whose bits are all
-    cleared is skipped, its threshold left stale, as no later node reads
-    it.
+    closes word followed by that letter.  A complete word (rest empty)
+    runs only the direct checks: its parent's lookahead has already
+    covered its last letter.  A check whose bits are all cleared is
+    skipped too, its threshold left stale, as no later node reads it.
+    The start state has every bit set and each threshold past every
+    letter: n + 1 for a least top letter, 0 for a greatest bottom one.
     """
+    full = (1 << len(sets)) - 1
+    shared = [p for p in sets[0] if all(p in s for s in sets[1:])]
+    checks = [(full, p) for p in shared] + [
+        (1 << k, p) for k, s in enumerate(sets) for p in s if p not in shared]
     namespace: dict = {}
     body: list[str] = []
     thresholds: list[str] = []
+    start = [full]
     for j, (mask, p) in enumerate(checks):
         drop = ["return None"] if mask == full else [
             f"alive &= {full & ~mask}", "if not alive:", "    return None"]
@@ -152,17 +166,18 @@ def _node_test(checks: tuple[tuple[int, VincularPattern], ...], full: int) -> Ca
             continue
         t = f"t{len(thresholds)}"
         thresholds.append(t)
+        start.append(n + 1 if pick == -1 else 0)
         front = VincularPattern(standardize(p.entries[:-1]), p.bonds)
         namespace[f"s{j}"] = threshold_scan(front, 1 if pick == -1 else -1)
-        body += [f"if alive & {mask}:",
+        body += [f"if alive & {mask} and rest:",
                  f"    {t} = s{j}(w, {t})",
-                 f"    if rest and rest[{pick}] {'>' if pick == -1 else '<'} {t}:",
+                 f"    if rest[{pick}] {'>' if pick == -1 else '<'} {t}:",
                  *("        " + d for d in drop)]
     state = ", ".join(["alive", *thresholds])
     source = "\n    ".join([
         "def step(w, rest, state):", f"({state},) = state", *body, f"return ({state},)"])
     exec(source + "\n", namespace)
-    return namespace["step"]
+    return namespace["step"], tuple(start)
 
 
 def _walk(
@@ -176,20 +191,13 @@ def _walk(
     (closes it, or, under the lookahead lemma, closes it followed by the
     unplaced letter that :func:`_lookahead` picks) clears the bits of the
     sets that hold it, all of them for a pattern common to every set, and
-    the prefix is dropped once no bit is left.  The common patterns are
-    tried first, and one compiled :func:`_node_test` runs every check on
-    a node.  The walk keeps its own stack, so each word reaches the
-    caller through one generator only.
+    the prefix is dropped once no bit is left.  Every node, a complete
+    word too, takes one path: one compiled :func:`_node_test` runs its
+    checks, and a complete word that keeps a bit is yielded when popped.
+    The walk keeps its own stack, so each word reaches the caller through
+    one generator only.
     """
-    full = (1 << len(sets)) - 1
-    shared = [p for p in sets[0] if all(p in s for s in sets[1:])]
-    checks = tuple([(full, p) for p in shared] + [
-        (1 << k, p) for k, s in enumerate(sets) for p in s if p not in shared])
-    step = _node_test(checks, full)
-    picks = [_lookahead(p) for _, p in checks]
-    # A threshold starts past every letter: n + 1 for a least top letter,
-    # 0 for a greatest bottom one.
-    state = (full, *(n + 1 if pick == -1 else 0 for pick in picks if pick is not None))
+    step, state = _node_test(sets, n)
     # Each prefix of first is a node of its own: its lookahead covers the
     # direct test of the next one.
     for m in range(len(first) + 1):
@@ -200,18 +208,8 @@ def _walk(
     stack = [(first, rest, state)]
     while stack:
         prefix, rest, state = stack.pop()
-        if len(rest) <= 2:
-            # At most two words lie below: finish them here rather than
-            # push and pop one more node for each.
-            for tail in permutations(rest):
-                word, leaf = prefix, state
-                for j, x in enumerate(tail, start=1):
-                    word += (x,)
-                    leaf = step(word, tail[j:], leaf)
-                    if leaf is None:
-                        break
-                else:
-                    yield word, leaf[0]
+        if not rest:
+            yield prefix, state[0]
             continue
         # Pushed from the largest letter down, so popped in lexicographic order.
         for i in range(len(rest) - 1, -1, -1):
@@ -222,20 +220,8 @@ def _walk(
                 stack.append((word, left, child))
 
 
-def iter_avoiders(n: int, patterns: Iterable[VincularPattern]) -> Iterator[Word]:
-    """Words of [n] that avoid every pattern linearly, in lexicographic
-    order.
-
-    A prefix is extended only while no pattern decides it (closes it, or
-    by the lookahead lemma), so each word is built from avoiding prefixes
-    alone.
-    """
-    for word, _ in _walk(n, (tuple(patterns),)):
-        yield word
-
-
 def count_linear_avoiders(n: int, patterns: Iterable[VincularPattern]) -> int:
-    return sum(1 for _ in iter_avoiders(n, patterns))
+    return sum(1 for _ in _walk(n, (tuple(patterns),)))
 
 
 def _seam_rotations(pattern: VincularPattern) -> tuple[VincularPattern, ...]:

@@ -17,7 +17,6 @@ from vincular.oracle import (
     count_linear_avoiders,
     delete_smallest,
     held_out,
-    iter_avoiders,
     oracle_report,
     weighted_circular_sum,
 )
@@ -208,7 +207,7 @@ def test_circular_counts_match_rotation_scan(patterns):
         assert count_circular_avoiders(n, patterns) == want
 
 
-def test_iter_avoiders_with_first_letters():
+def test_walk_with_first_letters():
     # 23-4-1 and 1-23-4 look ahead to the smallest and the largest
     # unplaced letter, 12-3 to the largest
     grown = (CIRCULAR_PATTERN, *oracle._seam_rotations(CIRCULAR_PATTERN))
@@ -225,6 +224,18 @@ def test_iter_avoiders_with_first_letters():
     # a first prefix that already contains a pattern yields nothing
     assert list(oracle._walk(5, (REDUCED_PATTERNS,), (1, 2, 3))) == []
     assert list(oracle._walk(3, ((),), (2, 3, 1))) == [((2, 3, 1), 1)]
+
+
+def test_complete_word_runs_no_lookahead_scan():
+    # the parent's lookahead covered a complete word's last letter, so its
+    # thresholds come back as they went in
+    step, start = oracle._node_test((REDUCED_PATTERNS,), 2)
+    assert start == (1, 3)
+    assert step((1, 2), (), (1, 3)) == (1, 3)
+    # mirrored: 23-4-1 compares the greatest bottom letter with the smallest
+    step, start = oracle._node_test(((CIRCULAR_PATTERN,),), 3)
+    assert start == (1, 0)
+    assert step((1, 2, 3), (), (1, 0)) == (1, 0)
 
 
 def _unpruned_walk(n, sets, first=()):
@@ -311,8 +322,8 @@ def test_last_letter_avoiders_avoid_the_reduced_pair():
     # an occurrence of 4-1-23 holds a 1-23 in its last three letters, so the
     # one walk of oracle_report grows no prefix outside the reduced pair's tree
     for n in range(1, 9):
-        last_letter = set(iter_avoiders(n, LAST_LETTER_PATTERNS))
-        assert last_letter <= set(iter_avoiders(n, REDUCED_PATTERNS))
+        last_letter = {w for w, _ in oracle._walk(n, (LAST_LETTER_PATTERNS,))}
+        assert last_letter <= {w for w, _ in oracle._walk(n, (REDUCED_PATTERNS,))}
 
 
 @pytest.mark.parametrize("sets", [
@@ -366,7 +377,7 @@ def test_lemmas_lose_no_avoider_of_any_small_pattern():
     for p in ALL_SMALL_PATTERNS:
         for n in range(1, 7):
             linear = [w for w, _ in _unpruned_walk(n, ((p,),))]
-            assert list(iter_avoiders(n, (p,))) == linear, (p, n)
+            assert [w for w, _ in oracle._walk(n, ((p,),))] == linear, (p, n)
             assert list(oracle._circular_avoiders(n, (p,))) == _unpruned_circular(
                 n, (p,), linear), (p, n)
 
