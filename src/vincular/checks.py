@@ -127,19 +127,18 @@ def _fault_cell(cell: str, n_max: int) -> tuple[str, list[int]]:
     return kind, nums
 
 
-def apply_fault(tables: Tables, cell: str, oracle_max: int | None = None) -> str:
+def apply_fault(tables: Tables, cell: str) -> str:
     """Corrupt one recurrence cell in place (self-test hook).
 
     The argument reads "b:n:i:j", "c:n:i:j" or "v:n:j"; the named cell
     is incremented by one so the oracle comparison must fail and name it.
-    Only cells that :func:`check_oracle_dp` reads are accepted: sizes
-    2 <= n <= oracle_max (default: the largest size with cell tables,
-    min(N, CELLS_MAX)), letters 1..n, and i != j.  Anything else raises
-    ValueError, since corrupting it would show nothing.
+    Only cells that :func:`check_oracle_dp` can read are accepted: sizes
+    2 <= n <= min(N, CELLS_MAX), the largest size these tables keep cells
+    for, letters 1..n, and i != j.  Anything else raises ValueError,
+    since corrupting it would show nothing.  run_all reads the cell
+    against its oracle cap before it builds the tables.
     """
     n_max = len(tables.b_cells) - 1  # min(N, CELLS_MAX)
-    if oracle_max is not None:
-        n_max = min(oracle_max, n_max)
     kind, nums = _fault_cell(cell, n_max)
     n, *letters = nums
     if kind == "v":
@@ -354,7 +353,7 @@ def run_all(oracle_max: int = ORACLE_CAP,
         results.append(replace(res, seconds=time.perf_counter() - t0))
 
     if fault is not None and tables is not None:
-        cell = apply_fault(tables, fault, oracle_max)
+        cell = apply_fault(tables, fault)
         results.append(CheckResult(
             "fault-injection", True, f"corrupted {cell}; expect a FAIL below"))
     run("dp-reference-table", check_dp_reference, tables)

@@ -14,13 +14,16 @@ run, letters above 9 are joined with underscores.  Examples::
 The recurrence (dp) and series (gf) engines are specific to the default
 pattern; anything else needs the brute-force oracle, which is capped at
 a configurable size because it scans up to n! words.
+
+A command refuses an input by raising ValueError; :func:`main` alone
+turns it into one stderr line and exit status 1, with nothing on stdout.
+Argparse's own usage errors exit with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 from dataclasses import asdict
 
 from . import checks, genfun, oracle
@@ -75,43 +78,38 @@ def _plain_table(pairs) -> str:
 
 
 def _count_one(engine: str, n: int, pattern: VincularPattern,
-               linear: bool, args) -> int:
+               linear: bool, cap: int) -> int:
     if engine == "oracle":
-        if n > args.oracle_cap:
-            raise SystemExit(
-                f"error: oracle scans up to {n}! words; n > cap "
-                f"({args.oracle_cap}); raise --oracle-cap to insist")
-        if linear:
-            if pattern == oracle.CIRCULAR_PATTERN:
-                return oracle.count_linear_avoiders(n, oracle.REDUCED_PATTERNS)
-            return oracle.count_linear_avoiders(n, (pattern,))
-        return oracle.count_circular_avoiders(n, (pattern,))
+        if n > cap:
+            raise ValueError(
+                f"oracle scans up to {n}! words; n > cap ({cap}); "
+                "raise --oracle-cap to insist")
+        if not linear:
+            return oracle.count_circular_avoiders(n, (pattern,))
+        return oracle.count_linear_avoiders(
+            n, oracle.REDUCED_PATTERNS if pattern == oracle.CIRCULAR_PATTERN
+            else (pattern,))
     if pattern != oracle.CIRCULAR_PATTERN:
-        raise SystemExit(
-            f"error: the {engine} engine only counts the default pattern "
+        raise ValueError(
+            f"the {engine} engine only counts the default pattern "
             f"{DEFAULT_PATTERN_TEXT}; use --engine oracle")
+    size = n + 1 if linear else n  # a_(m-1) counts circular classes of size m
     if engine == "dp":
-        if linear:
-            return build_tables(n).a[n]
-        return 1 if n == 1 else build_tables(n - 1).a[n - 1]
-    size = n + 1 if linear else n  # gf, the one engine left
-    return as_int(genfun.A_series(size)[size])
+        return 1 if size == 1 else build_tables(size - 1).a[size - 1]
+    return as_int(genfun.A_series(size)[size])  # gf, the one engine left
 
 
 def cmd_count(args) -> int:
     if args.n < 1:
-        raise SystemExit("error: --n must be positive")
-    try:
-        pattern = parse_pattern(args.pattern)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    print(_count_one(args.engine, args.n, pattern, args.linear, args))
+        raise ValueError("--n must be positive")
+    pattern = parse_pattern(args.pattern)
+    print(_count_one(args.engine, args.n, pattern, args.linear, args.oracle_cap))
     return 0
 
 
 def cmd_table(args) -> int:
     if args.N < 1:
-        raise SystemExit("error: --N must be positive")
+        raise ValueError("--N must be positive")
     a = build_tables(args.N).a
     pairs = [(n, a[n]) for n in range(1, args.N + 1)]
     _write_values(args.format, "a", pairs, _plain_table)
@@ -129,20 +127,15 @@ _SERIES_BUILDERS = {
 
 def cmd_series(args) -> int:
     if args.order < 1:
-        raise SystemExit("error: --order must be positive")
-    weighted = args.v is not None or args.u is not None
-    if weighted and args.gf != "A":
-        raise SystemExit("error: --v/--u apply only to --gf A")
-    try:
-        if weighted:
-            v = args.v if args.v is not None else Q(1)
-            u = args.u if args.u is not None else Q(1)
-            series = genfun.A_vu_series(v, u, args.order)
-        else:
-            series = _SERIES_BUILDERS[args.gf](args.order)
-    except genfun.KernelSpecializationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("--order must be positive")
+    if args.v is None and args.u is None:
+        series = _SERIES_BUILDERS[args.gf](args.order)
+    elif args.gf != "A":
+        raise ValueError("--v/--u apply only to --gf A")
+    else:
+        v = args.v if args.v is not None else Q(1)
+        u = args.u if args.u is not None else Q(1)
+        series = genfun.A_vu_series(v, u, args.order)
     pairs = [(n, str(series[n])) for n in range(series.order + 1)]
     _write_values(args.format, args.gf, pairs,
                   lambda pairs: ",".join(value for _, value in pairs))
@@ -150,13 +143,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # run_all turns a check or a table build that raises into a FAIL row,
-    # so a ValueError here is a bad cap or fault cell, refused before any
-    # check runs.
-    try:
-        results = checks.run_all(args.oracle_cap, args.inject_fault)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    results = checks.run_all(args.oracle_cap, args.inject_fault)
     failed = [res for res in results if not res.passed]
     total = len(results)
     if args.format == "json":
@@ -179,7 +166,7 @@ def cmd_verify(args) -> int:
 
 def cmd_conjectures(args) -> int:
     if args.N < 2:
-        raise SystemExit("error: --N must be at least 2")
+        raise ValueError("--N must be at least 2")
     a = build_tables(args.N).a
     rep = check_conjectures(a)
     all_hold = rep.first_power_failure is None
@@ -188,7 +175,10 @@ def cmd_conjectures(args) -> int:
         print(f"n={n}: {a[n]}^{n + 1} < {a[n + 1]}^{n}: {verdict}")
     print(f"a_n^(n+1) < a_(n+1)^n for 1 <= n < {args.N}: "
           f"{'all hold' if all_hold else 'FAILS'} (checked, not proven)")
-    ratios = "strictly increasing" if rep.ratios_increasing else "NOT monotone"
+    if args.N == 2:
+        ratios = "one ratio, which shows no trend"
+    else:
+        ratios = "strictly increasing" if rep.ratios_increasing else "NOT monotone"
     print(f"successive ratios a_(n+1)/a_n over the same range: {ratios}; "
           f"last ratio {Q(a[-1], a[-2])} "
           "(evidence only: unbounded growth cannot be decided on a finite range)")
@@ -295,7 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
 
 
 if __name__ == "__main__":

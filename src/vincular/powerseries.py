@@ -88,16 +88,13 @@ class Series:
             )
         return Series(self.coeffs[: order + 1])
 
-    def _check_aligned(self, other: "Series", op: str) -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"{op} needs equal orders, got {self.order} and {other.order}"
-            )
-
     def __mul__(self, other) -> "Series":
         if not isinstance(other, Series):
             return Series(c * other for c in self.coeffs)
-        self._check_aligned(other, "*")
+        if self.order != other.order:
+            raise ValueError(
+                f"* needs equal orders, got {self.order} and {other.order}"
+            )
         return Series(_pmul(self.coeffs, other.coeffs, len(self.coeffs)))
 
     __rmul__ = __mul__

@@ -140,10 +140,12 @@ def test_series_weighted_rational_output(capsys):
 
 
 def test_series_degenerate_weight_fails_cleanly(capsys):
-    code, out, err = run(capsys, "series", "--gf", "A", "--v", "2", "--u", "1",
-                         "--order", "6")
-    assert code == 1
-    assert out == "" and "diagonal" in err
+    with pytest.raises(SystemExit, match="diagonal") as exc:
+        run(capsys, "series", "--gf", "A", "--v", "2", "--u", "1",
+            "--order", "6")
+    message = str(exc.value.code)
+    assert message.startswith("error: ") and "\n" not in message
+    assert capsys.readouterr().out == ""
 
 
 def test_series_weights_require_gf_a(capsys):
@@ -241,8 +243,8 @@ def test_verify_rejects_caps_that_drop_the_oracle(capsys, argv, name):
     assert capsys.readouterr().out == ""
 
 
-# The process, not main(): a SystemExit message must reach stderr as one
-# line with exit status 1, and argparse's own errors exit 2.
+# The process, not main(): a refusal must reach stderr as one line with
+# exit status 1 and nothing on stdout, and argparse's own errors exit 2.
 @pytest.mark.parametrize("argv, status, error", [
     (("verify", "--inject-fault", "b:x:3:2"), 1,
      "error: bad fault cell 'b:x:3:2'; use v:n:j or b:n:i:j or c:n:i:j"),
@@ -250,7 +252,15 @@ def test_verify_rejects_caps_that_drop_the_oracle(capsys, argv, name):
      "vincular series: error: argument --v: not a rational: 'abc'"),
     (("count", "--n", "3", "--pattern", "1-1", "--engine", "oracle"), 1,
      "error: not a permutation of 1..2: (1, 1)"),
-], ids=["bad-fault-cell", "not-a-rational", "not-a-permutation"])
+    (("series", "--gf", "A", "--v", "2", "--u", "1"), 1,
+     "error: the two-variable closed forms divide by 1-u; the weight u = 1 "
+     "is only available on the diagonal v = u = 1"),
+    (("count", "--n", "12", "--engine", "oracle"), 1,
+     "error: oracle scans up to 12! words; n > cap (10); raise --oracle-cap "
+     "to insist"),
+    (("count", "--n", "0"), 1, "error: --n must be positive"),
+], ids=["bad-fault-cell", "not-a-rational", "not-a-permutation",
+        "off-diagonal-weight", "past-oracle-cap", "size-zero"])
 def test_user_errors_end_the_process_with_one_line(argv, status, error):
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -310,6 +320,15 @@ def test_conjectures(capsys):
     # a_8/a_7 = 2792/690, in lowest terms
     assert "last ratio 1396/345 " in lines[-1]
     assert "." not in out.replace("a_(n+1)/a_n", "")  # exact output only
+
+
+def test_conjectures_one_ratio_shows_no_trend(capsys):
+    # --N 2 leaves the one ratio a_2/a_1: nothing to call increasing
+    code, out, _ = run(capsys, "conjectures", "--N", "2")
+    assert code == 0
+    last = out.splitlines()[-1]
+    assert "one ratio, which shows no trend; last ratio 2 " in last
+    assert "increasing" not in last and "monotone" not in last
 
 
 def test_rejects_nonsense_sizes(capsys):
