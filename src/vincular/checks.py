@@ -284,7 +284,7 @@ def check_power_inequality(tables: Tables) -> CheckResult:
         f"fails first at n={rep.first_power_failure}")
 
 
-def check_bivariate_oracle(n_max: int = 8, *, reports=None) -> CheckResult:
+def check_bivariate_oracle(n_max: int, *, reports=None) -> CheckResult:
     """Bivariate circular series at (v,u) = (2,3) against oracle weighted sums."""
     v, u = 2, 3
     reports = reports or oracle.oracle_report

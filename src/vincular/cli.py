@@ -211,8 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: dp); verify compares them")
     count.add_argument(
         "--linear", action="store_true",
-        help="count the size-n linear class instead (equals the circular "
-        "count one size up for the default pattern)")
+        help="count words of size n instead of circular words: for the "
+        "default pattern, a_n, the words avoiding the reduced pair 12-3 and "
+        "4-1-23 (the circular count one size up); for any other pattern, "
+        "the words avoiding that pattern itself")
     count.add_argument(
         "--oracle-cap", type=int, default=checks.ORACLE_CAP,
         help="largest n the oracle accepts; raise it to scan more (up to n! "

@@ -56,12 +56,7 @@ pairs of :func:`oracle_report`, which share 12-3, are grown together.
 Every node, a complete word too, takes one path: one generated
 function (:func:`_node_test`), made once for each walk's sets and size,
 runs all its tests, and on a complete word only the direct ones.
-Runtimes are still exponential in n: on one core of a shared 2-core machine with Python
-3.11, ``oracle_report(10)`` takes about 0.75 s and ``oracle_report(11)``
-about 4.5 s.  In runs alternated with these, the walk that tried the
-lookahead letter by a closes call and gave every circular survivor the
-rotation test took 1.4 s and 8.1 s; earlier runs without the lemmas
-took 2.4-2.8 s and 15 s.
+Runtimes are still exponential in n; the README gives measured times.
 
 The enumeration partitions naturally by leading letters and shares no
 mutable state but the cache of compiled tests, whose entries never change

@@ -18,15 +18,13 @@ contains a pattern iff one of its prefixes is closed by it, and a circular
 word iff one of its rotations is.  The same generator makes
 :func:`threshold_scan`, which gives the least top (or greatest bottom)
 letter of those occurrences instead of a yes or no.
-:func:`iter_occurrences` stays the plain backtracking search, the
-reference the compiled tests are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 Word = tuple[int, ...]
 
@@ -67,57 +65,6 @@ class VincularPattern:
             raise ValueError(f"bond positions must lie in 0..{k - 2}: {sorted(bonds)}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "bonds", bonds)
-
-
-def iter_occurrences(host: Sequence[int], pattern: VincularPattern) -> Iterator[Word]:
-    """Yield the 0-based index tuples of occurrences, lexicographically.
-
-    An occurrence is a strictly increasing index tuple whose host values are
-    order-isomorphic to the pattern and which honors every bond.  The search
-    is plain backtracking over index tuples; the only shortcuts are the
-    forced next index under a bond and abandoning prefixes that already
-    violate the relative order.
-
-    >>> list(iter_occurrences((4, 1, 5, 2, 3), VincularPattern((2, 3, 1), bonds={1})))
-    [(0, 2, 3)]
-    >>> list(iter_occurrences((1, 2, 3, 4), VincularPattern((1, 2, 3), bonds={0})))
-    [(0, 1, 2), (0, 1, 3), (1, 2, 3)]
-    """
-    entries = pattern.entries
-    bonds = pattern.bonds
-    k = len(entries)
-    n = len(host)
-    if k == 0:
-        yield ()
-        return
-    chosen: list[int] = []
-
-    def consistent(pos: int, idx: int) -> bool:
-        val = host[idx]
-        pv = entries[pos]
-        for m, prev_idx in enumerate(chosen):
-            if (entries[m] < pv) != (host[prev_idx] < val):
-                return False
-        return True
-
-    def extend(pos: int) -> Iterator[Word]:
-        if pos == k:
-            yield tuple(chosen)
-            return
-        if pos > 0 and (pos - 1) in bonds:
-            candidates: Iterable[int] = (chosen[-1] + 1,)
-        else:
-            start = chosen[-1] + 1 if pos > 0 else 0
-            candidates = range(start, n)
-        for idx in candidates:
-            if idx >= n:
-                break
-            if consistent(pos, idx):
-                chosen.append(idx)
-                yield from extend(pos + 1)
-                chosen.pop()
-
-    yield from extend(0)
 
 
 def closes(pattern: VincularPattern) -> Callable[[Sequence[int]], bool]:

@@ -35,9 +35,8 @@ Row = list[int]
 Cells = list[list[int]]
 
 # Largest size whose full b and c cell tables are kept.  The oracle
-# comparison that reads them is bounded by its run time: oracle_report(11)
-# alone takes about 4.5 s, and `vincular verify --oracle-cap 12` about
-# 39 s (2 shared cores, Python 3.11.7).
+# comparison that reads them is bounded by its run time, which grows about
+# fivefold with each size; the README gives measured times.
 CELLS_MAX = 12
 
 

@@ -103,6 +103,32 @@ def test_run_all_scans_each_size_once(monkeypatch):
     assert sorted(seen) == list(range(1, 7))
 
 
+# every check run_all can reach, found by name so that a new check is
+# covered too; check_conjectures is reached through check_power_inequality
+CHECK_NAMES = sorted(name for name in dir(checks) if name.startswith("check_"))
+
+
+@pytest.fixture(scope="module")
+def clean_row_names():
+    # module scope: made before any test's monkeypatch breaks a check
+    return [res.name for res in checks.run_all(oracle_max=3)]
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_a_check_that_raises_keeps_its_row_label(clean_row_names, monkeypatch, name):
+    # run_all writes each label a second time for a row that raised, so a
+    # label drifting from the check's own shows here as a renamed row
+    def broken(*args, **kwargs):
+        raise RuntimeError(f"{name} broken")
+
+    monkeypatch.setattr(checks, name, broken)
+    results = checks.run_all(oracle_max=3)
+    assert [res.name for res in results] == clean_row_names
+    failed = [res for res in results if not res.passed]
+    assert failed
+    assert all(res.detail == f"raised RuntimeError: {name} broken" for res in failed)
+
+
 @pytest.mark.parametrize("check", [
     lambda: checks.check_bivariate_oracle(1),
     lambda: checks.check_weighted_marginals(build_tables(1)),

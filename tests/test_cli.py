@@ -60,6 +60,9 @@ def test_count_custom_pattern_oracle_only(capsys):
     code, out, _ = run(capsys, "count", "--n", "4", "--pattern", "4-1-23",
                        "--linear", "--engine", "oracle")
     assert (code, out) == (0, "23\n")
+    # the default pattern counts a_4 through the reduced pair instead
+    code, out, _ = run(capsys, "count", "--n", "4", "--linear", "--engine", "oracle")
+    assert (code, out) == (0, "15\n")
     with pytest.raises(SystemExit, match="oracle"):
         run(capsys, "count", "--n", "5", "--pattern", "12-3", "--engine", "dp")
     with pytest.raises(SystemExit, match="oracle"):

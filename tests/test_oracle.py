@@ -20,8 +20,10 @@ from vincular.oracle import (
     oracle_report,
     weighted_circular_sum,
 )
-from vincular.perms import VincularPattern, avoids_linear, closes, iter_occurrences
+from vincular.perms import VincularPattern, avoids_linear, closes
 from vincular.powerseries import Q
+
+from occurrences import iter_occurrences
 
 # a_1..a_8, also the circular counts shifted one size up.
 SMALL_A = (1, 2, 5, 15, 50, 180, 690, 2792)

@@ -13,10 +13,11 @@ from vincular.perms import (
     avoids_circular,
     avoids_linear,
     closes,
-    iter_occurrences,
     standardize,
     threshold_scan,
 )
+
+from occurrences import iter_occurrences
 
 P2_31 = VincularPattern((2, 3, 1), bonds={1})
 P12_3 = VincularPattern((1, 2, 3), bonds={0})
