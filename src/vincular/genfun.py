@@ -33,17 +33,19 @@ taken once per fold (:func:`_fold`), and each formula's one part is
 placed once as a series (:func:`_placed`): the coefficient of x^n is
 divided by den*D^n in one divmod, which leaves an int wherever the
 division is exact and a Q in lowest terms otherwise.
-Only V0 and B11 then divide by a second placed series, the denominator
-sum, which they share.
+V0 and B11, which count words, are instead quotients over the denominator
+sum they share (:func:`_count_quotient`): the folded numerator and the
+denominator sum are both integer series, and their long division keeps
+every coefficient an int, so a plain count builds no Q.
 
 Three jobs have one home each.  Products of coefficient lists go through
 :func:`vincular.powerseries._pmul`.  :func:`_geometric` normalises a
 weight and raises :class:`KernelSpecializationError` for the one weight
 that collapses a kernel.  :func:`_memo` caches, by name, the only five
 series read again: V0, V1, C11 and B11, on which the kernel method builds
-every weighted series, and the denominator sum of V0 and B11.  Each
-formula asks for them at its highest order first, so one call builds each
-once.
+every weighted series, and the denominator sum of V0 and B11, kept as an
+integer series whose x^1 coefficient is its scale.  Each formula asks for
+them at its highest order first, so one call builds each once.
 
 Weight conventions, with the coefficient of x^n counting words of size n:
 
@@ -212,21 +214,27 @@ def _kernel_sum(init, step, term, top: int, D: int = 1):
                   _kernel_terms(init, step, term, top, D)), top)
 
 
+def _summed(N: int, *parts):
+    """The fold of parts reaching x^N as (den, cs), cs the integers at
+    y^0..y^N: the Laurent part below y^0 must cancel exactly."""
+    lo, (_, den), cs = _fold(parts, N)
+    if lo < 0:
+        if any(cs[:-lo]):
+            raise RuntimeError("a kernel sum left a term below x^0")
+        return den, cs[-lo:]
+    return den, [0] * lo + cs
+
+
 def _placed(N: int, *parts, D: int = 1) -> Series:
     """The sum of parts (lo, (num, den), cs) in y = x/D, each reaching
     x^N, as a Series: one fold, then one exact division per coefficient.
 
     The fold leaves one denominator; the coefficient of x^n is divided by
     it times D^n in one divmod, so a quotient that is integral stays an
-    int.  The Laurent part below x^0 must cancel exactly.
+    int.
     """
-    lo, (_, den), cs = _fold(parts, N)
-    if lo < 0:
-        if any(cs[:-lo]):
-            raise RuntimeError("a kernel sum left a term below x^0")
-        cs, lo = cs[-lo:], 0
-    den *= D ** lo
-    out = [0] * lo
+    den, cs = _summed(N, *parts)
+    out = []
     for c in cs:
         q, rem = divmod(c, den)
         out.append(Q(c, den) if rem else q)
@@ -311,11 +319,28 @@ def _p2(c, P: int, M: int) -> list:
 
 @_memo
 def _den_sum(N: int) -> Series:
-    """sum_j x^(j+1) ((j+2) - (j+1)^2 x) / ((j+2)! prod_(i<=j+1) (1 - ix))
-    through x^N: the valuation-1 denominator that V0 and B11 divide by."""
+    """k * sum_j x^(j+1) ((j+2) - (j+1)^2 x) / ((j+2)! prod_(i<=j+1)
+    (1 - ix)) through x^N, k the lcm of the factorials: the integer
+    denominator of V0 and B11.  The sum starts at x + ..., so k is the x^1
+    coefficient, which a truncated cache hit keeps."""
     _, _, _, _, F, _ = _geometric(1, 0)
-    return _placed(N, _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
+    _, cs = _summed(N, _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
         j + 1, (1, factorial(j + 2)), [j + 2, -(j + 1) ** 2]), N))
+    return Series(cs)
+
+
+def _count_quotient(name: str, N: int, *parts) -> Series:
+    """cs/d, the fold of parts in y = x reaching x^N, over the denominator
+    sum through x^(N-1), as k*cs / (d * k*den_sum) on ints.  The quotient
+    counts words, so a coefficient that is not an int raises RuntimeError
+    (a raise, so the guard holds under python -O)."""
+    d, cs = _summed(N, *parts)
+    den = _den_sum(N)
+    q = Series([den[1] * c for c in cs]) / Series([d * c for c in den.coeffs])
+    for n, c in enumerate(q.coeffs):
+        if type(c) is not int:
+            raise RuntimeError(f"{name} is not integral at x^{n}: {c}")
+    return q
 
 
 @_memo
@@ -329,7 +354,7 @@ def V0_series(N: int) -> Series:
     _, _, _, _, F, _ = _geometric(1, 0)
     num = _kernel_sum([F(1), F(2)], lambda j: [F(j + 2)], lambda j: (
         j + 2, (1, factorial(j + 2)), [j + 2, -(j * j + 3 * j + 3)]), N + 1)
-    return _placed(N + 1, num) / _den_sum(N + 1)
+    return _count_quotient("V0_series", N + 1, num)
 
 
 def _V_scaled_geom(c, m: int, N: int, D: int | None = None):
@@ -437,7 +462,7 @@ def B11_series(N: int) -> Series:
         j + 2, (j + 1, factorial(j + 2)), [1]), W - 3), 1, 2, W)
     bracket = _divided(
         _fold([_times(C11_series, 3, T1), T3], W), (1, -1))
-    return _placed(W, bracket, T2C) / _den_sum(W)
+    return _count_quotient("B11_series", W, bracket, T2C)
 
 
 def _B1u_geom(c, m: int, N: int, D: int | None = None):

@@ -8,6 +8,9 @@ order by the valuation of the divisor, since dividing by a series that
 starts at x^w costs w coefficients of certainty.  There is no addition:
 :mod:`vincular.genfun` sums integer parts and places only the result.
 
+Division is exact long division: on ints each step is one divmod, and
+only a step that leaves a remainder makes a ``Q``, which later steps carry.
+
 Coefficients live in one ring: a coefficient that is integral is stored as
 a plain ``int`` and any other as a ``Q`` (``fractions.Fraction``) in lowest
 terms.  Most series met here have integer coefficients, so nearly all
@@ -115,15 +118,17 @@ class Series:
             )
         f = self.coeffs[w:]
         g = other.coeffs[w:]
-        # +-1 is its own inverse, so dividing integers by it stays on ints
-        inv_g0 = g[0] if g[0] in (1, -1) else 1 / Q(g[0])
-        q = [0] * (result_order + 1)
+        g0, q = g[0], [0] * (result_order + 1)
         for n in range(result_order + 1):
             acc = f[n]
             for k in range(n):
                 if q[k] and g[n - k]:
                     acc -= q[k] * g[n - k]
-            q[n] = _coeff(acc * inv_g0)  # later terms reuse q[n]
+            if type(acc) is type(g0) is int:
+                c, rem = divmod(acc, g0)
+                q[n] = Q(acc, g0) if rem else c
+            else:
+                q[n] = _coeff(acc / g0)
         return Series(q)
 
     def __eq__(self, other) -> bool:

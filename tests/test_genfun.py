@@ -373,6 +373,39 @@ def test_two_variable_formula_builds_few_fractions(monkeypatch):
     assert total - shared <= 200
 
 
+def test_counting_route_builds_no_fraction(monkeypatch):
+    # V0 and B11 divide integer series whose quotients count words, and
+    # every other count series is placed from integer parts, so a cold
+    # count never builds a Fraction
+    made, new = [0], Q.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", counting)
+    counts = []
+    for call in (lambda: genfun.A_series(31),
+                 lambda: genfun.a_from_series(genfun.A_series(4))):
+        genfun.clear_caches()
+        made[0] = 0
+        call()
+        counts.append(made[0])
+    assert counts == [0, 0]
+
+
+@pytest.mark.parametrize("cs, power", [([1, 0, 0, 0], 0), ([2, 2, 1, 0], 3)])
+def test_count_quotient_refuses_a_non_integral_coefficient(cs, power):
+    # a raise, not an assert, so the guard also holds under python -O
+    genfun.clear_caches()
+    den = genfun._den_sum(4)
+    one = genfun._count_quotient("probe", 4, (0, (1, den[1]), den.coeffs))
+    assert one.coeffs == (1, 0, 0, 0)
+    with pytest.raises(RuntimeError,
+                       match=f"probe is not integral at x\\^{power}:"):
+        genfun._count_quotient("probe", 4, (1, (1, 2), cs))
+
+
 def test_degenerate_weight_raises():
     with pytest.raises(genfun.KernelSpecializationError):
         genfun.A_vu_series(2, 1, 8)

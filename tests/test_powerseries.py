@@ -150,3 +150,29 @@ def test_distributive(p, q, r):
 
     f, g, h = (series(t, 6) for t in (p, q, r))
     assert f * add(g, h) == add(f * g, f * h)
+
+
+def fraction_long_division(f, g):
+    """f / g by plain long division over Fraction, g starting at x^w."""
+    w = next(i for i, c in enumerate(g) if c)
+    f, g = f[w:], g[w:]
+    q = []
+    for n in range(min(len(f), len(g))):
+        acc = Q(f[n]) - sum(q[k] * g[n - k] for k in range(n))
+        q.append(acc / g[0])
+    return q
+
+
+@given(st.sampled_from([1, -1, 2, -2, 3, -6]), st.integers(0, 2),
+       polys, polys)
+def test_division_is_exact_on_integers(g0, w, p, r):
+    # each step divides with one divmod: an exact quotient stays an int,
+    # any other becomes a Q in lowest terms that later steps build on
+    f = series([0] * w + p, 7)
+    g = series([0] * w + [g0] + r, 7)
+    quot = f / g
+    want = fraction_long_division(f.coeffs, g.coeffs)
+    assert list(quot.coeffs) == want
+    for c in quot.coeffs:
+        assert (type(c) is int) == (Q(c).denominator == 1)
+        assert type(c) in (int, Q)
