@@ -478,12 +478,13 @@ def _B1u_geom(c, m: int, N: int, D: int | None = None):
     c, D, P, K0, F, G = _geometric(c, m, D)
     one = (1, -D)  # 1 - x in y
 
-    # S1 multiplies the b series, S2 the c series, S4 stands alone.  The
-    # b product comes first: B11 asks for the shared series at the highest
-    # order, so S3's couplings are served by truncation.
-    S1 = _times(B11_series, 2, _kernel_sum(
-        [K0, G(1)], lambda j: (F(j), G(j + 1)),
-        lambda j: (2 * j + 1, _alt(c, j), _p2(c, P, m + j)), N - 2, D), D)
+    # S1 multiplies the b series, S2 the c series, S4 stands alone.  C11 is
+    # asked for first, at the b product's order, which is at least the c
+    # product's: C11 asks for the denominator sum two orders past B11, and
+    # B11 asks for C11 only from order 4 on.  Then B11 and S3's couplings
+    # are served by truncation.
+    S1 = _kernel_sum([K0, G(1)], lambda j: (F(j), G(j + 1)),
+                     lambda j: (2 * j + 1, _alt(c, j), _p2(c, P, m + j)), N - 2, D)
     S2 = _kernel_sum([K0, one, G(1)], lambda j: (F(j), G(j + 1)),
                      lambda j: (2 * j + 1, _alt(c, j, 0, 2),
                                 _pmul(_g(c, P, m + j), _g(c, P, m + j), 3)),
@@ -492,6 +493,9 @@ def _B1u_geom(c, m: int, N: int, D: int | None = None):
                      lambda j: (2 * j + 2, _alt(c, j), _pmul(
                          _pmul(F(j + 1), F(j + 1), 3), _g(c, P, m + j), 4)),
                      N, D)
+    if S2[2]:
+        C11_series(len(S1[2]) + 1)
+    S1 = _times(B11_series, 2, S1, D)
     # S3, which is subtracted, couples term j with the c series at weight
     # u/(1-(j+1)ux), which stays in the geometric family as c/(1-(m+j+1)cx)
     # and so in the same y; its scalar -(-1)^j c^(2j+3) is _alt at j + 1.
@@ -560,7 +564,8 @@ def _circular(b, c, N: int) -> Series:
 def A_series(N: int) -> Series:
     """Circular avoider counts: the coefficient of x^n is the number of
     avoiding cyclic classes of size n, which equals a_(n-1) for n >= 2."""
-    return _circular(_in_y(B11_series(N), 1), _in_y(C11_series(N), 1), N)
+    c = _in_y(C11_series(N), 1)  # first: see A_vu_series
+    return _circular(_in_y(B11_series(N), 1), c, N)
 
 
 def A_vu_series(v, u, N: int) -> Series:
@@ -572,20 +577,20 @@ def A_vu_series(v, u, N: int) -> Series:
     """
     v = Q(v)
     u = Q(u)
+    if u == 1 and v != 1:
+        raise KernelSpecializationError(
+            "the two-variable closed forms divide by 1-u; the weight "
+            "u = 1 is only available on the diagonal v = u = 1"
+        )
+    # ask for the shared series at this formula's highest order first, C11
+    # before B11: C11 asks for the denominator sum two orders past B11, and
+    # B11 asks for C11 only from order 4 on.  A weight-1 b or c series
+    # among the terms reaches one order past N.
+    top = N + 1 if 1 in (v, u * v) else N
+    C11_series(top)
+    B11_series(top)
     if u == 1:
-        if v != 1:
-            raise KernelSpecializationError(
-                "the two-variable closed forms divide by 1-u; the weight "
-                "u = 1 is only available on the diagonal v = u = 1"
-            )
         return _circular(_B1u_geom(1, 0, N), _C1u_geom(1, 0, N), N)
-    # ask for the shared series at this formula's highest order first; a
-    # weight-1 b or c series among the terms reaches one order past N
-    if 1 in (v, u * v):
-        C11_series(N + 1)
-        B11_series(N + 1)
-    else:
-        B11_series(N)
     # one y = x/D for every part: there each linear factor is integral
     D = lcm(_scale(u), _scale(v), _scale(u * v))
     cv = _C1u_geom(v, 0, N, D)

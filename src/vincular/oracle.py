@@ -22,8 +22,8 @@ containment alone and hold for any pattern P.
   least top letter over all occurrences of P' in the prefix, down its
   stack, and drops the prefix iff its largest unplaced letter is above
   T.  A child's T is the least of its parent's and of the top letters
-  of the occurrences ending at its last letter, one compiled scan
-  (:func:`vincular.perms.threshold_scan`) with one loop fewer than the
+  of the occurrences ending at its last letter, one threshold scan
+  (:func:`vincular.perms._closes_source`) with one loop fewer than the
   test of P: for 12-3 it reads two letters.  When P's last letter is its
   smallest, T is the greatest bottom letter instead, against the
   smallest unplaced letter.  For such a P this replaces the direct
@@ -53,14 +53,20 @@ circular walk 64162 (856371 and 629642 without the lemmas).  One
 walk can serve several pattern sets: it drops a prefix on a pattern that
 all of them hold and keeps a flag per set for the rest, so the two linear
 pairs of :func:`oracle_report`, which share 12-3, are grown together.
-Every node, a complete word too, takes one path: one generated
-function (:func:`_node_test`), made once for each walk's sets and size,
-runs all its tests, and on a complete word only the direct ones.
-Runtimes are still exponential in n; the README gives measured times.
+Each walk is one generated function (:func:`_walker`), made once for
+its sets.  Its child loop reads each child as the parent's word followed
+by one letter and runs every check inline, as the block of code that
+:func:`vincular.perms._closes_block` generates for the pattern: a direct
+test clears the bits of its sets, a scan lowers (or raises) its
+threshold, and no check is a function call.  Only a child that keeps a
+bit is pushed, with its bits and thresholds as plain fields of the stack
+entry.  Every child, a complete word too, takes this one path; a
+complete one skips only the lookahead.  Runtimes are still exponential
+in n; the README gives measured times.
 
 The enumeration partitions naturally by leading letters and shares no
-mutable state but the cache of compiled tests, whose entries never change
-once made, so the functions are safe to call concurrently.
+mutable state but the caches of compiled tests and walks, whose entries
+never change once made, so the functions are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -73,11 +79,11 @@ from typing import Callable, Iterable, Iterator
 from .perms import (
     VincularPattern,
     Word,
+    _closes_block,
     avoids_circular,
     avoids_linear,
     closes,
     standardize,
-    threshold_scan,
 )
 
 # The circular pattern under study: 2341 with its first two letters bonded
@@ -117,62 +123,112 @@ def _lookahead(pattern: VincularPattern) -> int | None:
 
 
 @cache
-def _node_test(
-    sets: tuple[tuple[VincularPattern, ...], ...], n: int
-) -> tuple[Callable, tuple[int, ...]]:
-    """The compiled node test of a walk of [n] against sets, and the state
-    it starts from.
+def _walker(sets: tuple[tuple[VincularPattern, ...], ...]) -> Callable:
+    """The generated walk of :func:`_walk` against sets: walk(n, first).
 
-    The checks are (mask, pattern) pairs, tried in order: first each
-    pattern that every set holds, with the mask of all sets, then the
-    others, each with the bit of its set (bit k for sets[k]).
+    The checks are (mask, pattern) pairs, run in order: each pattern that
+    every set holds, with the mask of all sets, then the others, each with
+    the bit of its set (bit k for sets[k]).  The walk pops a node (w,
+    rest, alive, t0, t1, ...): the word, the sorted tuple of its unplaced
+    letters, the bits of the sets it still avoids and one threshold per
+    lookahead check.  The letters at the end of w that the checks read by
+    position are read once per node.  The child loop reads child w + (x,)
+    as w followed by x, starts from the node's bits and thresholds, and
+    runs every check inline on it, as the block that
+    :func:`vincular.perms._closes_block` generates:
 
-    step(word, rest, state) takes the state of word's parent, (alive,
-    t0, t1, ...): the bits of the sets still avoided and one threshold per
-    lookahead check, and gives word's state, or None when word is
-    dropped; rest is the sorted tuple of letters still to place.  A direct
-    check calls the pattern's closes test on word.  A lookahead check
-    carries T, the least top letter of any occurrence of P' (the pattern
-    less its last letter) in the prefix (the greatest bottom letter, when
-    the last letter is the smallest), and drops word iff rest's largest
-    letter is above T (its smallest below T): exactly when the pattern
-    closes word followed by that letter.  A complete word (rest empty)
-    runs only the direct checks: its parent's lookahead has already
-    covered its last letter.  A check whose bits are all cleared is
-    skipped too, its threshold left stale, as no later node reads it.
-    The start state has every bit set and each threshold past every
-    letter: n + 1 for a least top letter, 0 for a greatest bottom one.
+    * a direct check clears its bits when the pattern closes the child;
+    * a lookahead check lowers (raises) its threshold T to the least top
+      (greatest bottom) letter of the occurrences of P' (the pattern less
+      its last letter) ending at x, and clears its bits iff the largest
+      (smallest) letter left is above (below) T: exactly when the pattern
+      closes the child followed by that letter.  A complete child runs
+      no lookahead: its parent's has already covered its last letter.
+
+    A check whose bits are all cleared is skipped, its threshold left
+    stale, as no later node reads it.  A child that keeps a bit is pushed,
+    its unplaced letters sliced out only then, or yielded when complete.
+    The root's thresholds lie past every letter: n + 1 for a least top
+    letter, 0 for a greatest bottom one.  The letters of first are placed,
+    each as the one child of its parent, by the same lines before the
+    stack walk starts.
     """
     full = (1 << len(sets)) - 1
     shared = [p for p in sets[0] if all(p in s for s in sets[1:])]
     checks = [(full, p) for p in shared] + [
         (1 << k, p) for k, s in enumerate(sets) for p in s if p not in shared]
-    namespace: dict = {}
-    body: list[str] = []
-    thresholds: list[str] = []
-    start = [full]
-    for j, (mask, p) in enumerate(checks):
-        drop = ["return None"] if mask == full else [
-            f"alive &= {full & ~mask}", "if not alive:", "    return None"]
+    root, starts, child, back = full, [], [], set()
+
+    def read(j: int) -> str:
+        # w[m - j], the same for every child of a node, is read once per node
+        back.add(j)
+        return f"y{j}"
+
+    for mask, p in checks:
+        k = len(p.entries)
+        drop = f"bits &= {full & ~mask}"
         pick = _lookahead(p)
         if pick is None:
-            namespace[f"c{j}"] = closes(p)
-            body += [f"if alive & {mask} and c{j}(w):", *("    " + d for d in drop)]
-            continue
-        t = f"t{len(thresholds)}"
-        thresholds.append(t)
-        start.append(n + 1 if pick == -1 else 0)
-        front = VincularPattern(standardize(p.entries[:-1]), p.bonds)
-        namespace[f"s{j}"] = threshold_scan(front, 1 if pick == -1 else -1)
-        body += [f"if alive & {mask} and rest:",
-                 f"    {t} = s{j}(w, {t})",
-                 f"    if rest[{pick}] {'>' if pick == -1 else '<'} {t}:",
-                 *("        " + d for d in drop)]
-    state = ", ".join(["alive", *thresholds])
-    source = "\n    ".join([
-        "def step(w, rest, state):", f"({state},) = state", *body, f"return ({state},)"])
-    exec(source + "\n", namespace)
-    return namespace["step"], tuple(start)
+            if k == 0:  # the empty pattern closes the empty word too
+                root &= ~mask
+            guard = [f"bits & {mask}", *([f"m > {k - 2}"] if k > 1 else [])]
+            block = _closes_block(p.entries, p.bonds, 0, drop, read)
+        else:
+            # the letter left after child x = rest[i] that T is compared with
+            letter, beyond = (("rest[-1] if i < last else rest[-2]", ">") if pick == -1
+                              else ("rest[0] if i else rest[1]", "<"))
+            u = f"u{len(starts)}"
+            starts.append("n + 1" if pick == -1 else "0")
+            front = VincularPattern(standardize(p.entries[:-1]), p.bonds)
+            side = 1 if pick == -1 else -1
+            guard = [f"bits & {mask}", "last", *([f"m > {k - 3}"] if k > 2 else [])]
+            block = [*_closes_block(front.entries, front.bonds, side, u, read),
+                     f"if ({letter}) {beyond} {u}:", f"    {drop}"]
+        child += [f"if {' and '.join(guard)}:", *("    " + line for line in block)]
+    ts = [f"t{j}" for j in range(len(starts))]
+    us = [f"u{j}" for j in range(len(starts))]
+    state = ", ".join(["w", "rest", "alive", *ts])
+    # the node (w, rest, alive, t0, ...): m letters placed, last + 1 to place
+    node = ["m = len(w)", "last = len(rest) - 1",
+            *(f"y{j} = w[-{j}] if m >= {j} else 0" for j in sorted(back))]
+    # its child w + (x,), x = rest[i]
+    test = ["bits = alive", *(f"{u} = {t}" for u, t in zip(us, ts)), *child]
+    push = ", ".join(["w + (x,)", "rest[:i] + rest[i + 1:]", "bits", *us])
+    source = "\n".join([
+        "def walk(n, first):",
+        f"    alive = {root}",
+        "    if not alive:",
+        "        return",
+        *(f"    {t} = {start}" for t, start in zip(ts, starts)),
+        "    w, rest = (), tuple(range(1, n + 1))",
+        "    for x in first:",
+        *("        " + line for line in node),
+        "        i = rest.index(x)",
+        *("        " + line for line in test),
+        "        if not bits:",
+        "            return",
+        "        w, rest, alive = w + (x,), rest[:i] + rest[i + 1:], bits",
+        *(f"        {t} = {u}" for t, u in zip(ts, us)),
+        "    if not rest:",
+        "        yield w, alive",
+        "        return",
+        f"    stack = [({state},)]",
+        "    while stack:",
+        f"        {state} = stack.pop()",
+        *("        " + line for line in node),
+        # pushed from the largest letter down, so popped in lexicographic order
+        "        for i in range(last, -1, -1):",
+        "            x = rest[i]",
+        *("            " + line for line in test),
+        "            if bits:",
+        "                if last:",
+        f"                    stack.append(({push}))",
+        "                else:",
+        "                    yield w + (x,), bits",
+    ]) + "\n"
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["walk"]
 
 
 def _walk(
@@ -187,32 +243,12 @@ def _walk(
     unplaced letter that :func:`_lookahead` picks) clears the bits of the
     sets that hold it, all of them for a pattern common to every set, and
     the prefix is dropped once no bit is left.  Every node, a complete
-    word too, takes one path: one compiled :func:`_node_test` runs its
-    checks, and a complete word that keeps a bit is yielded when popped.
-    The walk keeps its own stack, so each word reaches the caller through
-    one generator only.
+    word too, takes one path: the child loop of the generated
+    :func:`_walker` runs its checks, and a complete word that keeps a bit
+    is yielded.  The walk keeps its own stack, so each word reaches the
+    caller through one generator only.
     """
-    step, state = _node_test(sets, n)
-    # Each prefix of first is a node of its own: its lookahead covers the
-    # direct test of the next one.
-    for m in range(len(first) + 1):
-        rest = tuple(x for x in range(1, n + 1) if x not in first[:m])
-        state = step(first[:m], rest, state)
-        if state is None:
-            return
-    stack = [(first, rest, state)]
-    while stack:
-        prefix, rest, state = stack.pop()
-        if not rest:
-            yield prefix, state[0]
-            continue
-        # Pushed from the largest letter down, so popped in lexicographic order.
-        for i in range(len(rest) - 1, -1, -1):
-            word = prefix + (rest[i],)
-            left = rest[:i] + rest[i + 1:]
-            child = step(word, left, state)
-            if child is not None:
-                stack.append((word, left, child))
+    return _walker(sets)(n, first)
 
 
 def count_linear_avoiders(n: int, patterns: Iterable[VincularPattern]) -> int:
@@ -231,6 +267,29 @@ def _seam_rotations(pattern: VincularPattern) -> tuple[VincularPattern, ...]:
         VincularPattern(pattern.entries[g + 1:] + pattern.entries[:g + 1],
                         {(t - g - 1) % k for t in pattern.bonds})
         for g in range(k - 1) if g not in pattern.bonds)
+
+
+def _symmetry_class(pattern: VincularPattern) -> tuple[VincularPattern, ...]:
+    """pattern and every pattern reached from it by reversing, by
+    complementing and by :func:`_seam_rotations`, in the order found.
+    Each of these maps the cyclic classes that avoid one pattern onto
+    those that avoid the other, so all members have the same circular
+    counts.
+
+    >>> [p.entries for p in _symmetry_class(CIRCULAR_PATTERN)]
+    [(2, 3, 4, 1), (1, 4, 3, 2), (3, 2, 1, 4), (4, 1, 2, 3), (1, 2, 3, 4), (4, 3, 2, 1)]
+    >>> [sorted(p.bonds) for p in _symmetry_class(CIRCULAR_PATTERN)]
+    [[0], [2], [0], [2], [1], [1]]
+    """
+    k = len(pattern.entries)
+    found = [pattern]
+    for p in found:  # found grows as it is read
+        for q in (VincularPattern(p.entries[::-1], {k - 2 - t for t in p.bonds}),
+                  VincularPattern(tuple(k + 1 - e for e in p.entries), p.bonds),
+                  *_seam_rotations(p)):
+            if q not in found:
+                found.append(q)
+    return tuple(found)
 
 
 def _circular_avoiders(n: int, patterns: tuple[VincularPattern, ...]) -> Iterator[Word]:

@@ -15,9 +15,10 @@ position: nested ``for`` loops generated from the pattern's integers, in
 which a bonded position is a forced index and each letter is compared only
 with its value neighbours among the letters placed before it.  A word
 contains a pattern iff one of its prefixes is closed by it, and a circular
-word iff one of its rotations is.  The same generator makes
-:func:`threshold_scan`, which gives the least top (or greatest bottom)
-letter of those occurrences instead of a yes or no.
+word iff one of its rotations is.  The same generator makes the
+threshold scan, which gives the least top (or greatest bottom) letter of
+those occurrences instead of a yes or no, and both as blocks of code that
+the walks of :mod:`vincular.oracle` inline (:func:`_closes_block`).
 """
 
 from __future__ import annotations
@@ -82,98 +83,136 @@ def closes(pattern: VincularPattern) -> Callable[[Sequence[int]], bool]:
     return _compiled(pattern.entries, pattern.bonds)
 
 
-def threshold_scan(pattern: VincularPattern, side: int) -> Callable[[Sequence[int], int], int]:
-    """The compiled threshold scan of pattern, side 1 or -1: on a word w of
-    distinct letters and a bound t, the least letter filling pattern's
-    largest place (side 1) or the greatest filling its smallest (side -1)
-    over the occurrences ending at w's last position, when it is below t
-    (above t); else t.
-
-    Folded over the prefixes of a word from t = +inf (-inf), it gives the
-    least top (greatest bottom) letter of any occurrence in the word.
-
-    >>> threshold_scan(VincularPattern((1, 2), bonds={0}), 1)((3, 1, 4), 9)
-    4
-    >>> threshold_scan(VincularPattern((1, 2, 3), bonds={0}), -1)((2, 5, 1, 3, 6), 0)
-    2
-    """
-    if side not in (1, -1):
-        raise ValueError(f"side must be 1 or -1, not {side!r}")
-    return _compiled(pattern.entries, pattern.bonds, side)
-
-
 @cache
-def _compiled(entries: Word, bonds: frozenset[int], side: int = 0) -> Callable:
+def _compiled(entries: Word, bonds: frozenset[int]) -> Callable:
     namespace: dict = {}
-    exec(_closes_source(entries, bonds, side), namespace)
-    return namespace["closes" if side == 0 else "scan"]
+    exec(_closes_source(entries, bonds), namespace)
+    return namespace["closes"]
 
 
 def _closes_source(entries: Word, bonds: frozenset[int], side: int = 0) -> str:
-    """Source of the closes test (side 0) or of the threshold scan (side 1
-    or -1, see :func:`threshold_scan`); it holds no value taken from the
-    pattern but positions in range(k) and the comparisons their order
-    implies.
+    """Source of the closes test (side 0), or of the threshold scan (side 1
+    or -1): scan(w, bound) gives the least letter filling the pattern's
+    largest place (side 1), or the greatest filling its smallest (side
+    -1), over the occurrences ending at w's last position, when it is
+    below (above) bound; else bound.  Folded over the prefixes of a word
+    from bound = +inf (-inf), it gives the least top (greatest bottom)
+    letter of any occurrence in the word.
 
-    Letter t of the pattern lives in a{t} at host index i{t}.  The last
-    letter sits at n-1, and a bonded run ending there is fixed too; the
-    other positions run left to right, each a loop over its free range or
-    the index forced by a bond.  The scan compares the letter it tracks
-    with the bound as soon as it is placed, and an occurrence found
-    becomes the new bound; when that letter is fixed, the first one found
-    is the answer.
+    Both wrap the block of :func:`_closes_block`, which reads the word as
+    w[:m] followed by the letter x; the walks of :mod:`vincular.oracle`
+    inline the same block.
+
+    The block holds no value taken from the pattern but positions in
+    range(k) and the comparisons their order implies.  Letter t of the
+    pattern lives in a{t} at host index i{t}, the last one in x.  A bonded
+    run ending at x is fixed too; the other positions run left to right,
+    each a loop over its free range or the index forced by a bond.  The
+    scan compares the letter it tracks with the bound as soon as it is
+    placed, and an occurrence found becomes the new bound; when that
+    letter is fixed, the first one found is the answer.
+
+    Leftmost choice: a loop stops at the first letter that passes its own
+    comparisons when its next gap is unbonded, no letter placed after it
+    is compared with it, and it is not the letter the scan tracks.  A
+    later position is then bounded by it only through its index, so a
+    later index can only lose choices, and whatever an occurrence
+    through it would find, the leftmost letter finds too.  This makes the
+    test of 4-1-23 one pass over the word, where it would be a double
+    loop.
     """
     k = len(entries)
+    if side == 0:
+        head, miss, target = "def closes(w):", "return False", "return True"
+    else:
+        head, miss, target = "def scan(w, bound):", "return bound", "bound"
     if k == 0:
-        return "def closes(w):\n    return True\n"
+        return f"{head}\n    return True\n"
+    body = ["m = len(w) - 1", f"if m < {k - 1}:", f"    {miss}", "x = w[m]",
+            *_closes_block(entries, bonds, side, target), miss]
+    return "\n    ".join([head, *body]) + "\n"
+
+
+def _closes_block(entries: Word, bonds: frozenset[int], side: int, target: str,
+                  back: Callable[[int], str] = "w[m - {}]".format) -> list[str]:
+    """The lines, unindented, of the test of :func:`_closes_source` on the
+    word w[:m] followed by x, m >= k - 1; they run the statement target
+    on an occurrence ending at x (side 0), or lower (side 1) or raise
+    (side -1) the variable named target to its tracked letter.  Every
+    loop is left once an occurrence has decided the block, so control
+    always falls through to the line after it.  back(j) is the expression
+    the block reads w[m - j] by, for the j < k it needs."""
+    k = len(entries)
     fixed = k - 1
     while fixed > 0 and fixed - 1 in bonds:
         fixed -= 1
-    if side == 0:
-        head, miss, tracked = "def closes(w):", "return False", None
-    else:
-        head, miss = "def scan(w, bound):", "return bound"
-        tracked = entries.index(k if side == 1 else 1)
-    lines = [head, "    n = len(w)", f"    if n < {k}:", f"        {miss}"]
-    final = miss
-    placed: list[int] = []
-    pad = "    "
-
-    def place(t: int, index: str) -> None:
-        lines.append(f"{pad}a{t} = w[{index}]")
-        below = [q for q in placed if entries[q] < entries[t]]
-        above = [q for q in placed if entries[q] > entries[t]]
-        terms = []
+    tracked = None if side == 0 else entries.index(k if side == 1 else 1)
+    order = [*range(k - 1, fixed - 1, -1), *range(fixed)]
+    name = {t: "x" if t == k - 1 else f"a{t}" for t in order}
+    compared: dict[int, list[str]] = {}
+    later: set[int] = set()  # positions compared with a later-placed one
+    for r, t in enumerate(order):
+        before = order[:r]
+        below = [q for q in before if entries[q] < entries[t]]
+        above = [q for q in before if entries[q] > entries[t]]
+        terms = compared[t] = []
         if below:
-            terms.append(f"a{max(below, key=entries.__getitem__)} < a{t}")
+            q = max(below, key=entries.__getitem__)
+            terms.append(f"{name[q]} < {name[t]}")
+            later.add(q)
         if above:
-            terms.append(f"a{t} < a{min(above, key=entries.__getitem__)}")
+            q = min(above, key=entries.__getitem__)
+            terms.append(f"{name[t]} < {name[q]}")
+            later.add(q)
         if t == tracked:
-            terms.append(f"a{t} < bound" if side == 1 else f"bound < a{t}")
-        if terms:
-            lines.append(f"{pad}if not ({' and '.join(terms)}):")
-            lines.append(f"{pad}    {miss}")
-        placed.append(t)
+            terms.append(f"{name[t]} < {target}" if side == 1 else f"{target} < {name[t]}")
 
-    for t in range(k - 1, fixed - 1, -1):
-        place(t, f"n - {k - t}")
-    for t in range(fixed):
-        if t > 0 and t - 1 in bonds:
-            lines.append(f"{pad}i{t} = i{t - 1} + 1")
+    def exits(t: int) -> bool:
+        # an occurrence found inside loop t ends it, except in a scan whose
+        # tracked letter is placed after the fixed run: a loop placed up to
+        # that letter goes on, for a better bound
+        return tracked is None or tracked >= fixed or t > tracked
+
+    lines: list[str] = []
+    pad = ""
+    loops: list[tuple[str, int, bool]] = []  # open loops: indent, t, leftmost
+    for t in order:
+        terms = compared[t]
+        if t == k - 1:
+            pass
+        elif t >= fixed:
+            lines.append(f"{pad}a{t} = {back(k - 1 - t)}")
+        elif t > 0 and t - 1 in bonds:
+            lines.append(f"{pad}a{t} = w[i{t - 1} + 1]")
+            if t + 1 < fixed:
+                lines.append(f"{pad}i{t} = i{t - 1} + 1")
         else:
             start = f"i{t - 1} + 1" if t > 0 else "0"
-            lines.append(f"{pad}for i{t} in range({start}, n - {k - 1 - t}):")
-            pad, miss = pad + "    ", "continue"
-        place(t, f"i{t}")
-    if tracked is None:
-        lines.append(f"{pad}return True")
-    elif tracked >= fixed:
-        lines.append(f"{pad}return a{tracked}")
-    else:
-        lines.append(f"{pad}bound = a{tracked}")
-    if fixed > 0:
-        lines.append(f"    {final}")
-    return "\n".join(lines) + "\n"
+            stop = f"m - {k - 2 - t}" if t < k - 2 else "m"
+            lines.append(f"{pad}for i{t} in range({start}, {stop}):")
+            lines.append(f"{pad}    a{t} = w[i{t}]")
+            leftmost = t not in bonds and t not in later and t != tracked
+            if leftmost and loops:
+                # the first letter that passes is the only one tried; on
+                # none, the enclosing loop moves on, or stops if it too
+                # tries its leftmost letter only
+                lines += [f"{pad}    if {' and '.join(terms)}:", f"{pad}        break",
+                          f"{pad}else:", f"{pad}    {'break' if loops[-1][2] else 'continue'}"]
+                continue
+            loops.append((pad, t, leftmost))
+            pad += "    "
+        if terms:
+            lines.append(f"{pad}if {' and '.join(terms)}:")
+            pad += "    "
+    lines.append(f"{pad}{target}" if tracked is None else f"{pad}{target} = {name[tracked]}")
+    if loops and (exits(loops[-1][1]) or loops[-1][2]):
+        lines.append(f"{pad}break")
+    for (inner_pad, inner, _), (_, outer, leftmost) in zip(loops[:0:-1], loops[-2::-1]):
+        if leftmost:
+            lines.append(f"{inner_pad}break")
+        elif exits(inner) and exits(outer):
+            lines += [f"{inner_pad}else:", f"{inner_pad}    continue", f"{inner_pad}break"]
+    return lines
 
 
 def avoids_linear(host: Sequence[int], patterns: Iterable[VincularPattern]) -> bool:

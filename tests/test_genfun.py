@@ -492,18 +492,21 @@ def test_cache_holds_only_the_shared_series():
 
 
 @pytest.mark.parametrize("call", [
+    lambda: genfun.A_series(3),
     lambda: genfun.A_series(4),
     lambda: genfun.A_series(31),
+    lambda: genfun.B1u_series(Q(3, 7), 4),
     lambda: genfun.B1u_series(1, 32),
     lambda: genfun.B1u_series(Q(3, 7), 20),
     lambda: genfun.C1u_series(Q(3, 7), 20),
+    lambda: genfun.A_vu_series(2, 3, 3),
     lambda: genfun.A_vu_series(2, 3, 10),
     lambda: genfun.A_vu_series(Q(1, 2), Q(2, 3), 8),
     lambda: genfun.A_vu_series(1, 2, 31),
     lambda: genfun.A_vu_series(2, Q(1, 2), 31),
     lambda: genfun.A_vu_series(2, Q(1, 2), 2),
-], ids=["A4", "A31", "B1u-1", "B1u-3/7", "C1u-3/7", "Avu-2-3", "Avu-1/2-2/3",
-        "Avu-1-2", "Avu-2-1/2", "Avu-2-1/2-N2"])
+], ids=["A3", "A4", "A31", "B1u-3/7-N4", "B1u-1", "B1u-3/7", "C1u-3/7", "Avu-2-3-N3",
+        "Avu-2-3", "Avu-1/2-2/3", "Avu-1-2", "Avu-2-1/2", "Avu-2-1/2-N2"])
 def test_one_cold_call_builds_each_shared_series_once(monkeypatch, call):
     # each formula asks for a shared series at its highest order first,
     # so a later, smaller request is served by truncation

@@ -2,12 +2,14 @@
 
 import gc
 import hashlib
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
 from vincular import oracle
-from vincular.checks import ORACLE_CAP
+from vincular.checks import ORACLE_CAP, REFERENCE_A
+from vincular.cli import parse_pattern
 from vincular.oracle import (
     CIRCULAR_PATTERN,
     LAST_LETTER_PATTERNS,
@@ -209,6 +211,18 @@ def test_circular_counts_match_rotation_scan(patterns):
         assert count_circular_avoiders(n, patterns) == want
 
 
+def test_symmetry_class_of_23_4_1_shares_its_circular_counts():
+    # reversing, complementing and rotating at an unbonded gap keep the
+    # circular counts; the six members take every kind of check of the walk
+    members = oracle._symmetry_class(CIRCULAR_PATTERN)
+    assert set(members) == {parse_pattern(text) for text in (
+        "23-4-1", "4-1-23", "1-23-4", "32-1-4", "1-4-32", "4-32-1")}
+    assert Counter(oracle._lookahead(p) for p in members) == {-1: 2, 0: 2, None: 2}
+    for n in range(2, 10):
+        for p in members:
+            assert count_circular_avoiders(n, (p,)) == REFERENCE_A[n - 2], (p, n)
+
+
 def test_walk_with_first_letters():
     # 23-4-1 and 1-23-4 look ahead to the smallest and the largest
     # unplaced letter, 12-3 to the largest
@@ -229,15 +243,24 @@ def test_walk_with_first_letters():
 
 
 def test_complete_word_runs_no_lookahead_scan():
-    # the parent's lookahead covered a complete word's last letter, so its
-    # thresholds come back as they went in
-    step, start = oracle._node_test((REDUCED_PATTERNS,), 2)
-    assert start == (1, 3)
-    assert step((1, 2), (), (1, 3)) == (1, 3)
-    # mirrored: 23-4-1 compares the greatest bottom letter with the smallest
-    step, start = oracle._node_test(((CIRCULAR_PATTERN,),), 3)
-    assert start == (1, 0)
-    assert step((1, 2, 3), (), (1, 0)) == (1, 0)
+    # the parent's lookahead covered a complete word's last letter, so the
+    # walk yields it with its thresholds u0, u1, ... left at its parent's
+    # t0, t1, ...
+    def yielded(sets, n):
+        walk = oracle._walker(sets)(n, ())
+        for w, _ in walk:
+            local = walk.gi_frame.f_locals
+            checks = range(sum(name[0] == "t" and name[1:].isdigit() for name in local))
+            yield w, [local[f"t{j}"] for j in checks], [local[f"u{j}"] for j in checks]
+
+    for sets in ((REDUCED_PATTERNS,), ((CIRCULAR_PATTERN,),),
+                 (REDUCED_PATTERNS, LAST_LETTER_PATTERNS, (CIRCULAR_PATTERN,))):
+        words = list(yielded(sets, 7))
+        assert words and all(parent and parent == child for _, parent, child in words)
+    # 12 holds a 12 whose top letter 2 is below the start 3, and 123 a 12-3
+    # whose bottom letter 1 is above the start 0: a scan would move both
+    assert next(yielded((REDUCED_PATTERNS,), 2)) == ((1, 2), [3], [3])
+    assert next(yielded(((CIRCULAR_PATTERN,),), 3)) == ((1, 2, 3), [0], [0])
 
 
 def _unpruned_walk(n, sets, first=()):

@@ -14,7 +14,6 @@ from vincular.perms import (
     avoids_linear,
     closes,
     standardize,
-    threshold_scan,
 )
 
 from occurrences import iter_occurrences
@@ -116,9 +115,20 @@ def test_all_bonds_matches_window_scan():
         assert got == want
 
 
+def threshold_scan(pattern, side):
+    """The scan that perms generates for pattern, side 1 or -1, and the
+    oracle's walks inline: scan(w, bound)."""
+    namespace = {}
+    exec(perms._closes_source(pattern.entries, pattern.bonds, side), namespace)
+    return namespace["scan"]
+
+
 def test_closes_matches_backtracking():
     # every pattern of length 1..4 with every subset of bonds, on every
-    # word of length <= 6: closed iff some occurrence ends at the last index
+    # word of length <= 6: closed iff some occurrence ends at the last
+    # index; and both scans, at a bound below, inside and above the
+    # word's letters, give the least (greatest) letter in the pattern's
+    # largest (smallest) place over those occurrences, if beyond the bound
     patterns = [
         VincularPattern(entries, bonds)
         for k in range(1, 5)
@@ -130,9 +140,17 @@ def test_closes_matches_backtracking():
     words = [w for m in range(7) for w in permutations(range(1, m + 1))]
     for pat in patterns:
         test = closes(pat)
+        k = len(pat.entries)
+        top, bottom = pat.entries.index(k), pat.entries.index(1)
+        scans = threshold_scan(pat, 1), threshold_scan(pat, -1)
         for w in words:
-            want = any(occ[-1] == len(w) - 1 for occ in iter_occurrences(w, pat))
-            assert test(w) == want, (pat, w)
+            ends = [occ for occ in iter_occurrences(w, pat) if occ[-1] == len(w) - 1]
+            assert test(w) == bool(ends), (pat, w)
+            for bound in (0, len(w) // 2 + 1, len(w) + 1):
+                assert scans[0](w, bound) == min([bound, *(w[o[top]] for o in ends)]), (
+                    pat, w, bound)
+                assert scans[1](w, bound) == max([bound, *(w[o[bottom]] for o in ends)]), (
+                    pat, w, bound)
 
 
 def test_closes_on_letters_that_are_not_1_to_n():
@@ -217,8 +235,3 @@ def test_threshold_scan_is_the_extreme_letter_of_the_front(word, x):
         assert t == extreme((word[occ[place]] for occ in occs), default=inf)
         if x not in word:
             assert closes(pat)(word + (x,)) == (x > t if side == 1 else x < t), (pat, word, x)
-
-
-def test_threshold_scan_rejects_a_side():
-    with pytest.raises(ValueError, match="side"):
-        threshold_scan(P12_3, 0)
