@@ -80,6 +80,7 @@ from .perms import (
     VincularPattern,
     Word,
     _closes_block,
+    _define,
     avoids_circular,
     avoids_linear,
     closes,
@@ -226,9 +227,8 @@ def _walker(sets: tuple[tuple[VincularPattern, ...], ...]) -> Callable:
         "                else:",
         "                    yield w + (x,), bits",
     ]) + "\n"
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace["walk"]
+    longest = max(len(p.entries) for _, p in checks) if checks else 0
+    return _define(source, "walk", f"the walk over patterns of up to {longest} letters")
 
 
 def _walk(
@@ -304,16 +304,19 @@ def _circular_avoiders(n: int, patterns: tuple[VincularPattern, ...]) -> Iterato
     contain a pattern through an occurrence with a bond across the seam
     of the complete word, and the letter after the seam is 1, so only a
     pattern with a bond into its own letter 1 needs the closed test on
-    rotations 1..n-1 (see :func:`vincular.perms.avoids_circular`).
+    rotations 1..n-1 (see :func:`vincular.perms.avoids_circular`).  With
+    no such pattern, as for 23-4-1, the walk's words are the answer.
     """
     if n < 1:
         raise ValueError("n must be positive")
     grown = tuple(q for p in patterns for q in (
         (p,) if _lookahead(p) != 0 else ()) + _seam_rotations(p))
     tests = [closes(p) for p in patterns if any(p.entries[g + 1] == 1 for g in p.bonds)]
-    for rep, _ in _walk(n, (grown,), (1,)):
-        if not any(test(rep[m:] + rep[:m]) for m in range(1, n) for test in tests):
-            yield rep
+    reps = (rep for rep, _ in _walk(n, (grown,), (1,)))
+    if not tests:
+        return reps
+    return (rep for rep in reps
+            if not any(test(rep[m:] + rep[:m]) for m in range(1, n) for test in tests))
 
 
 def count_circular_avoiders(

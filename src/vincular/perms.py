@@ -73,7 +73,8 @@ def closes(pattern: VincularPattern) -> Callable[[Sequence[int]], bool]:
     when some occurrence ends at its last position.
 
     Compiled once per (entries, bonds) and cached.  The empty pattern
-    closes every word, the empty word included.
+    closes every word, the empty word included.  A pattern with more
+    free loops than Python nests (about 20) raises ValueError.
 
     >>> closes(VincularPattern((1, 2, 3), bonds={0}))((1, 2, 4, 3))
     True
@@ -85,9 +86,23 @@ def closes(pattern: VincularPattern) -> Callable[[Sequence[int]], bool]:
 
 @cache
 def _compiled(entries: Word, bonds: frozenset[int]) -> Callable:
+    return _define(_closes_source(entries, bonds), "closes",
+                   f"pattern {entries} with bonds {sorted(bonds)}")
+
+
+def _define(source: str, name: str, what: str) -> Callable:
+    """The function name that source defines.  Each free loop of a pattern
+    is one statically nested block, so Python refuses the source of a
+    pattern with too many; that is a ValueError naming what."""
     namespace: dict = {}
-    exec(_closes_source(entries, bonds), namespace)
-    return namespace["closes"]
+    try:
+        exec(source, namespace)
+    except SyntaxError as exc:
+        if exc.msg != "too many statically nested blocks":
+            raise
+        raise ValueError(f"{what} needs more nested loops than Python's limit "
+                         "on statically nested blocks") from None
+    return namespace[name]
 
 
 def _closes_source(entries: Word, bonds: frozenset[int], side: int = 0) -> str:

@@ -17,11 +17,17 @@ c(n, i, 2) = sum over d in [2, i-1] of c(n-i+d, d), which the c build
 computes anyway: that sum is b's column term, and b's row term sums the
 column of size n-1 over i in [j, n-2].  What is left of each computed cell
 is a binomial transform, taken at a J that grows by one with n, of a
-sequence fixed by the gap g between n and the cell's letter; :func:`_step`
-extends it by one entry per size.  A build does O(N^3) big-integer
-additions inside ``accumulate``, no multiplications in the inner sums,
-and stores O(N^2) integers.  Full cell tables, which only the oracle
-comparison and the tests read, are kept for n <= CELLS_MAX.
+sequence fixed by the gap g between n and the cell's letter.  The runs of
+partial sums of all gaps move one size at a time: :func:`_steps` extends
+every run by its next entry in one pass and starts the run of the new gap,
+and the computed row is written as one slice.  c needs the doubled
+transform sum_s C(J, s) 2^(J-s) y_s; it feeds y << (N-n) at size n into
+an ordinary run, so the term of y_s at J is C(J, s) 2^(N-n+J-s) y_s and
+the value shifts right by N-n exactly: one addition per entry.  A
+build does O(N^3) big-integer additions inside ``accumulate``, no
+multiplications in the inner sums, and stores O(N^2) integers.  Full cell
+tables, which only the oracle comparison and the tests read, are kept for
+n <= CELLS_MAX.
 """
 
 from __future__ import annotations
@@ -46,15 +52,16 @@ def _require(ok: bool, what: str) -> None:
         raise RuntimeError(f"recurrence invariant broken: {what}")
 
 
-def _step(runs: list[Row], g: int, y: int, double: bool = False) -> int:
-    """Extend gap g's binomial transform by y; return its value at the new J.
+def _steps(runs: list[Row], ys: list[int]) -> tuple[list[Row], list[int]]:
+    """Extend every gap's binomial transform by one size; return the new
+    runs and their values at the new J.
 
-    runs[g] holds a_i = sum_t C(i, t) r^t y_(J-t), i = 0..J (r = 2 when
-    double, else 1); the next one starts at y and adds r a_i term by term.
+    runs holds, by letter, a_i = sum_t C(i, t) y_(J-t), i = 0..J; each
+    next run starts at its y and adds the a_i term by term.  The first y
+    starts the run of the new gap (J = 0), in front.
     """
-    prev = runs[g]
-    runs[g] = run = list(accumulate(map(add, prev, prev) if double else prev, initial=y))
-    return run[-1]
+    runs = [list(accumulate(run, initial=y)) for run, y in zip([[], *runs], ys)]
+    return runs, [run[-1] for run in runs]
 
 
 def _prefix(row: Row) -> Row:
@@ -68,18 +75,18 @@ def compute_v(N: int) -> list[Row]:
         raise ValueError("N must be positive")
     v: list[Row] = [[], [0, 1]]
     # prefix rows of sizes n-1 and n-2, the only ones size n reads
-    last, before = _prefix(v[1]), []
-    runs: list[Row] = [[] for _ in range(N)]
+    last, before = _prefix(v[1]), _prefix(v[0])
+    runs: list[Row] = []
     for n in range(2, N + 1):
         row = [0] * (n + 1)
         row[n] = 1
         # ending in 1: anything of size n-1 with 1 appended
         top = row[1] = last[n - 1]
-        for j in range(2, n):
-            # C(j-2, d-2)-weighted sum over d of v(n-d, i-d), i in [j+1, n]:
-            # g = n-j, J = j-2, new y = that suffix sum at d = 2
-            g = n - j
-            row[j] = top - last[j - 1] + _step(runs, g, before[n - 2] - before[j - 2])
+        # 2 <= j < n: C(j-2, d-2)-weighted sum over d of v(n-d, i-d),
+        # i in [j+1, n]; gap n-j, J = j-2, new y = that suffix sum at d = 2
+        suffix = before[n - 2]
+        runs, sums = _steps(runs, [suffix - x for x in before[:n - 2]])
+        row[2:n] = [top - x + t for x, t in zip(last[1:n - 1], sums)]
         _require(min(row) >= 0, f"negative v({n}, .)")
         v.append(row)
         before, last = last, _prefix(row)
@@ -137,7 +144,7 @@ def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row], list[Row]]:
     3 <= i < j <= n-1; the remaining cells follow the three recurrences
     plus the two closed-form boundary columns.
     """
-    runs: list[Row] = [[] for _ in range(N)]
+    runs: list[Row] = []
     cells: list[Cells] = [_empty_cells(i) for i in range(min(N, 1) + 1)]
     last: list[Row] = [[0] * (i + 1) for i in range(min(N, 1) + 1)]
     cols: list[Row] = [row[:] for row in last]
@@ -147,23 +154,27 @@ def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row], list[Row]]:
         # penultimate letter n forces the word (n-1)...1n2
         if n >= 3:
             col[n] = 1
-        for i in range(3, n):
-            # final letter 2: strip the interval [2, d] off smaller members,
-            # sum over d in [2, i-1] of c(n-i+d, d); all but the last term
-            # is the same sum at size n-1
-            col[i] = prev_col[i - 1] + prev[i - 1]
+        # 3 <= i < n, final letter 2: strip the interval [2, d] off smaller
+        # members, sum over d in [2, i-1] of c(n-i+d, d); all but the last
+        # term is the same sum at size n-1
+        col[3:n] = map(add, prev_col[2:n - 1], prev[2:n - 1])
         row = [0] * (n + 1)  # penultimate letter 2: cells (2, j)
         if n >= 4:
             row[n - 1] = 2 ** (n - 4)
-        vrow = _prefix(v[n - 4]) if n >= 4 else []
-        for j in range(3, n - 1):
-            # split off a decreasing prefix (d-3 letters) and a decreasing
-            # insert (e letters) before a last-letter avoider; the (d, e)
-            # weights with d + e = s sum to C(j-3, s-3) 2^(s-3), and the
-            # k-sum folds through the v prefix rows.  g = n-1-j, J = j-3,
-            # new y = the v suffix sum of the s = 3 term
-            g = n - 1 - j
-            row[j] = _step(runs, g, vrow[n - 4] - vrow[j - 3], double=True)
+        if n >= 5:
+            # 3 <= j < n-1: split off a decreasing prefix (d-3 letters) and
+            # a decreasing insert (e letters) before a last-letter avoider;
+            # the (d, e) weights with d + e = s sum to C(j-3, s-3) 2^(s-3),
+            # and the k-sum folds through the v prefix rows.  Gap n-1-j,
+            # J = j-3, new y = the v suffix sum of the s = 3 term, fed as
+            # y << (N-n) for the doubled transform (module docstring)
+            shift = N - n
+            vrow = _prefix(v[n - 4])
+            suffix = vrow[n - 4]
+            runs, sums = _steps(runs, [(suffix - x) << shift for x in vrow[:n - 4]])
+            low = (1 << shift) - 1
+            _require(not any(t & low for t in sums), f"c({n}, 2, .) scaled sums not exact")
+            row[3:n - 1] = [t >> shift for t in sums]
         _close(cells, last, n, 2, col, row, "c")
         cols.append(col)
     return cells, last, cols
@@ -175,30 +186,27 @@ def compute_b(N: int, c_cols: list[Row]) -> tuple[list[Cells], list[Row]]:
     :func:`compute_c`."""
     cells: list[Cells] = [_empty_cells(i) for i in range(min(N, 1) + 1)]
     last: list[Row] = [[0] * (i + 1) for i in range(min(N, 1) + 1)]
-    runs: list[Row] = [[] for _ in range(N)]
+    runs: list[Row] = []
     for n in range(2, N + 1):
         prev = last[n - 1]
         col = [0] * (n + 1)  # final letter 1: cells (i, 1)
         # penultimate letter n forces (n-1)...2n1
         col[n] = 1
-        for i in range(2, n):
-            # delete the final 1, or delete [1, d] when 2 sits left of n:
-            # sum over d in [2, i-1] of c(n-i+d, d), which is c(n, i, 2)
-            col[i] = prev[i - 1] + c_cols[n][i]
+        # 2 <= i < n: delete the final 1, or delete [1, d] when 2 sits left
+        # of n: sum over d in [2, i-1] of c(n-i+d, d), which is c(n, i, 2)
+        col[2:n] = map(add, prev[1:n - 1], c_cols[n][2:n])
         row = [0] * (n + 1)  # penultimate letter 1: cells (1, j)
-        bpre, anti = _prefix(last[n - 2]), 0
-        for j in range(n - 1, 1, -1):
-            # the word ends gamma,1,j with gamma a decreasing set of d-2
-            # letters under j; k is the rightmost letter exceeding j.
-            # k = n gives the closed 2^(j-2) count; otherwise deleting
-            # gamma,1,j leaves a b-type member (prefix row of b) or a
-            # c-type one, which sum over k to anti, the sum of c(n-1, i, 2)
-            # over i in [j, n-2].  g = n-j, J = j-2, new y = the d = 2 term
-            # of the C(j-2, d-2)-weighted sum over d.
-            g = n - j
-            y = bpre[n - 3] - bpre[j - 2] + anti
-            row[j] = 2 ** (j - 2) + _step(runs, g, y)
-            anti += c_cols[n - 1][j - 1]
+        # 2 <= j < n: the word ends gamma,1,j with gamma a decreasing set of
+        # d-2 letters under j; k is the rightmost letter exceeding j.  k = n
+        # gives the closed 2^(j-2) count; otherwise deleting gamma,1,j
+        # leaves a b-type member (prefix row of b) or a c-type one, which
+        # sum over k to the sum of c(n-1, i, 2) over i in [j, n-2].  Gap
+        # n-j, J = j-2, new y = the d = 2 term of the C(j-2, d-2)-weighted
+        # sum over d.
+        bpre, cpre = _prefix(last[n - 2]), _prefix(c_cols[n - 1])
+        suffix = bpre[n - 3] + cpre[n - 2]
+        runs, sums = _steps(runs, [suffix - x - y for x, y in zip(bpre[:n - 2], cpre[1:n - 1])])
+        row[2:n] = [(1 << s) + t for s, t in enumerate(sums)]
         _close(cells, last, n, 1, col, row, "b")
     return cells, last
 

@@ -400,7 +400,7 @@ def test_verify_reports_a_check_that_raises(capsys, monkeypatch):
 def test_verify_reports_a_table_build_that_raises(capsys, monkeypatch):
     # a broken recurrence invariant stops the table build: the checks that
     # read the tables fail unrun, the others still run, the JSON stays whole
-    monkeypatch.setattr(tables, "_step", lambda *args, **kwargs: -10**9)
+    monkeypatch.setattr(tables, "_steps", lambda runs, ys: (runs, [-10**9] * len(ys)))
     code, out, _ = run(capsys, "verify", "--oracle-cap", "3", "--format", "json")
     assert code == 1
     doc = json.loads(out)

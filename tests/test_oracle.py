@@ -388,6 +388,19 @@ def test_scans_leave_no_reference_cycles():
         gc.enable()
 
 
+def test_too_many_free_loops_is_a_one_line_error():
+    # each free loop of a pattern is one statically nested block: past
+    # Python's limit (about 20 loops) the compiled test and the generated
+    # walk raise a ValueError naming the limit, not a SyntaxError
+    closes(VincularPattern(tuple(range(1, 21))))
+    wide = VincularPattern(tuple(range(1, 31)))
+    limit = "needs more nested loops than Python's limit on statically nested blocks"
+    for build in (lambda: closes(wide), lambda: count_linear_avoiders(2, (wide,))):
+        with pytest.raises(ValueError, match=limit) as info:
+            build()
+        assert "\n" not in str(info.value)
+
+
 # Every pattern of length 0 to 4 with every bond set.
 ALL_SMALL_PATTERNS = [
     VincularPattern(entries, {t for t in range(k - 1) if mask >> t & 1})

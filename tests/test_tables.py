@@ -8,15 +8,15 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import vincular
 from vincular.checks import REFERENCE_A, apply_fault, check_oracle_dp
 from vincular.oracle import oracle_report
 from vincular.tables import (
-    CELLS_MAX, ConjectureReport, Tables, _marginal, build_tables, check_conjectures,
-    compute_c, compute_v)
+    CELLS_MAX, ConjectureReport, Tables, _marginal, _steps, build_tables,
+    check_conjectures, compute_c, compute_v)
 
 T12 = build_tables(12)
 
@@ -29,6 +29,12 @@ PINS_130 = {
     "c_last": "2a2cf7f92a12ff816c064a82a96564945c992581d0aa40ba9bb75143c88bfd72",
     "v": "5b6317d8c19b6f64bd21da082c58a55c98af1fc4c6a3f20e4419c63b1061bce7",
 }
+PINS_300 = {
+    "a": "d08f25379fd2d6a84e5d369a0e1279ca8d4e4a8dc8fcece9b033411df3ebd13e",
+    "b_last": "2e78a03c7a8f347b9c33aac76151204e48de16cf8b2da0a5b569d17a831d8549",
+    "c_last": "f37303583ef6a26a152024a86703b8fa377bf15ae5faa298d22ad71ed4ab3ccf",
+    "v": "372c72166816870acf97de8340ccd9ee644d3e11fc523d918f1006df8794a26b",
+}
 
 
 def _sha(text):
@@ -39,15 +45,22 @@ def _rows(rows):
     return ";".join(",".join(map(str, row)) for row in rows[1:])
 
 
-def test_pinned_digests_at_130():
-    t = build_tables(130)
-    got = {
-        "a": _sha(",".join(map(str, t.a[1:131]))),
+def _digests(N):
+    t = build_tables(N)
+    return {
+        "a": _sha(",".join(map(str, t.a[1:N + 1]))),
         "b_last": _sha(_rows(t.b_last)),
         "c_last": _sha(_rows(t.c_last)),
         "v": _sha(_rows(t.v)),
     }
-    assert got == PINS_130
+
+
+def test_pinned_digests_at_130():
+    assert _digests(130) == PINS_130
+
+
+def test_pinned_digests_at_300():
+    assert _digests(300) == PINS_300
 
 
 def _prefix(row):
@@ -185,6 +198,49 @@ def test_invariants_raise_under_optimize():
                          capture_output=True, text=True, timeout=60, check=True)
     assert "recurrence invariant broken: negative c(" in out.stdout
     assert "recurrence invariant broken: negative b(" in out.stdout
+    # c's scaled sums must shift right exactly, also under -O
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from vincular import tables\n"
+        "v = tables.compute_v(8)\n"
+        "steps = tables._steps\n"
+        "def odd(runs, ys):\n"
+        "    runs, sums = steps(runs, ys)\n"
+        "    return runs, [t + 1 for t in sums]\n"
+        "tables._steps = odd\n"
+        "try:\n"
+        "    tables.compute_c(8, v)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code, src],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "recurrence invariant broken: c(5, 2, .) scaled sums not exact\n"
+
+
+_ROWS = st.integers(1, 9).flatmap(lambda m: st.tuples(*(
+    st.lists(st.just(0) | st.integers(-10**30, 10**30), min_size=n, max_size=n)
+    for n in range(1, m + 1))))
+
+
+@given(_ROWS)
+@example(([0],))
+@example(([0], [0, 0], [0, 0, 0]))
+@example(([5], [0, 7], [3, 0, 0]))
+def test_scaled_runs_are_the_doubled_binomial_transform(ys):
+    # ys[n-1][k] is the y fed at size n to the run in position k, which
+    # started at size n-k; fed as y << (m-n), an undoubled run's value at
+    # J = k shifts right by m-n (0 at the last size) to the doubled
+    # transform sum_s C(k, s) 2^(k-s) y_s that c's row needs
+    m = len(ys)
+    runs = []
+    for n, row in enumerate(ys, 1):
+        shift = m - n
+        runs, sums = _steps(runs, [y << shift for y in row])
+        assert not any(t & ((1 << shift) - 1) for t in sums)
+        assert [t >> shift for t in sums] == [
+            sum(comb(k, s) * 2 ** (k - s) * ys[n - 1 - k + s][s] for s in range(k + 1))
+            for k in range(n)]
 
 
 def test_sequence_prefix():
