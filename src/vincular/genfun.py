@@ -9,10 +9,15 @@ coefficient window.
 Every weight is geometric, p = c/(1 - m*c*x), and there each kernel
 factor is a linear polynomial over L = 1 - m*c*x whose powers cancel, so
 a term is a polynomial of degree at most 3 over a product of linear
-factors.  That product is kept as a running reciprocal: a factor
-a0 + a1*x costs one pass over the coefficients, and one with a0 = 0 (at
-c = 1) moves an explicit x-power offset.  With every valuation explicit,
-each series is built at exactly the order asked for.
+factors, and each term's product extends the previous one by a few
+factors.  A sum X_0/f_0 + X_1/(f_0 f_1) + ... is therefore evaluated by
+Horner's rule, (X_0 + (X_1 + (X_2 + ...)/f_2)/f_1)/f_0 (:func:`_nest`):
+from the deepest term out, each term is added as its short polynomial and
+everything added so far is divided by the next factors.  A factor
+a0 + a1*x costs one pass over the coefficients, one with a0 = 0 (at
+c = 1) moves an explicit x-power offset, and no term is multiplied by a
+reciprocal series.  With every valuation explicit, each series is built
+at exactly the order asked for.
 
 Scales stay on integers.  At the weight c = p/q the kernel route works in
 y = x/D with D = q*|q - p| (D = 1 at c = 1 and c = 2), or any multiple of
@@ -26,13 +31,13 @@ the weight-1 formulas have D = 1.  What is left over, the reciprocals of
 the constant terms, the powers of c, scalars such as uv/(1 - u) and the q
 that clears each term polynomial, is carried as an integer pair
 (num, den), multiplied up without reduction.  A part (lo, (num, den), cs)
-stands for num/den * sum_k cs[k] y^(lo+k).  The terms of a sum and the
-pieces of a formula, explicit polynomials (:func:`_poly`) among them, are
-collected and added as one vector over the lcm of their denominators,
-taken once per fold (:func:`_fold`), and each formula's one part is
-placed once as a series (:func:`_placed`): the coefficient of x^n is
-divided by den*D^n in one divmod, which leaves an int wherever the
-division is exact and a Q in lowest terms otherwise.
+stands for num/den * sum_k cs[k] y^(lo+k).  The terms of a sum are added
+over the lcm of their denominators, taken once per sum, and the pieces of
+a formula, explicit polynomials (:func:`_poly`) among them, are collected
+and added as one vector the same way, once per fold (:func:`_fold`).
+Each formula's one part is placed once as a series (:func:`_placed`):
+the coefficient of x^n is divided by den*D^n in one divmod, which leaves
+an int wherever the division is exact and a Q in lowest terms otherwise.
 V0 and B11, which count words, are instead quotients over the denominator
 sum they share (:func:`_count_quotient`): the folded numerator and the
 denominator sum are both integer series, and their long division keeps
@@ -100,28 +105,37 @@ def _memo(build):
 
 
 # ---------------------------------------------------------------------------
-# linear factors, running reciprocals and parts in y = x/D
+# linear factors, nested kernel sums and parts in y = x/D
 
 
-def _over_linear(r: list, a0, a1):
-    """Divide sum_k r[k] y^k by a0 + a1*y in place, in O(len r).
+def _factor(a0, a1):
+    """The linear factor a0 + a1*y as integers (b, num, den, shift) with
+    1/(a0 + a1*y) = num/den * y^-shift / (1 + b*y).
 
-    The ratio a1/a0 must be an integer b, so each pass subtracts b times
-    the previous entry and an integer list stays on integers; any other
-    ratio raises RuntimeError.  The quotient is num/den * y^-shift times
-    the list left behind, and the integers (num, den, shift) are returned;
-    a factor a1*y only sets num/den = 1/a1 and shift = 1 and leaves the
-    list alone.
+    The ratio b = a1/a0 must be an integer, so dividing by 1 + b*y keeps
+    an integer list on integers; any other ratio raises RuntimeError.  A
+    factor a1*y only shifts: b = 0, num/den = 1/a1 and shift = 1.
     """
     if not a0:
-        return a1.denominator, a1.numerator, 1
+        return 0, a1.denominator, a1.numerator, 1
+    if a0 == 1 and type(a1) is int:  # 1 + b*y, the common factor
+        return a1, 1, 1, 0
     b, rem = divmod(a1.numerator * a0.denominator,
                     a1.denominator * a0.numerator)
     if rem:
         raise RuntimeError(f"the factor {a0} + {a1}*y has no integral ratio")
-    for n in range(1, len(r)):
-        r[n] -= b * r[n - 1]
-    return a0.denominator, a0.numerator, 0
+    return b, a0.denominator, a0.numerator, 0
+
+
+def _over_linear(r: list, a0, a1):
+    """Divide sum_k r[k] y^k by a0 + a1*y in place, in O(len r), and
+    return the integers (num, den, shift) of :func:`_factor`: the quotient
+    is num/den * y^-shift times the list left behind."""
+    b, num, den, shift = _factor(a0, a1)
+    if b:
+        for n in range(1, len(r)):
+            r[n] -= b * r[n - 1]
+    return num, den, shift
 
 
 def _divided(part, *factors):
@@ -154,35 +168,66 @@ def _poly(coeffs, top: int, D: int = 1):
     return 0, (1, den), cs + [0] * (top + 1 - len(cs))
 
 
-def _kernel_terms(init, step, term, top: int, D: int = 1):
-    """Yield (j, lo, (num, den), cs) for the terms of
-    sum_j x^e_j k_j P_j / D_j in y = x/D.
+def _levels(init, step, term, top: int, D: int = 1) -> list:
+    """The levels (lo, (num, den), P, bs) of sum_j x^e_j k_j P_j / D_j in
+    y = x/D, one per term j from 0 until a term starts past y^top.
 
     D_j is the product of the linear factors in y init and step(1..j),
     and term(j) = (e_j, k_j, P_j) with k_j an integer pair and P_j integer
-    coefficients in y.  1/D_j is kept as n/d * y^-w * r(y), with the
-    integers n and d multiplied up factor by factor, so term j is the part
-    (lo, (num, den), cs) through y^top, where lo = e_j - w and
-    num/den = D^e_j * k_j * n/d.  Zero polynomials are skipped; lo must
-    grow with j, bounding the loop.
+    coefficients in y.  bs are the integer ratios of level j's own
+    factors, so 1/D_j = n/d * y^-w / prod(1 + b*y) over the bs of levels
+    0..j, with the integers n and d multiplied up factor by factor and w
+    counting the factors a1*y, which only shift.  Term j is then
+    num/den * y^lo * P_j / prod(1 + b*y), where lo = e_j - w and
+    num/den = D^e_j * k_j * n/d; a zero P_j is kept as ().  lo must grow
+    with j, bounding the loop.  No coefficient list is touched here.
     """
-    r = [1] + [0] * (top + len(init))
-    num, den, w, factors, prev = 1, 1, 0, init, None
+    levels, num, den, w, factors, prev = [], 1, 1, 0, init, None
     for j in count():
+        bs = []
         for a0, a1 in factors:
-            n, d, shift = _over_linear(r, a0, a1)
+            b, n, d, shift = _factor(a0, a1)
             num, den, w = num * n, den * d, w + shift
+            if b:
+                bs.append(b)
         e, (kn, kd), poly = term(j)
         lo = e - w
         if prev is not None and lo <= prev:
             raise RuntimeError("kernel sum terms do not advance")
         if lo > top:
-            return
-        del r[top - lo + 1:]
-        if any(poly):
-            yield (j, lo, (num * kn * D ** e, den * kd),
-                   _pmul(poly, r, len(r)))
+            return levels
+        levels.append((lo, (num * kn * D ** e, den * kd),
+                       poly if any(poly) else (), bs))
         prev, factors = lo, step(j + 1)
+
+
+def _nest(levels, top: int):
+    """The sum of :func:`_levels` through y^top as one part
+    (lo, (1, den), cs), by Horner's rule.
+
+    From the deepest level out, each level adds its term k_j*P_j at
+    y^lo_j, over the lcm of the nonzero terms' denominators, and then
+    divides everything added so far by its own factors, one pass each over
+    the window from the shallowest term added.  So every term is divided
+    by the factors of its level and of every level above it, and never
+    multiplied by a reciprocal.  A zero polynomial adds nothing, but its
+    level's factors still divide the deeper terms.
+    """
+    kept = [(lo, d) for lo, (_, d), poly, _ in levels if poly]
+    if not kept:
+        return top + 1, (1, 1), []
+    base, den = kept[0][0], lcm(*(d for _, d in kept))
+    acc = [0] * (top + 1 - base)
+    start = len(acc)
+    for lo, (n, d), poly, bs in reversed(levels):
+        if poly:
+            f, start = n * (den // d), lo - base
+            for i, a in enumerate(poly[: top + 1 - lo], start):
+                acc[i] += f * a
+        for b in bs:
+            for i in range(start + 1, len(acc)):
+                acc[i] -= b * acc[i - 1]
+    return base, (1, den), acc
 
 
 def _fold(parts, top: int):
@@ -209,9 +254,8 @@ def _fold(parts, top: int):
 
 
 def _kernel_sum(init, step, term, top: int, D: int = 1):
-    """The sum of :func:`_kernel_terms` as one part (lo, (1, den), cs)."""
-    return _fold(((lo, k, cs) for _, lo, k, cs in
-                  _kernel_terms(init, step, term, top, D)), top)
+    """The kernel sum of :func:`_levels` as one part (lo, (1, den), cs)."""
+    return _nest(_levels(init, step, term, top, D), top)
 
 
 def _summed(N: int, *parts):
@@ -244,9 +288,11 @@ def _placed(N: int, *parts, D: int = 1) -> Series:
 
 def _times(outer, val: int, part, D: int = 1):
     """outer(order), a part or a Series vanishing below x^val, times a part
-    in y = x/D in one dense multiply, as a part reaching val orders
-    further.  The outer part must start at or below x^val: a Series starts
-    at x^0, and a c series part at x^1 or below."""
+    in y = x/D in one multiply, as a part reaching val orders further.
+    The outer part must start at or below x^val: a Series starts at x^0,
+    and a c series part at x^1 or below.  The part leads the product, so
+    a part that is a short polynomial padded with zeros costs one pass
+    over the outer coefficients per nonzero entry."""
     lo, (n, d), cs = part
     if not cs:
         return part
@@ -255,7 +301,7 @@ def _times(outer, val: int, part, D: int = 1):
     k = val - flo
     if any(fcs[:k]):
         raise RuntimeError(f"outer series does not vanish below x^{val}")
-    return lo + val, (n * fn, d * fd), _pmul(fcs[k:], cs, len(cs))
+    return lo + val, (n * fn, d * fd), _pmul(cs, fcs[k:], len(cs))
 
 
 def _scale(c) -> int:
@@ -435,11 +481,26 @@ def C1u_series(u, N: int) -> Series:
 # b-type series
 
 
-def _coupled(terms, c, m: int, N: int, D: int | None = None):
-    """Sum of kernel terms j reaching x^(N-3), each times the c series at
-    c/(1-(m+j)cx), as one part reaching x^N, all in y = x/D."""
-    return _fold((_times(lambda n: _C1u_geom(c, m + j, n, D), 3, (lo, k, cs))
-                  for j, lo, k, cs in terms), N)
+def _coupled(levels, c, m: int, N: int, D: int | None = None):
+    """Kernel levels of terms reaching x^(N-3), term j times the c series
+    C_j at c/(1-(m+j)cx), nested as one part reaching x^N, all in y = x/D.
+
+    Each C_j is built in j order at order N - lo_j and multiplied into its
+    term's polynomial, of degree at most 1, so it costs a pass over C_j
+    per nonzero coefficient; the products then nest like any kernel sum.  A level whose polynomial
+    vanishes builds no c series, and its factors still divide the deeper
+    terms.
+    """
+    nested = []
+    for j, (lo, k, poly, bs) in enumerate(levels):
+        if poly:
+            L = N - 2 - lo
+            cs = list(poly[:L])
+            cs += [0] * (L - len(cs))
+            _, k, poly = _times(lambda n: _C1u_geom(c, m + j, n, D), 3,
+                                (lo, k, cs))
+        nested.append((lo + 3, k, poly, bs))
+    return _nest(nested, N)
 
 
 @_memo
@@ -458,7 +519,7 @@ def B11_series(N: int) -> Series:
     F3 = [F(1), F(2), F(3)]
     T3 = _kernel_sum(F3, lambda j: [F(j + 3)], lambda j: (
         j + 3, (1, factorial(j)), [1, -2 * (j + 2), (j + 2) ** 2]), W)
-    T2C = _coupled(_kernel_terms(F3, lambda j: [F(j + 3)], lambda j: (
+    T2C = _coupled(_levels(F3, lambda j: [F(j + 3)], lambda j: (
         j + 2, (j + 1, factorial(j + 2)), [1]), W - 3), 1, 2, W)
     bracket = _divided(
         _fold([_times(C11_series, 3, T1), T3], W), (1, -1))
@@ -499,7 +560,7 @@ def _B1u_geom(c, m: int, N: int, D: int | None = None):
     # S3, which is subtracted, couples term j with the c series at weight
     # u/(1-(j+1)ux), which stays in the geometric family as c/(1-(m+j+1)cx)
     # and so in the same y; its scalar -(-1)^j c^(2j+3) is _alt at j + 1.
-    S3 = _coupled(_kernel_terms(
+    S3 = _coupled(_levels(
         [K0, F(1), F(2), G(1)], lambda j: (F(j + 2), G(j + 1)),
         lambda j: (2 * j + 2, _alt(c, j + 1, 1), _g(c, P, m + j)), N - 3, D),
         c, m + 1, N, D)

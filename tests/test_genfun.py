@@ -14,6 +14,8 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vincular import genfun
 from vincular.oracle import oracle_report, weighted_circular_sum
@@ -125,51 +127,98 @@ def test_div_linear_matches_series_division(factors):
 @pytest.mark.parametrize("c", [
     3, 7, Q(3, 7), Q(1, 2), Q(6, 7), Q(22, 7), Q(-2, 5)], ids=str)
 def test_kernel_route_stays_on_integers(monkeypatch, c, m):
-    # in y = x/D every kernel term and every folded part is an integer
-    # vector, and neither _over_linear nor walking the kernel terms builds
-    # a Fraction at all
-    parts, built, depth = [], [], [0]
-    new, over, terms, fold = (Q.__new__, genfun._over_linear,
-                              genfun._kernel_terms, genfun._fold)
+    # in y = x/D every kernel level, every nested sum and every folded part
+    # is an integer vector, and neither listing the levels, nesting them,
+    # folding nor _over_linear builds a Fraction at all
+    parts, levels, built, depth = [], [], [], [0]
+    new = Q.__new__
 
     def counting(cls, *args, **kwargs):
         if depth[0]:
             built.append(args)
         return new(cls, *args, **kwargs)
 
-    def inside(step, *args):
-        depth[0] += 1
-        try:
-            return step(*args)
-        finally:
-            depth[0] -= 1
-
-    def kernel_terms(*args):
-        it = terms(*args)
-        while True:
+    def inside(step, record=None):
+        def wrapped(*args):
+            depth[0] += 1
             try:
-                t = inside(next, it)
-            except StopIteration:
-                return
-            parts.append(t[1:])
-            yield t
-
-    def folding(*args):
-        part = fold(*args)
-        parts.append(part)
-        return part
+                out = step(*args)
+            finally:
+                depth[0] -= 1
+            if record is not None:
+                record(out)
+            return out
+        return wrapped
 
     monkeypatch.setattr(Q, "__new__", counting)
-    monkeypatch.setattr(genfun, "_over_linear",
-                        lambda *args: inside(over, *args))
-    monkeypatch.setattr(genfun, "_kernel_terms", kernel_terms)
-    monkeypatch.setattr(genfun, "_fold", folding)
+    monkeypatch.setattr(genfun, "_over_linear", inside(genfun._over_linear))
+    monkeypatch.setattr(genfun, "_levels",
+                        inside(genfun._levels, levels.extend))
+    monkeypatch.setattr(genfun, "_nest", inside(genfun._nest, parts.append))
+    monkeypatch.setattr(genfun, "_fold", inside(genfun._fold, parts.append))
     for build in (genfun._V_scaled_geom, genfun._C1u_geom, genfun._B1u_geom):
         build(c, m, 10)
     assert not built
     assert len(parts) > 20
+    assert len(levels) > 30
     for _, _, cs in parts:
         assert all(type(a) is int for a in cs)
+    for _, (n, d), poly, bs in levels:
+        assert all(type(a) is int for a in (n, d, *poly, *bs))
+
+
+_rationals = st.sampled_from([1, -1, 2, -3, Q(1, 2), Q(-2, 3), Q(5, 4)])
+_factors = st.lists(st.one_of(
+    # a1*y only shifts, so a term over it may start below y^0
+    st.tuples(st.just(0), _rationals),
+    # a0 + a1*y with an integral ratio a1/a0, a0 of either sign
+    st.builds(lambda a0, b: (a0, a0 * b), _rationals, st.integers(-4, 4)),
+), max_size=2)
+_level = st.tuples(
+    _factors, st.integers(1, 3),
+    st.tuples(st.integers(-6, 6), st.integers(1, 5)),
+    # zero polynomials among them: their factors still divide deeper terms
+    st.one_of(st.sampled_from([[0], [0, 0]]),
+              st.lists(st.integers(-2, 2), min_size=1, max_size=3)))
+
+
+@given(st.lists(_level, min_size=1, max_size=5), st.integers(1, 3),
+       st.integers(0, 6))
+def test_nested_sum_matches_term_by_term_division(levels, D, top):
+    # Horner's rule against each term k_j y^lo_j P_j / D_j evaluated on
+    # its own by Series division over Fractions, the shifts a1*y taken
+    # out as a scale and a power of y
+    K = len(levels)
+    ws = [sum(1 for lev in levels[: j + 1] for a0, _ in lev[0] if not a0)
+          for j in range(K)]
+    los = [sum(gap for _, gap, _, _ in levels[: j + 1]) - 1 - min(ws[0], 1)
+           for j in range(K)]
+
+    def term(j):
+        if j < K:
+            return ws[j] + los[j], levels[j][2], levels[j][3]
+        return ws[-1] + top + 1, (1, 1), [1]
+
+    got = genfun._kernel_sum(levels[0][0], lambda j: (
+        levels[j][0] if j < K else []), term, top, D)
+    lo, (num, den), cs = got
+    assert num == 1 and all(type(a) is int for a in cs)
+    L, want = top + 2, {}
+    for j in range(K):
+        e, (kn, kd), poly = term(j)
+        scale, shift, r = Q(kn, kd) * D ** e, 0, Series([1] + [0] * L)
+        for factors, _, _, _ in levels[: j + 1]:
+            for a0, a1 in factors:
+                if a0:
+                    r = r / Series([a0, a1] + [0] * (L - 1))
+                else:
+                    scale, shift = scale / a1, shift + 1
+        t = Series(poly + [0] * (L + 1 - len(poly))) * r
+        for k, a in enumerate(t.coeffs, e - shift):
+            want[k] = want.get(k, 0) + scale * a
+    assert [Q(a, den) for a in cs] == [want.get(k, 0)
+                                       for k in range(lo, top + 1)]
+    assert not any(a for k, a in want.items() if k < lo)
 
 
 def test_fold_rejects_a_short_part():
@@ -209,17 +258,20 @@ def test_times_rejects_an_outer_series_below_its_valuation():
 
 def test_kernel_terms_must_advance():
     # every term starting at y^0 would never pass top and never stop
-    terms = genfun._kernel_terms([], lambda j: [], lambda j: (0, (1, 1), [1]), 5)
     with pytest.raises(RuntimeError, match="do not advance"):
-        list(terms)
+        genfun._levels([], lambda j: [], lambda j: (0, (1, 1), [1]), 5)
 
 
 @pytest.mark.parametrize("a0, a1", [(3, 1), (Q(2, 3), 1), (2, Q(1, 2))])
 def test_non_integral_ratio_raises(a0, a1):
     # a ratio a1/a0 that D did not clear would put a Fraction in the list;
-    # the check raises, so it also runs under python -O
-    with pytest.raises(RuntimeError):
+    # the check raises, so it also runs under python -O, both where a part
+    # is divided and where a kernel sum lists its levels
+    with pytest.raises(RuntimeError, match="no integral ratio"):
         genfun._over_linear([1, 2, 3], a0, a1)
+    with pytest.raises(RuntimeError, match="no integral ratio"):
+        genfun._levels([(a0, a1)], lambda j: [],
+                       lambda j: (j, (1, 1), [1]), 5)
 
 
 def test_v0_is_x_plus_x_v1():
@@ -463,10 +515,10 @@ _PINNED_SHA256 = (
     "6a11caadfe051bbd771c0029e4bc177d03546807a2abd66e8c9580c6b005ae24")
 
 
-def _pinned_digest(builds) -> str:
+def _pinned_digest(builds, pinned=_PINNED) -> str:
     built = {name: build() for name, build in builds}
     h = hashlib.sha256()
-    for name, _ in _PINNED:
+    for name, _ in pinned:
         h.update(f"{name}\n".encode())
         for c in built[name].coeffs:
             h.update(f"{type(c).__name__}:{c};".encode())
@@ -479,6 +531,23 @@ def test_series_coefficients_match_pinned_digest():
     genfun.clear_caches()
     assert _pinned_digest(_PINNED) == _PINNED_SHA256
     assert _pinned_digest(_PINNED[::-1]) == _PINNED_SHA256
+
+
+# Series whose kernel sums run many levels: the couplings of B11 and of the
+# b series nest about N c series each, at every kind of weight.
+_DEEP = [("A_series(131)", lambda: genfun.A_series(131))]
+_DEEP += [(f"{f.__name__}({u}, 40)", lambda f=f, u=u: f(u, 40))
+          for f in (genfun.B1u_series, genfun.C1u_series)
+          for u in (1, 2, Q(3, 7), Q(-2, 5), Q(22, 7))]
+_DEEP += [("A_vu_series(1/2, 2/3, 20)",
+           lambda: genfun.A_vu_series(Q(1, 2), Q(2, 3), 20))]
+_DEEP_SHA256 = (
+    "ae7b4006b651e00079733dd37e71f92027128c4bfbf5d08d488a3e255acd093d")
+
+
+def test_deep_kernel_sums_match_pinned_digest():
+    genfun.clear_caches()
+    assert _pinned_digest(_DEEP, _DEEP) == _DEEP_SHA256
 
 
 def test_cache_holds_only_the_shared_series():
