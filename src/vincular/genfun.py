@@ -49,8 +49,11 @@ weight and raises :class:`KernelSpecializationError` for the one weight
 that collapses a kernel.  :func:`_memo` caches, by name, the only five
 series read again: V0, V1, C11 and B11, on which the kernel method builds
 every weighted series, and the denominator sum of V0 and B11, kept as an
-integer series whose x^1 coefficient is its scale.  Each formula asks for
-them at its highest order first, so one call builds each once.
+integer series whose x^1 coefficient is its scale.  Every request asks
+for the highest coefficient its reader folds and no higher, and each
+formula that reads these series at several orders asks for them first at
+their highest orders, lowest layer first (see :func:`_prebuild`), so one
+call builds each once.
 
 Weight conventions, with the coefficient of x^n counting words of size n:
 
@@ -92,6 +95,12 @@ def _memo(build):
     A build is truncated to N before it is stored, so one that falls short
     of N raises ValueError and a cached series is reliable through its
     whole order.
+
+    A series is built once per call only if its first request is its
+    highest.  Each layer reads the ones below it at orders set by its own,
+    and asks for its highest read first; a formula that reads C11 or B11
+    asks for all of them through :func:`_prebuild`, which knows the
+    layers' reads.
     """
 
     @wraps(build)
@@ -102,6 +111,28 @@ def _memo(build):
         return hit.truncate(N)
 
     return cached
+
+
+def _prebuild(c11: int, b11: int, v1: int = -1) -> None:
+    """Build the shared series for a formula that reads C11 through
+    x^c11, B11 through x^b11 and V1 through x^v1 (a negative order reads
+    none), each once, at the highest order anything reads it.
+
+    The layers' own reads raise those orders: B11 at N reads the
+    denominator sum at N + 1, and from N = 4 on C11 at N - 1 and V1 at
+    N - 3; C11 at N reads V1 at N - 3 and V0 at N - 1; V1 at N reads V0
+    at N + 2, and V0 at N the sum at N + 1.  Built lowest layer first (V1
+    builds V0), each finds its reads already built, and every later read
+    is served by truncation.
+    """
+    if b11 >= 4:
+        c11, v1 = max(c11, b11 - 1), max(v1, b11 - 3)
+    v1 = max(v1, c11 - 3)
+    den = max(b11 + 1 if b11 >= 0 else -1, v1 + 3 if v1 >= 0 else -1)
+    for build, order in ((_den_sum, den), (V1_series, v1),
+                         (C11_series, c11), (B11_series, b11)):
+        if order >= 0:
+            build(order)
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +463,19 @@ def V1_series(N: int) -> Series:
 
 @_memo
 def C11_series(N: int) -> Series:
-    """Totals, by size, of words with 1 left of n and 2 right of n."""
-    lo, k, cs = _V_scaled_geom(1, 3, N)
+    """Totals, by size, of words with 1 left of n and 2 right of n.
+
+    The bracket is multiplied by x^3, so its parts are built through
+    x^(N-3), and below x^3 the series is zero.
+    """
+    top = N - 3
+    if top < 0:
+        return Series([0] * (N + 1))
+    lo, k, cs = _V_scaled_geom(1, 3, top)
+    v1 = V1_series(top).coeffs
     par = _fold([(lo, k, _pmul([1, -1], cs, len(cs))),
-                 (0, (-1, 1), _pmul([1, -4, 3], V1_series(N).coeffs, N + 1)),
-                 _poly([3, -6, -3], N)], N - 3)
+                 (0, (-1, 1), _pmul([1, -4, 3], v1, len(v1))),
+                 _poly([3, -6, -3], top)], top)
     return _placed(N, _divided(_scaled(par, 1, 3), (3, -6), (1, -3)))
 
 
@@ -448,24 +487,29 @@ def _C1u_geom(c, k: int, N: int, D: int | None = None):
     common factor 1-u+ux is divided out last.  When the weight is
     identically 1 the last three terms carry the factor G(0) = 1-u = 0, so
     they add zero vectors and the formula returns C11.  At c = 1 the
-    kernels 1-u+ux and 1-u-2ux vanish at 0 and each costs one order, so
-    the pieces are built that much higher.
+    kernels 1-u+ux and 1-u-2ux vanish at 0 and each costs one order: all
+    pieces are folded one order higher, and the x^4 piece, divided by
+    1-u-2ux, one more.
     """
     c, D, P, K0, F, G = _geometric(c, k, D)
     q = c.denominator
     z = 1 if c == 1 else 0
     W = N + z
     one, g0 = (1, -D), _g(c, P, k)  # 1 - x and q*G(0), in y
-    # C11 x (1 - (k+1)cx) / (1 - x); C11 reaches furthest, so it comes first
-    cs = _in_y(C11_series(W), D)[2]
-    parts = [_divided((1, (D, 1), _pmul([1, -(k + 1) * P], cs, W)), one)]
-    # c x^4 G(0) (V1 - c V(c, k+2) / F(2)) / G(2): x^4 spares four orders
+    parts = []
+    # c x^4 G(0) (V1 - c V(c, k+2) / F(2)) / G(2): x^4 spares four orders.
+    # It comes first: at c = 1 it reads V1 and V0 one order past C11's reads
     top = W + z - 4
     if top >= 0:
         lo, (n, d), cs = _fold([_in_y(V1_series(top), D), _scaled(
             _divided(_V_scaled_geom(c, k + 2, top, D), F(2)), -c)], top)
         parts.append(_divided(_scaled(
             (lo, (n, q * d), _pmul(g0, cs, len(cs))), c, 4, D), G(2)))
+    # C11 x (1 - (k+1)cx) / (1 - x), read through x^(W-1)
+    if W > 0:
+        cs = _in_y(C11_series(W - 1), D)[2]
+        parts.append(_divided(
+            (1, (D, 1), _pmul([1, -(k + 1) * P], cs, W)), one))
     # x^3 G(0) (1 - (k+1)cx - cx^2) / ((1 - x) F(2))
     cs = _pmul(g0, [1, -(k + 1) * P, -P * D], 4) + [0] * W
     parts.append(_divided((3, (D ** 3, q), cs[: max(W - 2, 0)]), one, F(2)))
@@ -510,9 +554,11 @@ def B11_series(N: int) -> Series:
     Solved from three explicit sums over prod (1 - ix) plus one sum
     weighted by c series at geometric weights 1/(1-(j+2)x); the whole
     bracket is then divided by a valuation-1 denominator sum, so
-    everything is built one order higher.
+    everything is built one order higher.  That sum is read highest of all,
+    so it is asked for first.
     """
     W = N + 1
+    _den_sum(W)
     _, _, _, _, F, _ = _geometric(1, 0)
     T1 = _kernel_sum([F(1)], lambda j: [F(j + 1)], lambda j: (
         j + 2, (1, factorial(j + 2)), [(j + 1) ** 2]), W - 3)
@@ -539,11 +585,9 @@ def _B1u_geom(c, m: int, N: int, D: int | None = None):
     c, D, P, K0, F, G = _geometric(c, m, D)
     one = (1, -D)  # 1 - x in y
 
-    # S1 multiplies the b series, S2 the c series, S4 stands alone.  C11 is
-    # asked for first, at the b product's order, which is at least the c
-    # product's: C11 asks for the denominator sum two orders past B11, and
-    # B11 asks for C11 only from order 4 on.  Then B11 and S3's couplings
-    # are served by truncation.
+    # S1 multiplies the b series, S2 the c series, S4 stands alone.  The
+    # products read B11 and C11 highest and S3's couplings below them;
+    # while S2 is empty S3 is too, and B11 orders its own reads.
     S1 = _kernel_sum([K0, G(1)], lambda j: (F(j), G(j + 1)),
                      lambda j: (2 * j + 1, _alt(c, j), _p2(c, P, m + j)), N - 2, D)
     S2 = _kernel_sum([K0, one, G(1)], lambda j: (F(j), G(j + 1)),
@@ -555,7 +599,7 @@ def _B1u_geom(c, m: int, N: int, D: int | None = None):
                          _pmul(F(j + 1), F(j + 1), 3), _g(c, P, m + j), 4)),
                      N, D)
     if S2[2]:
-        C11_series(len(S1[2]) + 1)
+        _prebuild(len(S2[2]) + 2, len(S1[2]) + 1)
     S1 = _times(B11_series, 2, S1, D)
     # S3, which is subtracted, couples term j with the c series at weight
     # u/(1-(j+1)ux), which stays in the geometric family as c/(1-(m+j+1)cx)
@@ -577,47 +621,54 @@ def B1u_series(u, N: int) -> Series:
 
 
 def _C_general(v, u, cv, N: int, D: int):
-    """Two-variable c series, u away from 1, through x^(N-1) as a part in
-    y = x/D, from parts built at N; cv = C1u(v) is one of them."""
-    M, uD = N - 1, u * D
-    inner = _fold([_in_y(V1_series(N), D), _divided(
-        _scaled(_V_scaled_geom(u, 2, N, D), -u), (1, -2 * uD))], M - 4)
-    return _fold([
-        _divided(_scaled(inner, u, 4, D), (1 - u, -2 * uD)),
-        _divided(_poly([0, 0, 0, 0, u], M, D), (1, -2 * uD)),
-        _scaled(_fold([cv, _scaled(_C1u_geom(u * v, 0, N, D), -1)], M - 1),
+    """Two-variable c series, u away from 1, through x^N as a part in
+    y = x/D; cv = C1u(v) through x^(N-1) is one of its parts, and each
+    other part is built through the highest coefficient it is read at."""
+    uD = u * D
+    parts = []
+    if N >= 4:  # the inner bracket is multiplied by x^4
+        inner = _fold([_in_y(V1_series(N - 4), D), _divided(
+            _scaled(_V_scaled_geom(u, 2, N - 4, D), -u), (1, -2 * uD))], N - 4)
+        parts.append(_divided(_scaled(inner, u, 4, D), (1 - u, -2 * uD)))
+    return _fold(parts + [
+        _divided(_poly([0, 0, 0, 0, u], N, D), (1, -2 * uD)),
+        _scaled(_fold([cv, _scaled(_C1u_geom(u * v, 0, N - 1, D), -1)], N - 1),
                 u * v / (1 - u), 1, D),
-        _divided(_fold([_scaled(cv, v, 1, D), _poly([0, 0, 0, v], M, D)], M),
+        _divided(_fold([_scaled(cv, v, 1, D), _poly([0, 0, 0, v], N, D)], N),
                  (1, -v * D)),
-    ], M)
+    ], N)
 
 
 def _B_general(v, u, cv, N: int, D: int):
-    """Two-variable b series, u away from 1, through x^(N-1) as a part in
-    y = x/D, from parts built at N; cv = C1u(v) is one of them."""
-    M, uD = N - 1, u * D
-    inner = _fold([
-        _in_y(B11_series(N), D),
-        _divided(_in_y(C11_series(N), D), (1, -D)),
-        _divided(_fold([
-            _scaled(_B1u_geom(u, 1, N, D), -u),
-            _divided(_scaled(_C1u_geom(u, 1, N, D), -u * u), (1, -2 * uD)),
-        ], M - 2), (1, -uD)),
-    ], M - 2)
-    return _fold([
-        _divided(_poly([0, 0, 0, u], M, D), (1, -D), (1, -2 * uD)),
-        _divided(_scaled(inner, u, 2, D), (1 - u, -uD)),
-        _scaled(_fold([_B1u_geom(v, 0, N, D),
-                       _scaled(_B1u_geom(u * v, 0, N, D), -u)], M - 1),
+    """Two-variable b series, u away from 1, through x^N as a part in
+    y = x/D; cv = C1u(v) through x^(N-1) is one of its parts, and each
+    other part is built through the highest coefficient it is read at."""
+    uD = u * D
+    parts = []
+    if N >= 2:  # the inner bracket is multiplied by x^2
+        inner = _fold([
+            _in_y(B11_series(N - 2), D),
+            _divided(_in_y(C11_series(N - 2), D), (1, -D)),
+            _divided(_fold([
+                _scaled(_B1u_geom(u, 1, N - 2, D), -u),
+                _divided(_scaled(_C1u_geom(u, 1, N - 2, D), -u * u),
+                         (1, -2 * uD)),
+            ], N - 2), (1, -uD)),
+        ], N - 2)
+        parts.append(_divided(_scaled(inner, u, 2, D), (1 - u, -uD)))
+    return _fold(parts + [
+        _divided(_poly([0, 0, 0, u], N, D), (1, -D), (1, -2 * uD)),
+        _scaled(_fold([_B1u_geom(v, 0, N - 1, D),
+                       _scaled(_B1u_geom(u * v, 0, N - 1, D), -u)], N - 1),
                 v / (1 - u), 1, D),
-        _divided(_fold([_scaled(cv, v * v, 1, D), _poly([0, 0, v], M, D)], M),
+        _divided(_fold([_scaled(cv, v * v, 1, D), _poly([0, 0, v], N, D)], N),
                  (1, -v * D)),
-    ], M)
+    ], N)
 
 
 def _circular(b, c, N: int) -> Series:
     """x/(1-x) + x*b + x*c/(1-x), the circular series from parts b and c
-    in y = x reaching x^N."""
+    in y = x reaching x^(N-1)."""
     return _placed(N, _scaled(b, 1, 1), _divided(
         _scaled(_fold([c, _poly([1], N - 1)], N - 1), 1, 1), (1, -1)))
 
@@ -625,8 +676,9 @@ def _circular(b, c, N: int) -> Series:
 def A_series(N: int) -> Series:
     """Circular avoider counts: the coefficient of x^n is the number of
     avoiding cyclic classes of size n, which equals a_(n-1) for n >= 2."""
-    c = _in_y(C11_series(N), 1)  # first: see A_vu_series
-    return _circular(_in_y(B11_series(N), 1), c, N)
+    M = max(N - 1, 0)  # x*B11 and x*C11 are read through x^(N-1)
+    _prebuild(M, M)
+    return _circular(_in_y(B11_series(M), 1), _in_y(C11_series(M), 1), N)
 
 
 def A_vu_series(v, u, N: int) -> Series:
@@ -643,22 +695,23 @@ def A_vu_series(v, u, N: int) -> Series:
             "the two-variable closed forms divide by 1-u; the weight "
             "u = 1 is only available on the diagonal v = u = 1"
         )
-    # ask for the shared series at this formula's highest order first, C11
-    # before B11: C11 asks for the denominator sum two orders past B11, and
-    # B11 asks for C11 only from order 4 on.  A weight-1 b or c series
-    # among the terms reaches one order past N.
-    top = N + 1 if 1 in (v, u * v) else N
-    C11_series(top)
-    B11_series(top)
-    if u == 1:
-        return _circular(_B1u_geom(1, 0, N), _C1u_geom(1, 0, N), N)
+    if u == 1:  # the b series at weight 1 asks for its own shared series
+        return _circular(_B1u_geom(1, 0, N - 1), _C1u_geom(1, 0, N - 1), N)
+    # x*B and x*C are read through x^(N-1), so the b and c series at v and
+    # uv through x^(N-2) and the inner brackets through x^(N-3) (b) and
+    # x^(N-5) (c, which reads V1 there).  A b series reads B11 and C11 one
+    # order below its own, but at weight 1 B11 one order past it and C11
+    # at it.  Below x^3 no part reads B11, and C11 is read once at most.
+    if N >= 3:
+        w1 = 1 in (v, u * v)
+        _prebuild(N - 2 if w1 else N - 3, N - 1 if w1 else N - 3, N - 5)
     # one y = x/D for every part: there each linear factor is integral
     D = lcm(_scale(u), _scale(v), _scale(u * v))
-    cv = _C1u_geom(v, 0, N, D)
+    cv = _C1u_geom(v, 0, N - 2, D)
     return _placed(
         N, _divided(_poly([0, 1, 1 - u], N, D), (1, -u * D)),
-        _scaled(_B_general(v, u, cv, N, D), 1, 1, D),
-        _divided(_scaled(_C_general(v, u, cv, N, D), u * v, 1, D),
+        _scaled(_B_general(v, u, cv, N - 1, D), 1, 1, D),
+        _divided(_scaled(_C_general(v, u, cv, N - 1, D), u * v, 1, D),
                  (1, -u * v * D)), D=D)
 
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from functools import cache
+from itertools import product
 from math import lcm
 from pathlib import Path
 
@@ -352,12 +353,24 @@ def test_weighted_marginals_at_every_kind_of_scale(u):
             T.c_last[n][j] * u ** (j - 2) for j in range(2, n + 1))
 
 
+# Each call is made cold.  The small orders are where the requests for
+# the shared series reach order 0 or below, past every guard on them.
+_UNDER_O_CALLS = [
+    "B1u_series(Q(3, 7), 12)", "C1u_series(Q(22, 7), 12)",
+    "A_vu_series(Q(1, 2), Q(2, 3), 8)", "A_vu_series(2, Q(1, 2), 8)"]
+_UNDER_O_CALLS += [f"A_series({N})" for N in range(13)]
+_UNDER_O_CALLS += [f"{f}({u}, {N})" for f in ("B1u_series", "C1u_series")
+                   for u in ("1", "Q(3, 7)") for N in range(6)]
+_UNDER_O_CALLS += [f"A_vu_series({v}, {N})" for v in ("1, 1", "2, Q(1, 2)")
+                   for N in range(7)]
+
 _UNDER_O = """
-from fractions import Fraction as Q
+import sys
 from vincular import genfun
-for s in (genfun.B1u_series(Q(3, 7), 12), genfun.C1u_series(Q(22, 7), 12),
-          genfun.A_vu_series(Q(1, 2), Q(2, 3), 8),
-          genfun.A_vu_series(2, Q(1, 2), 8)):
+from vincular.powerseries import Q
+for call in sys.argv[1:]:
+    genfun.clear_caches()
+    s = eval(call, {**vars(genfun), "Q": Q})
     print(";".join(f"{type(c).__name__}:{c}" for c in s.coeffs))
 """
 
@@ -366,14 +379,15 @@ def test_series_agree_under_python_O():
     # python -O strips asserts; every exactness guard must be a raise
     src = str(Path(genfun.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-O", "-c", _UNDER_O, *_UNDER_O_CALLS],
+        env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    genfun.clear_caches()
-    want = [";".join(f"{type(c).__name__}:{c}" for c in s.coeffs) for s in (
-        genfun.B1u_series(Q(3, 7), 12), genfun.C1u_series(Q(22, 7), 12),
-        genfun.A_vu_series(Q(1, 2), Q(2, 3), 8),
-        genfun.A_vu_series(2, Q(1, 2), 8))]
+    want = []
+    for call in _UNDER_O_CALLS:
+        genfun.clear_caches()
+        s = eval(call, {**vars(genfun), "Q": Q})
+        want.append(";".join(f"{type(c).__name__}:{c}" for c in s.coeffs))
     assert done.stdout.splitlines() == want
 
 
@@ -550,6 +564,56 @@ def test_deep_kernel_sums_match_pinned_digest():
     assert _pinned_digest(_DEEP, _DEEP) == _DEEP_SHA256
 
 
+def _cold_digest(builds) -> str:
+    """_pinned_digest with the cache cleared before each build, so every
+    series is built at exactly the orders its own call asks for."""
+    def cold(build):
+        genfun.clear_caches()
+        return build()
+
+    return _pinned_digest([(name, lambda b=b: cold(b)) for name, b in builds],
+                          builds)
+
+
+# Every public builder at every order from 0 through 12, each built cold:
+# the low orders are where a request for a shared series, a kernel sum or
+# a part reaches its lowest order, or none.
+_WEIGHTS_1 = (1, 2, Q(3, 7), Q(-2, 5))
+_WEIGHTS_2 = ((1, 1), (2, 3), (Q(1, 2), Q(2, 3)), (2, Q(1, 2)), (1, Q(3, 4)),
+              (Q(-2, 5), 3))
+_EVERY_ORDER = [
+    (f"{f.__name__}({N})", lambda f=f, N=N: f(N)) for f in (
+        genfun.V0_series, genfun.V1_series, genfun.C11_series,
+        genfun.B11_series, genfun.A_series) for N in range(13)]
+_EVERY_ORDER += [
+    (f"{f.__name__}({u}, {N})", lambda f=f, u=u, N=N: f(u, N))
+    for f in (genfun.B1u_series, genfun.C1u_series) for u in _WEIGHTS_1
+    for N in range(13)]
+_EVERY_ORDER += [
+    (f"A_vu_series({v}, {u}, {N})",
+     lambda v=v, u=u, N=N: genfun.A_vu_series(v, u, N))
+    for v, u in _WEIGHTS_2 for N in range(13)]
+_EVERY_ORDER_SHA256 = (
+    "9f8b085d8404853773f35b71d8fd88dfaea6572133183dbafbe247c7d7d54519")
+
+
+def test_every_builder_at_every_small_order_matches_pinned_digest():
+    assert _cold_digest(_EVERY_ORDER) == _EVERY_ORDER_SHA256
+
+
+# Deeper than _DEEP: B11's couplings nest about 200 c series.
+_DEEPER = [("A_series(201)", lambda: genfun.A_series(201))]
+_DEEPER += [(f"{f.__name__}({u}, 80)", lambda f=f, u=u: f(u, 80))
+            for f in (genfun.B1u_series, genfun.C1u_series)
+            for u in (1, 2, Q(3, 7))]
+_DEEPER_SHA256 = (
+    "25ab8125234b8b64f070062d0ae7efa96d9b7dcb8af592416209f68979cf6b7f")
+
+
+def test_deeper_kernel_sums_match_pinned_digest():
+    assert _cold_digest(_DEEPER) == _DEEPER_SHA256
+
+
 def test_cache_holds_only_the_shared_series():
     genfun.clear_caches()
     genfun.A_series(31)
@@ -590,3 +654,80 @@ def test_one_cold_call_builds_each_shared_series_once(monkeypatch, call):
     call()
     assert builds
     assert len(builds) == len(set(builds)), builds
+
+
+def _build_log(monkeypatch, *calls) -> list:
+    """(name, order) of every shared series that calls build, in order,
+    from an empty cache."""
+    builds = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            builds.append((key, value.order))
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(genfun, "_SERIES_CACHE", Recording())
+    for call in calls:
+        call()
+    return builds
+
+
+@pytest.mark.parametrize("calls, want", [
+    # A_series(4) reads B11 and C11 through x^3; B11 at 3 reads the
+    # denominator sum at 4, V0 at 2 and V1 at 0
+    ((lambda: genfun.A_series(4),),
+     [("_den_sum", 4), ("V0_series", 2), ("V1_series", 0),
+      ("C11_series", 3), ("B11_series", 3)]),
+    # at order 3 the b series reads B11 through x^2 and no C11; the c
+    # series then reads C11 through x^2, which is zero and reads nothing
+    ((lambda: genfun.B1u_series(Q(3, 7), 3),
+      lambda: genfun.C1u_series(Q(3, 7), 3)),
+     [("_den_sum", 3), ("B11_series", 2), ("C11_series", 2)]),
+], ids=["A4", "B1u-then-C1u-3/7-N3"])
+def test_cold_calls_build_each_shared_series_once_at_the_order_read(
+        monkeypatch, calls, want):
+    assert _build_log(monkeypatch, *calls) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: genfun.A_series(31),
+    lambda: genfun.B11_series(20),
+    lambda: genfun.B1u_series(1, 20),
+    lambda: genfun.B1u_series(Q(3, 7), 20),
+    lambda: genfun.C1u_series(1, 20),
+    lambda: genfun.A_vu_series(1, 1, 20),
+    lambda: genfun.A_vu_series(2, Q(1, 2), 20),
+    lambda: genfun.A_vu_series(Q(1, 2), Q(2, 3), 20),
+    lambda: genfun.A_vu_series(2, Q(1, 2), 2),
+], ids=["A31", "B11", "B1u-1", "B1u-3/7", "C1u-1", "Avu-1-1", "Avu-2-1/2",
+        "Avu-1/2-2/3", "Avu-2-1/2-N2"])
+def test_each_shared_series_is_built_once_at_the_highest_order_read(
+        monkeypatch, call):
+    # without _prebuild the formulas' own requests show the highest order
+    # each shared series is read at; with it, each is built once, there
+    read = {}
+    for name in ("_den_sum", "V0_series", "V1_series", "C11_series",
+                 "B11_series"):
+        def reading(N, build=getattr(genfun, name), name=name):
+            read[name] = max(read.get(name, N), N)
+            return build(N)
+        monkeypatch.setattr(genfun, name, reading)
+    monkeypatch.setattr(genfun, "_prebuild", lambda *orders: None)
+    genfun.clear_caches()
+    call()
+    monkeypatch.undo()
+    builds = _build_log(monkeypatch, call)
+    assert len(builds) == len(read) and dict(builds) == read, (builds, read)
+
+
+def test_prebuild_serves_every_read_it_is_given(monkeypatch):
+    # whatever orders a formula reads C11, B11 and V1 at, the prebuild
+    # builds each shared series once, and those reads then build nothing
+    for c11, b11, v1 in product(range(-1, 9), repeat=3):
+        reads = [lambda f=f, n=n: f(n) for f, n in (
+            (genfun.V1_series, v1), (genfun.C11_series, c11),
+            (genfun.B11_series, b11)) if n >= 0]
+        builds = _build_log(
+            monkeypatch, lambda: genfun._prebuild(c11, b11, v1), *reads)
+        names = [name for name, _ in builds]
+        assert len(names) == len(set(names)), (c11, b11, v1, builds)
