@@ -20,7 +20,7 @@ compare and hash alike, so callers never need to know which one a
 coefficient is.
 
 :func:`_pmul` is the one truncated-product kernel: ``Series.__mul__`` and
-the kernel sums of :mod:`vincular.genfun` both multiply through it.
+the coefficient-list products of :mod:`vincular.genfun` multiply through it.
 """
 
 from __future__ import annotations
@@ -89,6 +89,8 @@ class Series:
                 f"cannot extend order {self.order} to {order}: "
                 "the extra coefficients are unknown"
             )
+        if order == self.order:
+            return self
         return Series(self.coeffs[: order + 1])
 
     def __mul__(self, other) -> "Series":

@@ -21,9 +21,8 @@ sequence fixed by the gap g between n and the cell's letter.  The runs of
 partial sums of all gaps move one size at a time: :func:`_steps` extends
 every run by its next entry in one pass and starts the run of the new gap,
 and the computed row is written as one slice.  c needs the doubled
-transform sum_s C(J, s) 2^(J-s) y_s; it feeds y << (N-n) at size n into
-an ordinary run, so the term of y_s at J is C(J, s) 2^(N-n+J-s) y_s and
-the value shifts right by N-n exactly: one addition per entry.  A
+transform sum_s C(J, s) 2^(J-s) y_s, which is the transform applied
+twice, so c's run is the plain transform of v's run values.  A
 build does O(N^3) big-integer additions inside ``accumulate``, no
 multiplications in the inner sums, and stores O(N^2) integers.  Full cell
 tables, which only the oracle comparison and the tests read, are kept for
@@ -166,15 +165,12 @@ def compute_c(N: int, v: list[Row]) -> tuple[list[Cells], list[Row], list[Row]]:
             # a decreasing insert (e letters) before a last-letter avoider;
             # the (d, e) weights with d + e = s sum to C(j-3, s-3) 2^(s-3),
             # and the k-sum folds through the v prefix rows.  Gap n-1-j,
-            # J = j-3, new y = the v suffix sum of the s = 3 term, fed as
-            # y << (N-n) for the doubled transform (module docstring)
-            shift = N - n
-            vrow = _prefix(v[n - 4])
-            suffix = vrow[n - 4]
-            runs, sums = _steps(runs, [(suffix - x) << shift for x in vrow[:n - 4]])
-            low = (1 << shift) - 1
-            _require(not any(t & low for t in sums), f"c({n}, 2, .) scaled sums not exact")
-            row[3:n - 1] = [t >> shift for t in sums]
+            # J = j-3: each gap's y (the v suffix sum of the s = 3 term) is
+            # v's y at size n-2, so c's run is over v's run values there,
+            # read back from its row (module docstring)
+            vpre = _prefix(v[n - 3])
+            vals = [x - vpre[n - 3] + p for x, p in zip(v[n - 2][2:n - 2], vpre[1:n - 3])]
+            runs, row[3:n - 1] = _steps(runs, vals)
         _close(cells, last, n, 2, col, row, "c")
         cols.append(col)
     return cells, last, cols

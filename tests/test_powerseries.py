@@ -73,6 +73,8 @@ def test_truncate_and_shift():
     assert ints(f.truncate(1)) == (1, 2)
     with pytest.raises(ValueError):
         f.truncate(9)
+    # a Series is immutable, so truncating to its own order keeps it
+    assert f.truncate(f.order) is f
 
 
 def test_coefficient_ring():
