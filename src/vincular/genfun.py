@@ -11,13 +11,24 @@ factor is a linear polynomial over L = 1 - m*c*x whose powers cancel, so
 a term is a polynomial of degree at most 3 over a product of linear
 factors, and each term's product extends the previous one by a few
 factors.  A sum X_0/f_0 + X_1/(f_0 f_1) + ... is therefore evaluated by
-Horner's rule, (X_0 + (X_1 + (X_2 + ...)/f_2)/f_1)/f_0 (:func:`_nest`):
+Horner's rule, (X_0 + (X_1 + (X_2 + ...)/f_2)/f_1)/f_0 (:func:`_horner`):
 from the deepest term out, each term is added as its short polynomial and
 everything added so far is divided by the next factors.  A factor
 a0 + a1*x costs one pass over the coefficients, one with a0 = 0 (at
 c = 1) moves an explicit x-power offset, and no term is multiplied by a
 reciprocal series.  With every valuation explicit, each series is built
-at exactly the order asked for.
+at exactly the order asked for, and a series that counts words of size
+n >= 1 is zero through x^0 and builds nothing there.
+
+The b series and B11 couple term j of a kernel sum with the c series at
+the next geometric weight, which reads the last-letter series V at the
+weight m + j through V's two kernel sums.  The Horner accumulator of each
+of those sums at m, read after level j, is the sum at m + j up to its
+factor K0, an integer scale and a power of y, so one pass per sum serves
+every term of the coupled sum, and since the product by V0 commutes with
+nesting, a coupled sum is A + V0*B with one product by V0 in all
+(:func:`_coupled`).  A coupled sum thus costs O(N^2) coefficient
+operations, as a kernel sum does.
 
 Scales stay on integers.  At the weight c = p/q the kernel route works in
 y = x/D with D = q*|q - p| (D = 1 at c = 1 and c = 2), or any multiple of
@@ -43,8 +54,9 @@ sum they share (:func:`_count_quotient`): the folded numerator and the
 denominator sum are both integer series, and their long division keeps
 every coefficient an int, so a plain count builds no Q.
 
-Three jobs have one home each.  Products of coefficient lists go through
-:func:`vincular.powerseries._pmul`.  :func:`_geometric` normalises a
+Three jobs have one home each.  Products of series go through
+:func:`vincular.powerseries._pmul`; a product by a linear polynomial is
+one pass (:func:`_times_linear`).  :func:`_geometric` normalises a
 weight and raises :class:`KernelSpecializationError` for the one weight
 that collapses a kernel.  :func:`_memo` caches, by name, the only five
 series read again: V0, V1, C11 and B11, on which the kernel method builds
@@ -72,7 +84,7 @@ from __future__ import annotations
 
 from functools import wraps
 from itertools import count
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .powerseries import Q, Series, _coeff, _pmul, as_int
 
@@ -120,14 +132,17 @@ def _prebuild(c11: int, b11: int, v1: int = -1) -> None:
 
     The layers' own reads raise those orders: B11 at N reads the
     denominator sum at N + 1, and from N = 4 on C11 at N - 1 and V1 at
-    N - 3; C11 at N reads V1 at N - 3 and V0 at N - 1; V1 at N reads V0
-    at N + 2, and V0 at N the sum at N + 1.  Built lowest layer first (V1
-    builds V0), each finds its reads already built, and every later read
-    is served by truncation.
+    N - 3; C11 at N reads V1 at N - 3 and V0 at N - 1; from N = 1 on, V1
+    at N reads V0 at N + 2, and V0 at N the sum at N + 1.  No word has
+    size 0, so V1 and V0 through x^0 are zero and read nothing, and none is
+    asked for.  Built lowest layer first (V1 builds V0), each finds its
+    reads already built, and every later read is served by truncation.
     """
     if b11 >= 4:
         c11, v1 = max(c11, b11 - 1), max(v1, b11 - 3)
     v1 = max(v1, c11 - 3)
+    if v1 < 1:
+        v1 = -1
     den = max(b11 + 1 if b11 >= 0 else -1, v1 + 3 if v1 >= 0 else -1)
     for build, order in ((_den_sum, den), (V1_series, v1),
                          (C11_series, c11), (B11_series, b11)):
@@ -169,6 +184,21 @@ def _over_linear(r: list, a0, a1):
     return num, den, shift
 
 
+def _times_linear(part, a0, a1):
+    """A part times the integer polynomial a0 + a1*y: one pass over its
+    list, in place, or, when a0 or a1 is 0, its scale and power of y."""
+    lo, (num, den), r = part
+    if not a0:
+        return lo + 1, (num * a1, den), r
+    if not a1:
+        return lo, (num * a0, den), r
+    for n in range(len(r) - 1, 0, -1):
+        r[n] = a0 * r[n] + a1 * r[n - 1]
+    if r:
+        r[0] *= a0
+    return part
+
+
 def _divided(part, *factors):
     """A part divided by linear factors (a0, a1) in y, one pass each."""
     lo, (num, den), cs = part
@@ -181,6 +211,8 @@ def _divided(part, *factors):
 
 def _in_y(s: Series, D: int):
     """s as a part in y = x/D: coefficient n times D^n."""
+    if D == 1:
+        return 0, (1, 1), list(s.coeffs)
     return 0, (1, 1), [a * D ** n for n, a in enumerate(s.coeffs)]
 
 
@@ -232,9 +264,9 @@ def _levels(init, step, term, top: int, D: int = 1) -> list:
         prev, factors = lo, step(j + 1)
 
 
-def _nest(levels, top: int):
-    """The sum of :func:`_levels` through y^top as one part
-    (lo, (1, den), cs), by Horner's rule.
+def _horner(levels, top: int):
+    """Horner's rule over :func:`_levels` through y^top, yielding the part
+    (base, (1, den), acc) after each level, deepest level first.
 
     From the deepest level out, each level adds its term k_j*P_j at
     y^lo_j, over the lcm of the nonzero terms' denominators, and then
@@ -242,14 +274,17 @@ def _nest(levels, top: int):
     the window from the shallowest term added.  So every term is divided
     by the factors of its level and of every level above it, and never
     multiplied by a reciprocal.  A zero polynomial adds nothing, but its
-    level's factors still divide the deeper terms.
+    level's factors still divide the deeper terms.  After level j, acc
+    holds the tail: the terms of levels j and deeper, each divided by the
+    factors of the levels from j to its own, with zeros below lo_j.  acc
+    is the accumulator itself, which the next level changes in place.
     """
     kept = [(lo, d) for lo, (_, d), poly, _ in levels if poly]
     if not kept:
-        return top + 1, (1, 1), []
+        return
     base, den = kept[0][0], lcm(*(d for _, d in kept))
     acc = [0] * (top + 1 - base)
-    start = len(acc)
+    start, part = len(acc), (base, (1, den), acc)
     for lo, (n, d), poly, bs in reversed(levels):
         if poly:
             f, start = n * (den // d), lo - base
@@ -258,7 +293,16 @@ def _nest(levels, top: int):
         for b in bs:
             for i in range(start + 1, len(acc)):
                 acc[i] -= b * acc[i - 1]
-    return base, (1, den), acc
+        yield part
+
+
+def _nest(levels, top: int):
+    """The sum of :func:`_levels` through y^top as one part
+    (lo, (1, den), cs): the last tail of :func:`_horner`."""
+    part = top + 1, (1, 1), []
+    for part in _horner(levels, top):
+        pass
+    return part
 
 
 def _fold(parts, top: int):
@@ -318,21 +362,18 @@ def _placed(N: int, *parts, D: int = 1) -> Series:
 
 
 def _times(outer, val: int, part, D: int = 1):
-    """outer(order), a part or a Series vanishing below x^val, times a part
-    in y = x/D in one multiply, as a part reaching val orders further.
-    The outer part must start at or below x^val: a Series starts at x^0,
-    and a c series part at x^1 or below.  The part leads the product, so
-    a part that is a short polynomial padded with zeros costs one pass
-    over the outer coefficients per nonzero entry."""
+    """outer(order), a Series vanishing below x^val, times a part in
+    y = x/D in one multiply, as a part reaching val orders further.  The
+    part leads the product, so a part that is a short polynomial padded
+    with zeros costs one pass over the outer coefficients per nonzero
+    entry."""
     lo, (n, d), cs = part
     if not cs:
         return part
-    f = outer(len(cs) - 1 + val)
-    flo, (fn, fd), fcs = _in_y(f, D) if isinstance(f, Series) else f
-    k = val - flo
-    if any(fcs[:k]):
+    fcs = _in_y(outer(len(cs) - 1 + val), D)[2]
+    if any(fcs[:val]):
         raise RuntimeError(f"outer series does not vanish below x^{val}")
-    return lo + val, (n * fn, d * fd), _pmul(cs, fcs[k:], len(cs))
+    return lo + val, (n, d), _pmul(cs, fcs[val:], len(cs))
 
 
 def _scale(c) -> int:
@@ -426,29 +467,51 @@ def V0_series(N: int) -> Series:
 
     Ratio of two explicit sums over prod (1 - ix); term j starts at
     x^(j+1) in the numerator sum and x^j in the denominator sum, which
-    has valuation 1 and so costs one coefficient.
+    has valuation 1 and so costs one coefficient.  No word has size 0, so
+    a read through x^0 builds nothing.
     """
+    if N < 1:
+        return Series([0] * (N + 1))
     _, _, _, _, F, _ = _geometric(1, 0)
     num = _kernel_sum([F(1), F(2)], lambda j: [F(j + 2)], lambda j: (
         j + 2, (1, factorial(j + 2)), [j + 2, -(j * j + 3 * j + 3)]), N + 1)
     return _count_quotient("V0_series", N + 1, num)
 
 
+def _V_sums(c, m: int, D: int | None = None):
+    """The :func:`_geometric` of the weight p = c/(1 - m*c*x) and the two
+    alternating kernel sums, first and second, of the last-letter series
+    V = first + V0*second there, each as the (init, step, term) of
+    :func:`_levels`.
+
+    Term j of either sum is (-P^2 y^2)^j times term 0 of the same sum at
+    the weight m + j, and the factors of its levels from j on are those of
+    that sum, whose level 0 also has K0 at m + j (and, for second, not
+    F(j)); the factors F(i) have constant term 1.  So the Horner tail of
+    either sum after level j (:func:`_horner`) is the sum at m + j, times
+    (-P^2 y^2)^j K0(m + j), over F(j) for second, and over the constant
+    terms, or the a1*y, of K0 and G(1..j) at m (:func:`_coupled`).
+    """
+    geo = c, D, P, K0, F, G = _geometric(c, m, D)
+    return geo, (
+        ([K0, F(1), G(1)], lambda j: (F(j + 1), G(j + 1)),
+         lambda j: (2 * j + 1, _alt(c, j, 1), _p1(c, P, m + j))),
+        ([K0, G(1)], lambda j: (F(j), G(j + 1)),
+         lambda j: (2 * j, _alt(c, j), _p2(c, P, m + j))))
+
+
 def _V_scaled_geom(c, m: int, N: int, D: int | None = None):
     """Last-letter series at the geometric weight p = c/(1 - m*c*x), the
-    final letter j weighted by p^(j-1), as a part in y = x/D.
-
-    Two alternating kernel sums over j; the second is multiplied by the
-    final-letter-1 series.
+    final letter j weighted by p^(j-1), as a part in y = x/D: two
+    alternating kernel sums over j (:func:`_V_sums`), the second multiplied
+    by the final-letter-1 series.  No word has size 0, so below x^1 the
+    part is empty and builds nothing.
     """
-    c, D, P, K0, F, G = _geometric(c, m, D)
-    first = _kernel_sum(
-        [K0, F(1), G(1)], lambda j: (F(j + 1), G(j + 1)),
-        lambda j: (2 * j + 1, _alt(c, j, 1), _p1(c, P, m + j)), N, D)
-    second = _kernel_sum(
-        [K0, G(1)], lambda j: (F(j), G(j + 1)),
-        lambda j: (2 * j, _alt(c, j), _p2(c, P, m + j)), N - 1, D)
-    return _fold([first, _times(V0_series, 1, second, D)], N)
+    if N < 1:
+        return N + 1, (1, 1), []
+    (_, D, *_), (first, second) = _V_sums(c, m, D)
+    return _fold([_kernel_sum(*first, N, D), _times(
+        V0_series, 1, _kernel_sum(*second, N - 1, D), D)], N)
 
 
 @_memo
@@ -479,41 +542,63 @@ def C11_series(N: int) -> Series:
     return _placed(N, _divided(_scaled(par, 1, 3), (3, -6), (1, -3)))
 
 
-def _C1u_geom(c, k: int, N: int, D: int | None = None):
-    """One-variable c series at the weight u = c/(1 - k*c*x), as a part in
-    y = x/D.
+def _V_reach(c, N: int) -> int:
+    """The order through which the c series at c/(1 - k*c*x), read through
+    y^N, reads the last-letter series at c/(1 - (k+2)*c*x): x^4 spares four
+    orders, and at c = 1 the kernels 1-u+ux and 1-u-2ux cost one each."""
+    return N - 2 if c == 1 else N - 4
+
+
+def _C1u_parts(c, k: int, N: int, D, U):
+    """One-variable c series at the weight u = c/(1 - k*c*x) through y^N,
+    as parts (X, Y) in y = x/D of the series X + V0*Y.
 
     Four closed terms over the kernels 1-u+ux, 1-u-2ux and 1-2ux, whose
-    common factor 1-u+ux is divided out last.  When the weight is
-    identically 1 the last three terms carry the factor G(0) = 1-u = 0, so
-    they add zero vectors and the formula returns C11.  At c = 1 the
-    kernels 1-u+ux and 1-u-2ux vanish at 0 and each costs one order: all
-    pieces are folded one order higher, and the x^4 piece, divided by
-    1-u-2ux, one more.
+    common factor 1-u+ux is divided out last.  One reads the last-letter
+    series V at c/(1 - (k+2)cx) over F(2), which U(top, F(2)) gives through
+    y^top (:func:`_V_reach`) as parts (A, B) of the series A + V0*B; Y
+    carries B.  When the weight is identically 1 the last three terms carry
+    the factor G(0) = 1-u = 0, so they add zero vectors and the formula
+    returns C11.  At c = 1 the kernels 1-u+ux and 1-u-2ux vanish at 0 and
+    each costs one order: all pieces are folded one order higher, and the
+    x^4 piece, divided by 1-u-2ux, one more.
     """
     c, D, P, K0, F, G = _geometric(c, k, D)
     q = c.denominator
-    z = 1 if c == 1 else 0
-    W = N + z
+    W = N + (c == 1)
     one, g0 = (1, -D), _g(c, P, k)  # 1 - x and q*G(0), in y
-    parts = []
+
+    def x4(part):  # c x^4 G(0) part / G(2), G(0) cleared by q
+        lo, (n, d), cs = _times_linear(_divided(part, G(2)), *g0)
+        return _scaled((lo, (n, q * d), cs), c, 4, D)
+
+    parts, Y = [], (W, (1, 1), [])
     # c x^4 G(0) (V1 - c V(c, k+2) / F(2)) / G(2): x^4 spares four orders.
     # It comes first: at c = 1 it reads V1 and V0 one order past C11's reads
-    top = W + z - 4
+    top = _V_reach(c, N)
     if top >= 0:
-        lo, (n, d), cs = _fold([_in_y(V1_series(top), D), _scaled(
-            _divided(_V_scaled_geom(c, k + 2, top, D), F(2)), -c)], top)
-        parts.append(_divided(_scaled(
-            (lo, (n, q * d), _pmul(g0, cs, len(cs))), c, 4, D), G(2)))
+        v1 = _in_y(V1_series(top), D)
+        A, B = U(top, F(2))
+        parts.append(x4(_fold([v1, _scaled(A, -c)], top)))
+        Y = _divided(x4(_scaled(B, -c)), K0)
     # C11 x (1 - (k+1)cx) / (1 - x), read through x^(W-1)
     if W > 0:
         cs = _in_y(C11_series(W - 1), D)[2]
         parts.append(_divided(
-            (1, (D, 1), _pmul([1, -(k + 1) * P], cs, W)), one))
+            _times_linear((1, (D, 1), cs), 1, -(k + 1) * P), one))
     # x^3 G(0) (1 - (k+1)cx - cx^2) / ((1 - x) F(2))
-    cs = _pmul(g0, [1, -(k + 1) * P, -P * D], 4) + [0] * W
-    parts.append(_divided((3, (D ** 3, q), cs[: max(W - 2, 0)]), one, F(2)))
-    return _divided(_fold(parts, W), K0)
+    lo, k3, cs = _times_linear((3, (D ** 3, q), [1, -(k + 1) * P, -P * D, 0]),
+                               *g0)
+    parts.append(_divided((lo, k3, (cs + [0] * W)[: max(W + 1 - lo, 0)]),
+                          one, F(2)))
+    return _divided(_fold(parts, W), K0), Y
+
+
+def _C1u_geom(c, k: int, N: int, D: int | None = None):
+    """One-variable c series at the weight u = c/(1 - k*c*x), as a part in
+    y = x/D: :func:`_C1u_parts` with the last-letter series built whole."""
+    return _C1u_parts(c, k, N, D, lambda top, F2: (
+        _divided(_V_scaled_geom(c, k + 2, top, D), F2), (top, (1, 1), [])))[0]
 
 
 def C1u_series(u, N: int) -> Series:
@@ -529,22 +614,99 @@ def _coupled(levels, c, m: int, N: int, D: int | None = None):
     """Kernel levels of terms reaching x^(N-3), term j times the c series
     C_j at c/(1-(m+j)cx), nested as one part reaching x^N, all in y = x/D.
 
-    Each C_j is built in j order at order N - lo_j and multiplied into its
-    term's polynomial, of degree at most 1, so it costs a pass over C_j
-    per nonzero coefficient; the products then nest like any kernel sum.  A level whose polynomial
-    vanishes builds no c series, and its factors still divide the deeper
-    terms.
+    C_j = X_j + V0*Y_j (:func:`_C1u_parts`) reads the last-letter series
+    at c/(1-(M+j)cx), M = m + 2, only through its two kernel sums over its
+    F(2), which is F(j) at M (as are F, G and K0 below).  Those sums are
+    tails of one Horner pass per sum at M (:func:`_V_sums`): the tail after
+    level j, times the constant terms or a1*y of K0 and G(1..j) and over
+    (-P^2 y^2)^j, is the sum at M + j times K0(M + j), over F(j) for the
+    second sum.  So a pass through the highest order any level reads
+    serves every C_j, and each level divides its tails by K0(M + j), and
+    the first by F(j), as its own.  Multiplying by V0 commutes with
+    nesting, so the levels nest X_j and Y_j apart, both deepest first as
+    the passes run, and V0 multiplies the Y nest once.  A level whose
+    polynomial, of degree at most 1, vanishes, or whose C_j is read below
+    x^3, where it vanishes, adds nothing, and its factors still divide the
+    deeper terms.
     """
-    nested = []
-    for j, (lo, k, poly, bs) in enumerate(levels):
-        if poly:
-            L = N - 2 - lo
-            cs = list(poly[:L])
-            cs += [0] * (L - len(cs))
-            _, k, poly = _times(lambda n: _C1u_geom(c, m + j, n, D), 3,
-                                (lo, k, cs))
-        nested.append((lo + 3, k, poly, bs))
-    return _nest(nested, N)
+    used = {j for j, (lo, _, poly, _) in enumerate(levels)
+            if poly and N - lo >= 3}
+    if not used:
+        return N + 1, (1, 1), []
+    M = m + 2
+    (c, D, P, K0, _, G), sums = _V_sums(c, M, D)
+    # sig[j]: the constant terms, or a1*y, of K0 and G(1..j) as integers
+    # (num, den, power of y); Ks[j]: K0 at M + j; the pass's y^t is
+    # y^(t - shift[j]) at M + j
+    sig, Ks, shift, reach, high = [(1, 1, 0)], [None], [0], -1, -1
+    for j, (lo, _, poly, _) in enumerate(levels[: max(used) + 1]):
+        if j:
+            n, d, w = sig[-1]
+            for a0, a1 in [K0, G(1)] if j == 1 else [G(j)]:
+                _, fn, fd, fw = _factor(a0, a1)
+                n, d, w = n * fd, d * fn, w + fw
+            sig.append((n, d, w))
+            Ks.append(_geometric(c, M + j, D)[3])
+            shift.append(2 * j - w + _factor(*Ks[j])[3])
+        if j in used:
+            reach = max(reach, _V_reach(c, N - lo) + shift[j])
+            high = max(high, N - lo)
+    # the shallowest C_j reads C11 and V1 highest, and the nest reads them
+    # deepest level first, so they are asked for first
+    _prebuild(high + (c == 1) - 1, -1, _V_reach(c, high))
+
+    def tails(sum_, top):
+        """The tail of one Horner pass of a sum after each level j, from
+        the deepest level of the coupled sum out; None past the pass."""
+        lv = _levels(*sum_, top, D) if top >= 0 else []
+        horner = _horner(lv, top)
+        for j in range(max(len(lv), len(levels)) - 1, -1, -1):
+            tail = next(horner, None) if j < len(lv) else None
+            if j < len(levels):
+                yield tail and (lv[j][0], tail)
+
+    def V(j, top, Fj, read):
+        """The first sum at M + j over F(j) through y^top, and the second
+        over F(j) through y^(top-1), from their tails after level j."""
+        out = []
+        # the tail after level 0 is the sum itself, over F(0) for either
+        overs = ([Fj], [Fj]) if j == 0 else ([Ks[j], Fj], [Ks[j]])
+        for tail, T, factors in zip(read, (top, top - 1), overs):
+            T += shift[j]
+            if tail is None:
+                out.append((T + 1, (1, 1), []))
+                continue
+            lo, (base, (_, den), acc) = tail
+            n, d, w = sig[j]
+            # the pass's denominator is its deepest level's: reduced, the
+            # scale of a shallow tail stays small in every sum it enters
+            d *= den * (-P * P) ** j
+            g = gcd(n, d)
+            out.append(_divided((lo + w - 2 * j, (n // g, d // g),
+                                 acc[lo - base: T + 1 - base]), *factors))
+        return out
+
+    # C_j = X_j + V0*Y_j: term j times X_j nests through y^N, times Y_j
+    # through y^(N-1)
+    X, Y = (N + 1, (1, 1), []), (N, (1, 1), [])
+    passes = [tails(sums[0], reach), tails(sums[1], reach - 1)]
+    for j in range(len(levels) - 1, -1, -1):
+        lo, (kn, kd), poly, bs = levels[j]
+        read = [next(t) for t in passes]
+        if j in used:
+            a0, a1 = poly if len(poly) == 2 else (*poly, 0)
+
+            def term(part):
+                plo, (n, d), cs = _times_linear(part, a0, a1)
+                return lo + plo, (kn * n, kd * d), cs
+
+            Xj, Yj = _C1u_parts(c, m + j, N - lo, D,
+                                lambda top, Fj: V(j, top, Fj, read))
+            X, Y = _fold([X, term(Xj)], N), _fold([Y, term(Yj)], N - 1)
+        for b in bs:
+            _over_linear(X[2], 1, b)
+            _over_linear(Y[2], 1, b)
+    return _fold([X, _times(V0_series, 1, Y, D)], N)
 
 
 @_memo

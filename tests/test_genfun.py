@@ -85,6 +85,41 @@ def test_geometric_v_dense_operations_do_not_grow_with_order(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_coupled_sums_operation_counts_do_not_grow_with_order(monkeypatch):
+    # each coupled sum nests every c series it reads from one Horner pass
+    # per kernel sum of the last-letter series, with one product by V0 in
+    # all, so a cold A_series makes as many _pmul calls at N = 201 as at
+    # N = 61, and a cold B1u_series(1, N) lists as many kernel sums at
+    # N = 64 as at N = 32 and builds no c series at any weight twice
+    counts = {"pmul": 0, "levels": 0}
+    built = []
+
+    def counting(name, f):
+        def wrapped(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(genfun, "_pmul", counting("pmul", genfun._pmul))
+    monkeypatch.setattr(genfun, "_levels",
+                        counting("levels", genfun._levels))
+    c1u = genfun._C1u_geom
+    monkeypatch.setattr(genfun, "_C1u_geom", lambda c, k, N, D=None: (
+        built.append((c, k)), c1u(c, k, N, D))[1])
+    seen = {}
+    for name, call, N in [("pmul", genfun.A_series, 61),
+                          ("pmul", genfun.A_series, 201),
+                          ("levels", lambda n: genfun.B1u_series(1, n), 32),
+                          ("levels", lambda n: genfun.B1u_series(1, n), 64)]:
+        genfun.clear_caches()
+        counts[name] = 0
+        call(N)
+        seen.setdefault(name, []).append(counts[name])
+    assert seen["pmul"][0] == seen["pmul"][1], seen
+    assert seen["levels"][0] == seen["levels"][1], seen
+    assert len(built) == len(set(built)), built
+
+
 def test_laurent_part_must_cancel():
     # a kernel sum may start below x^0 only if those coefficients vanish;
     # the check raises, so it also runs under python -O
@@ -674,16 +709,20 @@ def _build_log(monkeypatch, *calls) -> list:
 
 @pytest.mark.parametrize("calls, want", [
     # A_series(4) reads B11 and C11 through x^3; B11 at 3 reads the
-    # denominator sum at 4, V0 at 2 and V1 at 0
+    # denominator sum at 4 and C11 at 3, which reads V1 at 0: zero, since
+    # no word has size 0, so no V0 and no kernel sum of V1 is built
     ((lambda: genfun.A_series(4),),
-     [("_den_sum", 4), ("V0_series", 2), ("V1_series", 0),
-      ("C11_series", 3), ("B11_series", 3)]),
+     [("_den_sum", 4), ("V1_series", 0), ("C11_series", 3),
+      ("B11_series", 3)]),
+    # C11 at 3 is x^3: its V parts are read through x^0 and build nothing
+    ((lambda: genfun.C11_series(3),),
+     [("V1_series", 0), ("C11_series", 3)]),
     # at order 3 the b series reads B11 through x^2 and no C11; the c
     # series then reads C11 through x^2, which is zero and reads nothing
     ((lambda: genfun.B1u_series(Q(3, 7), 3),
       lambda: genfun.C1u_series(Q(3, 7), 3)),
      [("_den_sum", 3), ("B11_series", 2), ("C11_series", 2)]),
-], ids=["A4", "B1u-then-C1u-3/7-N3"])
+], ids=["A4", "C11-N3", "B1u-then-C1u-3/7-N3"])
 def test_cold_calls_build_each_shared_series_once_at_the_order_read(
         monkeypatch, calls, want):
     assert _build_log(monkeypatch, *calls) == want
