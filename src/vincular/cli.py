@@ -4,12 +4,15 @@ Pattern grammar (only this module parses pattern text): a pattern is a
 sequence of runs separated by hyphens or whitespace.  Letters inside a
 run are glued, i.e. they must sit in adjacent positions of any
 occurrence; letters in different runs may sit anywhere apart.  Within a
-run, letters above 9 are joined with underscores.  Examples::
+run, letters above 9 are joined with underscores, and a run that ends in
+an underscore is read the same way without it, so a lone letter above 9
+is written with a trailing underscore.  Examples::
 
     23-4-1     letters 2,3,4,1 with 2 glued to 3 (the default)
     12-3       letters 1,2,3 with 1 glued to 2
     4-1-23     letters 4,1,2,3 with 2 glued to 3
     1_11-2     letters 1,11,2 with 1 glued to 11
+    2-10_-1    letters 2,10,1, none glued
 
 The recurrence (dp) and series (gf) engines are specific to the default
 pattern; anything else needs the brute-force oracle, which is capped at
@@ -35,14 +38,16 @@ DEFAULT_PATTERN_TEXT = "23-4-1"
 
 
 def parse_pattern(text: str) -> VincularPattern:
-    """Parse run-grammar pattern text, e.g. "23-4-1" or "2_3 4 1"."""
+    """Parse run-grammar pattern text, e.g. "23-4-1", "2_3 4 1" or
+    "2-10_-1"."""
     runs = [run for chunk in text.split() for run in chunk.split("-")]
     if not runs or any(not run for run in runs):
         raise ValueError(f"malformed pattern text {text!r}")
     letters: list[int] = []
     bonds: set[int] = set()
     for run in runs:
-        parts = run.split("_") if "_" in run else list(run)
+        body = run.removesuffix("_")
+        parts = body.split("_") if "_" in run else list(body)
         if any(not part.isdigit() or int(part) == 0 for part in parts):
             raise ValueError(f"bad run {run!r} in pattern text {text!r}")
         first = len(letters)
@@ -192,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         "by brute force, by recurrence, and by closed-form series.",
         epilog='Pattern text is runs separated by hyphens or spaces; letters '
         'inside a run are glued in any occurrence ("23-4-1" glues 2 to 3). '
-        'Join letters above 9 with underscores inside a run.',
+        'Join letters above 9 with underscores inside a run, and end a lone '
+        'letter above 9 with one ("10_").',
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -54,11 +54,16 @@ sum they share (:func:`_count_quotient`): the folded numerator and the
 denominator sum are both integer series, and their long division keeps
 every coefficient an int, so a plain count builds no Q.
 
-Three jobs have one home each.  Products of series go through
+Each job has one home.  Dense products of series go through
 :func:`vincular.powerseries._pmul`; a product by a linear polynomial is
-one pass (:func:`_times_linear`).  :func:`_geometric` normalises a
-weight and raises :class:`KernelSpecializationError` for the one weight
-that collapses a kernel.  :func:`_memo` caches, by name, the only five
+one pass (:func:`_times_linear`), so one by C11's (1 - x)(1 - 3x) is
+two.  A kernel sum is one drain of :func:`_horner` (:func:`_kernel_sum`),
+and the last-letter series states its two sums once (:func:`_V_sums`):
+the b series reads the second as its first sum, times x.
+:func:`_c_reads` states the orders through which a c series reads C11
+and the last-letter series.  :func:`_geometric` normalises a weight and
+raises :class:`KernelSpecializationError` for the one weight that
+collapses a kernel.  :func:`_memo` caches, by name, the only five
 series read again: V0, V1, C11 and B11, on which the kernel method builds
 every weighted series, and the denominator sum of V0 and B11, kept as an
 integer series whose x^1 coefficient is its scale.  Every request asks
@@ -296,15 +301,6 @@ def _horner(levels, top: int):
         yield part
 
 
-def _nest(levels, top: int):
-    """The sum of :func:`_levels` through y^top as one part
-    (lo, (1, den), cs): the last tail of :func:`_horner`."""
-    part = top + 1, (1, 1), []
-    for part in _horner(levels, top):
-        pass
-    return part
-
-
 def _fold(parts, top: int):
     """The sum of parts (lo, (num, den), cs), each reaching x^top, as one
     part (lo, (1, den), cs) through x^top: the parts inside the window are
@@ -329,8 +325,12 @@ def _fold(parts, top: int):
 
 
 def _kernel_sum(init, step, term, top: int, D: int = 1):
-    """The kernel sum of :func:`_levels` as one part (lo, (1, den), cs)."""
-    return _nest(_levels(init, step, term, top, D), top)
+    """The kernel sum of :func:`_levels` through y^top as one part
+    (lo, (1, den), cs): the last tail of :func:`_horner`."""
+    part = top + 1, (1, 1), []
+    for part in _horner(_levels(init, step, term, top, D), top):
+        pass
+    return part
 
 
 def _summed(N: int, *parts):
@@ -534,19 +534,19 @@ def C11_series(N: int) -> Series:
     top = N - 3
     if top < 0:
         return Series([0] * (N + 1))
-    lo, k, cs = _V_scaled_geom(1, 3, top)
-    v1 = V1_series(top).coeffs
-    par = _fold([(lo, k, _pmul([1, -1], cs, len(cs))),
-                 (0, (-1, 1), _pmul([1, -4, 3], v1, len(v1))),
+    v1 = (0, (-1, 1), list(V1_series(top).coeffs))
+    par = _fold([_times_linear(_V_scaled_geom(1, 3, top), 1, -1),
+                 _times_linear(_times_linear(v1, 1, -1), 1, -3),
                  _poly([3, -6, -3], top)], top)
     return _placed(N, _divided(_scaled(par, 1, 3), (3, -6), (1, -3)))
 
 
-def _V_reach(c, N: int) -> int:
-    """The order through which the c series at c/(1 - k*c*x), read through
-    y^N, reads the last-letter series at c/(1 - (k+2)*c*x): x^4 spares four
-    orders, and at c = 1 the kernels 1-u+ux and 1-u-2ux cost one each."""
-    return N - 2 if c == 1 else N - 4
+def _c_reads(c, N: int) -> tuple[int, int]:
+    """The orders through which the c series at c/(1 - k*c*x), read through
+    y^N, reads C11 and the last-letter series at c/(1 - (k+2)*c*x): C11 at
+    x^1 spares one order and V at x^4 four, and at c = 1 the kernels
+    1-u+ux and 1-u-2ux cost one each."""
+    return (N, N - 2) if c == 1 else (N - 1, N - 4)
 
 
 def _C1u_parts(c, k: int, N: int, D, U):
@@ -556,7 +556,7 @@ def _C1u_parts(c, k: int, N: int, D, U):
     Four closed terms over the kernels 1-u+ux, 1-u-2ux and 1-2ux, whose
     common factor 1-u+ux is divided out last.  One reads the last-letter
     series V at c/(1 - (k+2)cx) over F(2), which U(top, F(2)) gives through
-    y^top (:func:`_V_reach`) as parts (A, B) of the series A + V0*B; Y
+    y^top (:func:`_c_reads`) as parts (A, B) of the series A + V0*B; Y
     carries B.  When the weight is identically 1 the last three terms carry
     the factor G(0) = 1-u = 0, so they add zero vectors and the formula
     returns C11.  At c = 1 the kernels 1-u+ux and 1-u-2ux vanish at 0 and
@@ -575,15 +575,15 @@ def _C1u_parts(c, k: int, N: int, D, U):
     parts, Y = [], (W, (1, 1), [])
     # c x^4 G(0) (V1 - c V(c, k+2) / F(2)) / G(2): x^4 spares four orders.
     # It comes first: at c = 1 it reads V1 and V0 one order past C11's reads
-    top = _V_reach(c, N)
+    c11, top = _c_reads(c, N)
     if top >= 0:
         v1 = _in_y(V1_series(top), D)
         A, B = U(top, F(2))
         parts.append(x4(_fold([v1, _scaled(A, -c)], top)))
         Y = _divided(x4(_scaled(B, -c)), K0)
-    # C11 x (1 - (k+1)cx) / (1 - x), read through x^(W-1)
-    if W > 0:
-        cs = _in_y(C11_series(W - 1), D)[2]
+    # C11 x (1 - (k+1)cx) / (1 - x)
+    if c11 >= 0:
+        cs = _in_y(C11_series(c11), D)[2]
         parts.append(_divided(
             _times_linear((1, (D, 1), cs), 1, -(k + 1) * P), one))
     # x^3 G(0) (1 - (k+1)cx - cx^2) / ((1 - x) F(2))
@@ -649,11 +649,12 @@ def _coupled(levels, c, m: int, N: int, D: int | None = None):
             Ks.append(_geometric(c, M + j, D)[3])
             shift.append(2 * j - w + _factor(*Ks[j])[3])
         if j in used:
-            reach = max(reach, _V_reach(c, N - lo) + shift[j])
+            reach = max(reach, _c_reads(c, N - lo)[1] + shift[j])
             high = max(high, N - lo)
     # the shallowest C_j reads C11 and V1 highest, and the nest reads them
     # deepest level first, so they are asked for first
-    _prebuild(high + (c == 1) - 1, -1, _V_reach(c, high))
+    c11, v1 = _c_reads(c, high)
+    _prebuild(c11, -1, v1)
 
     def tails(sum_, top):
         """The tail of one Horner pass of a sum after each level j, from
@@ -744,14 +745,14 @@ def _B1u_geom(c, m: int, N: int, D: int | None = None):
     three vanish identically and are skipped before any c input is built
     (the skipped c argument would sit at the collapsed weight 1/(1-x)).
     """
-    c, D, P, K0, F, G = _geometric(c, m, D)
+    (c, D, P, K0, F, G), (_, second) = _V_sums(c, m, D)
     one = (1, -D)  # 1 - x in y
 
     # S1 multiplies the b series, S2 the c series, S4 stands alone.  The
     # products read B11 and C11 highest and S3's couplings below them;
-    # while S2 is empty S3 is too, and B11 orders its own reads.
-    S1 = _kernel_sum([K0, G(1)], lambda j: (F(j), G(j + 1)),
-                     lambda j: (2 * j + 1, _alt(c, j), _p2(c, P, m + j)), N - 2, D)
+    # while S2 is empty S3 is too, and B11 orders its own reads.  S1 is x
+    # times the second kernel sum of the last-letter series.
+    S1 = _scaled(_kernel_sum(*second, N - 3, D), 1, 1, D)
     S2 = _kernel_sum([K0, one, G(1)], lambda j: (F(j), G(j + 1)),
                      lambda j: (2 * j + 1, _alt(c, j, 0, 2),
                                 _pmul(_g(c, P, m + j), _g(c, P, m + j), 3)),

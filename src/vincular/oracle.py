@@ -84,7 +84,6 @@ from .perms import (
     avoids_circular,
     avoids_linear,
     closes,
-    standardize,
 )
 
 # The circular pattern under study: 2341 with its first two letters bonded
@@ -180,7 +179,9 @@ def _walker(sets: tuple[tuple[VincularPattern, ...], ...]) -> Callable:
                               else ("rest[0] if i else rest[1]", "<"))
             u = f"u{len(starts)}"
             starts.append("n + 1" if pick == -1 else "0")
-            front = VincularPattern(standardize(p.entries[:-1]), p.bonds)
+            # P less its last letter, the largest or the smallest
+            front = VincularPattern(
+                tuple(e - (pick == 0) for e in p.entries[:-1]), p.bonds)
             side = 1 if pick == -1 else -1
             guard = [f"bits & {mask}", "last", *([f"m > {k - 3}"] if k > 2 else [])]
             block = [*_closes_block(front.entries, front.bonds, side, u, read),
@@ -395,8 +396,9 @@ def oracle_report(n: int) -> OracleReport:
 
 
 def delete_smallest(word: Word) -> Word:
-    """Remove the letter 1 and standardize; the circular-to-linear map."""
-    return standardize(tuple(x for x in word if x != 1))
+    """Remove the letter 1 and lower every other letter by one; the
+    circular-to-linear map."""
+    return tuple(x - 1 for x in word if x != 1)
 
 
 def weighted_circular_sum(report: OracleReport, v0, u0):

@@ -1,9 +1,13 @@
 """Words, rotations, and vincular pattern containment.
 
 A permutation is handled as a tuple of the integers 1..n in one-line
-notation ("word" form).  A vincular pattern is a pattern word together
-with a set of bonds: positions where two consecutive pattern letters must
-sit in adjacent host positions in any occurrence.
+notation ("word" form).  Nothing ranks letters: a compiled test compares
+a word's letters only with one another, so it reads any word of distinct
+letters as the permutation of their ranks, and dropping the extreme
+letter of a word or a pattern needs at most a shift of the rest.  A
+vincular pattern is a pattern word together with a set of bonds:
+positions where two consecutive pattern letters must sit in adjacent
+host positions in any occurrence.
 
 Circular permutations are identified with the set of words obtained by
 repeatedly moving the last letter to the front; a circular word contains a
@@ -30,20 +34,6 @@ from typing import Callable, Iterable, Sequence
 Word = tuple[int, ...]
 
 
-def standardize(values: Sequence[int]) -> Word:
-    """Replace each entry by its rank, smallest -> 1.
-
-    >>> standardize((5, 2, 9))
-    (2, 1, 3)
-    >>> standardize((7, 3, 8, 1))
-    (3, 2, 4, 1)
-    """
-    if len(set(values)) != len(values):
-        raise ValueError(f"cannot standardize, entries not distinct: {values!r}")
-    rank = {v: r for r, v in enumerate(sorted(values), start=1)}
-    return tuple(rank[v] for v in values)
-
-
 @dataclass(frozen=True, slots=True)
 class VincularPattern:
     """A pattern word plus adjacency bonds.
@@ -68,11 +58,12 @@ class VincularPattern:
         object.__setattr__(self, "bonds", bonds)
 
 
+@cache
 def closes(pattern: VincularPattern) -> Callable[[Sequence[int]], bool]:
     """The compiled test of pattern: true on a word of distinct letters
     when some occurrence ends at its last position.
 
-    Compiled once per (entries, bonds) and cached.  The empty pattern
+    Compiled once per pattern and cached.  The empty pattern
     closes every word, the empty word included.  A pattern with more
     free loops than Python nests (about 20) raises ValueError.
 
@@ -81,11 +72,7 @@ def closes(pattern: VincularPattern) -> Callable[[Sequence[int]], bool]:
     >>> closes(VincularPattern((1, 2, 3), bonds={0}))((2, 3, 4, 1))
     False
     """
-    return _compiled(pattern.entries, pattern.bonds)
-
-
-@cache
-def _compiled(entries: Word, bonds: frozenset[int]) -> Callable:
+    entries, bonds = pattern.entries, pattern.bonds
     return _define(_closes_source(entries, bonds), "closes",
                    f"pattern {entries} with bonds {sorted(bonds)}")
 

@@ -172,9 +172,21 @@ def test_pattern_parser():
     big = cli.parse_pattern("2-3-4-5-6-7-8-9-10_11-1")
     assert big.entries == (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1)
     assert big.bonds == frozenset({8})
+    # a trailing underscore ends a run of letters above 9, so one can be lone
+    lone = cli.parse_pattern("2-3-4-5-6-7-8-9-10_ 11_-1")
+    assert lone.entries == big.entries and lone.bonds == frozenset()
+    assert cli.parse_pattern("2_3_ 4_ 1_") == CIRCULAR_PATTERN
 
 
-@pytest.mark.parametrize("text", ["", "2--3", "31x", "0-1", "13", "1_1"])
+def test_count_lone_letter_above_9(capsys):
+    # every word of size 5 avoids a pattern of ten letters
+    code, out, _ = run(capsys, "count", "--n", "5", "--linear", "--engine",
+                       "oracle", "--pattern", "1 2 3 4 5 6 7 8 9 10_")
+    assert (code, out) == (0, "120\n")
+
+
+@pytest.mark.parametrize("text", ["", "2--3", "31x", "0-1", "13", "1_1",
+                                  "_", "10__", "1__2"])
 def test_pattern_parser_rejects(text):
     with pytest.raises(ValueError):
         cli.parse_pattern(text)

@@ -88,8 +88,9 @@ def test_geometric_v_dense_operations_do_not_grow_with_order(monkeypatch):
 def test_coupled_sums_operation_counts_do_not_grow_with_order(monkeypatch):
     # each coupled sum nests every c series it reads from one Horner pass
     # per kernel sum of the last-letter series, with one product by V0 in
-    # all, so a cold A_series makes as many _pmul calls at N = 201 as at
-    # N = 61, and a cold B1u_series(1, N) lists as many kernel sums at
+    # all, so a cold A_series makes four _pmul calls at N = 61 and at
+    # N = 201 (a product by a linear polynomial is one pass, not a
+    # _pmul), and a cold B1u_series(1, N) lists as many kernel sums at
     # N = 64 as at N = 32 and builds no c series at any weight twice
     counts = {"pmul": 0, "levels": 0}
     built = []
@@ -115,7 +116,7 @@ def test_coupled_sums_operation_counts_do_not_grow_with_order(monkeypatch):
         counts[name] = 0
         call(N)
         seen.setdefault(name, []).append(counts[name])
-    assert seen["pmul"][0] == seen["pmul"][1], seen
+    assert seen["pmul"] == [4, 4], seen
     assert seen["levels"][0] == seen["levels"][1], seen
     assert len(built) == len(set(built)), built
 
@@ -190,7 +191,8 @@ def test_kernel_route_stays_on_integers(monkeypatch, c, m):
     monkeypatch.setattr(genfun, "_over_linear", inside(genfun._over_linear))
     monkeypatch.setattr(genfun, "_levels",
                         inside(genfun._levels, levels.extend))
-    monkeypatch.setattr(genfun, "_nest", inside(genfun._nest, parts.append))
+    monkeypatch.setattr(genfun, "_kernel_sum",
+                        inside(genfun._kernel_sum, parts.append))
     monkeypatch.setattr(genfun, "_fold", inside(genfun._fold, parts.append))
     for build in (genfun._V_scaled_geom, genfun._C1u_geom, genfun._B1u_geom):
         build(c, m, 10)

@@ -218,9 +218,28 @@ def test_symmetry_class_of_23_4_1_shares_its_circular_counts():
     assert set(members) == {parse_pattern(text) for text in (
         "23-4-1", "4-1-23", "1-23-4", "32-1-4", "1-4-32", "4-32-1")}
     assert Counter(oracle._lookahead(p) for p in members) == {-1: 2, 0: 2, None: 2}
-    for n in range(2, 10):
+    for n in range(2, 11):
         for p in members:
             assert count_circular_avoiders(n, (p,)) == REFERENCE_A[n - 2], (p, n)
+
+
+def test_every_one_bond_class_of_length_4_shares_its_circular_counts():
+    # the 72 length-4 patterns with one bond fall into 8 classes; 18 have a
+    # bond into their letter 1, so their survivors take the rotation test
+    patterns = {VincularPattern(entries, {g})
+                for entries in permutations(range(1, 5)) for g in range(3)}
+    classes = []
+    while patterns:
+        members = oracle._symmetry_class(next(iter(patterns)))
+        patterns -= set(members)
+        classes.append(members)
+    assert sorted(len(members) for members in classes) == [6] * 4 + [12] * 4
+    assert sum(p.entries[g + 1] == 1 for members in classes
+               for p in members for g in p.bonds) == 18
+    for members in classes:
+        for n in range(2, 9):
+            counts = {count_circular_avoiders(n, (p,)) for p in members}
+            assert len(counts) == 1, (members[0], n, counts)
 
 
 def test_walk_with_first_letters():
