@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field, replace
 from itertools import permutations, zip_longest
+from typing import NamedTuple
 
 from . import genfun, oracle, perms
 from .powerseries import Q, Series
@@ -58,12 +58,11 @@ SERIES_ORDER = 32
 ORACLE_CAP = 10
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
-    seconds: float = field(default=0.0, compare=False)
+    seconds: float = 0.0
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -333,7 +332,7 @@ def run_all(oracle_max: int = ORACLE_CAP,
         build = CheckResult("dp-build", True, f"N={tables.N}")
     except Exception as exc:
         tables, build = None, _raised("dp-build", exc)
-    results = [replace(build, seconds=time.perf_counter() - t0)]
+    results = [build._replace(seconds=time.perf_counter() - t0)]
 
     reports = functools.cache(oracle.oracle_report)
 
@@ -350,7 +349,7 @@ def run_all(oracle_max: int = ORACLE_CAP,
                 res = check(*args, **kwargs)
             except Exception as exc:
                 res = _raised(name, exc)
-        results.append(replace(res, seconds=time.perf_counter() - t0))
+        results.append(res._replace(seconds=time.perf_counter() - t0))
 
     if fault is not None and tables is not None:
         cell = apply_fault(tables, fault)

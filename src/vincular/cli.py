@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import asdict
 
 from . import checks, genfun, oracle
 from .perms import VincularPattern
@@ -153,7 +152,7 @@ def cmd_verify(args) -> int:
     total = len(results)
     if args.format == "json":
         doc = {
-            "checks": [asdict(res) for res in results],
+            "checks": [res._asdict() for res in results],
             "total": total,
             "failed": len(failed),
             "seconds": sum(res.seconds for res in results),

@@ -71,9 +71,8 @@ never change once made, so the functions are safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 # avoids_linear and avoids_circular stay bound here for the benchmark tracer.
 from .perms import (
@@ -342,8 +341,7 @@ def _classify(w: Word, n: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Every brute-force count for one size, from pruned scans of [n];
     circular lists the canonical circular avoiders in lexicographic order."""
 

@@ -27,15 +27,20 @@ the walks of :mod:`vincular.oracle` inline (:func:`_closes_block`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class VincularPattern:
+# A NamedTuple body may not define __new__, so VincularPattern subclasses
+# this base to normalise and check its fields.
+class _Pattern(NamedTuple):
+    entries: Word
+    bonds: frozenset[int] = frozenset()
+
+
+class VincularPattern(_Pattern):
     """A pattern word plus adjacency bonds.
 
     ``entries`` is a permutation of 1..k.  ``bonds`` is a set of 0-based
@@ -44,18 +49,22 @@ class VincularPattern:
     all k-1 bonds give a subword pattern.
     """
 
-    entries: Word
-    bonds: frozenset[int] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        entries, bonds = tuple(self.entries), frozenset(self.bonds)
+    def __new__(cls, entries: Iterable[int],
+                bonds: Iterable[int] = frozenset()) -> VincularPattern:
+        entries, bonds = tuple(entries), frozenset(bonds)
         k = len(entries)
         if sorted(entries) != list(range(1, k + 1)):
             raise ValueError(f"not a permutation of 1..{k}: {entries!r}")
         if any(t < 0 or t >= k - 1 for t in bonds):
             raise ValueError(f"bond positions must lie in 0..{k - 2}: {sorted(bonds)}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "bonds", bonds)
+        return super().__new__(cls, entries, bonds)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> VincularPattern:
+        """Build through the checks above; ``_replace`` builds here too."""
+        return cls(*fields)
 
 
 @cache

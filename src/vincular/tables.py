@@ -31,10 +31,10 @@ n <= CELLS_MAX.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import log
 from operator import add
+from typing import NamedTuple
 
 Row = list[int]
 Cells = list[list[int]]
@@ -218,8 +218,7 @@ def compute_a(N: int, b_last: list[Row], c_last: list[Row]) -> list[int]:
     return a
 
 
-@dataclass(frozen=True)
-class Tables:
+class Tables(NamedTuple):
     """All recurrence arrays up to size N.
 
     ``b_cells`` and ``c_cells`` hold the full cell tables for sizes
@@ -244,8 +243,7 @@ def build_tables(N: int) -> Tables:
                   b_cells=b_cells, b_last=b_last, a=a)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Exact checks of the two growth statements on a finite range.
 
     ``power_holds`` keeps, at index n-1, whether a_n^(n+1) < a_{n+1}^n

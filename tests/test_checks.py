@@ -1,7 +1,5 @@
 """Each cross-route comparison fails on a one-off input and names the spot."""
 
-from dataclasses import replace
-
 import pytest
 
 from vincular import checks, genfun, oracle
@@ -40,7 +38,7 @@ def change_circular(n, change):
     """A reports function whose report at size n holds change(circular)."""
     def reports(m):
         rep = oracle.oracle_report(m)
-        return replace(rep, circular=change(rep.circular)) if m == n else rep
+        return rep._replace(circular=change(rep.circular)) if m == n else rep
     return reports
 
 
@@ -101,6 +99,14 @@ def test_run_all_scans_each_size_once(monkeypatch):
     results = checks.run_all(oracle_max=6)
     assert all(res.passed for res in results)
     assert sorted(seen) == list(range(1, 7))
+
+
+def test_check_result_defaults_and_line():
+    res = checks.CheckResult("x", True)
+    assert (res.detail, res.seconds) == ("", 0.0)
+    assert res.line() == "PASS x (0.0s)"
+    failed = checks.CheckResult(name="y", passed=False, detail="a_7", seconds=1.5)
+    assert failed.line() == "FAIL y: a_7 (1.5s)"
 
 
 # every check run_all can reach, found by name so that a new check is

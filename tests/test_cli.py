@@ -287,6 +287,18 @@ def test_user_errors_end_the_process_with_one_line(argv, status, error):
         assert done.stderr == error + "\n"
 
 
+def test_import_loads_no_dataclasses():
+    # the CLI imports every module, and each vincular process pays for what
+    # they load: dataclasses would pull in inspect, ast and dis
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, vincular.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_verify_has_no_table_size(capsys):
     # the tables are always built at 30, and conjectures --N sets a longer
     # range; the series checks always run at order 32

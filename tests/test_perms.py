@@ -74,10 +74,14 @@ def test_short_words_avoid_circularly():
 
 
 def test_pattern_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a permutation"):
         VincularPattern((1, 3), bonds=set())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bond positions"):
         VincularPattern((1, 2), bonds={5})
+    with pytest.raises(ValueError, match="not a permutation"):
+        P12_3._replace(entries=(1, 1, 3))
+    with pytest.raises(AttributeError):
+        P12_3.bonds = frozenset()
 
 
 def _classical_contains(host, pat):
@@ -170,6 +174,12 @@ def test_pattern_compiled_once():
             avoids_circular(host, (VincularPattern((2, 3, 4, 1), bonds={0}),))
     assert closes.cache_info().misses == 2
     assert closes(VincularPattern((1, 2, 3), bonds={0})) is closes(P12_3)
+    # the entries and bonds are normalised, so any iterables give one pattern
+    listed = VincularPattern([2, 3, 4, 1], {0})
+    assert listed == CIRC and hash(listed) == hash(CIRC)
+    assert (listed.entries, listed.bonds) == ((2, 3, 4, 1), frozenset({0}))
+    assert closes(listed) is closes(CIRC)
+    assert closes.cache_info().misses == 2
 
 
 def _word(n):

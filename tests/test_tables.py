@@ -148,7 +148,9 @@ def test_matches_direct_sums(N):
     kept = min(N, CELLS_MAX) + 1
     want = Tables(N=N, v=v[:N + 1], c_cells=c_cells[:kept], c_last=c_last[:N + 1],
                   b_cells=b_cells[:kept], b_last=b_last[:N + 1], a=a[:N + 1])
-    assert build_tables(N) == want
+    t = build_tables(N)
+    assert t == want
+    assert Tables(N, t.v, t.c_cells, t.c_last, t.b_cells, t.b_last, t.a) == want
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, CELLS_MAX, CELLS_MAX + 1, 40])
